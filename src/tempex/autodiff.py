@@ -199,9 +199,15 @@ def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(inputs):
+    """Whether an op over `inputs` will be taped: a tape is active and an
+    input is tracked. A fused op checks it to save nothing otherwise."""
+    return _active_tape() is not None and any(t._tracked() for t in inputs)
+
+
 def _record(out, inputs, backward_fn):
-    tape = _active_tape()
-    if tape is not None and any(t._tracked() for t in inputs):
+    if _recording(inputs):
+        tape = _active_tape()
         out._tape = tape
         tape._ops.append((out, inputs, backward_fn))
     return out

@@ -5,9 +5,11 @@ whole experiment (folds, explainers, metrics, charts); the other verbs
 expose the individual pipeline stages for one-off work.
 
 Configuration comes from an INI file (sections [dataset], [model],
-[explainers.learned], [metrics], [run]); command line flags override file
+[explainers.learned], [metrics], [run]); a key that the run would not read
+is rejected before any stage starts. Command line flags override file
 keys, and the TEMPEX_SEED environment variable overrides the file seed
-(an explicit --seed flag still wins).
+(an explicit --seed flag still wins). `run` echoes the resolved sizes and
+the BLAS set-up into config.ini.
 """
 
 from __future__ import annotations
@@ -29,15 +31,21 @@ SEED_ENV = "TEMPEX_SEED"
 # config file handling
 
 _INT_KEYS = {"n_series", "n_steps", "eval_samples", "epochs", "hidden",
-             "iterations", "folds", "seed", "jobs", "chunk"}
-_FLOAT_KEYS = {"lambda1", "lambda2", "lr", "mask_lr", "generator_lr"}
+             "iterations", "folds", "seed", "jobs"}
+# the keys `run` and its folds read, by section; any other key would be
+# ignored, so it is rejected (`fractions` only by the ICU-like fold)
+_SECTION_KEYS = {
+    "run": {"experiment", "profile", "folds", "seed", "jobs", "out_dir"},
+    "dataset": {"n_series", "n_steps"},
+    "model": {"epochs", "hidden"},
+    "metrics": {"eval_samples", "fractions"},
+    "explainers.learned": {"iterations"},
+}
 
 
 def _coerce(key, value):
     if key in _INT_KEYS:
         return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
     if key == "fractions":
         return tuple(float(v) for v in value.split(","))
     return value
@@ -52,6 +60,20 @@ def read_config(path):
     for section in parser.sections():
         out[section] = {k: _coerce(k, v) for k, v in parser[section].items()}
     return out
+
+
+def _check_config_keys(file_conf, experiment):
+    """Raise SystemExit naming the first key that no stage of an
+    `experiment` run would read."""
+    for section, keys in file_conf.items():
+        allowed = _SECTION_KEYS.get(section, set())
+        if experiment != xp.ICU:
+            allowed = allowed - {"fractions"}
+        for key in keys:
+            if key not in allowed:
+                raise SystemExit(
+                    f"config key {key!r} in section [{section}] is not read "
+                    f"by a {experiment} run; remove it")
 
 
 def _resolve_seed(args, file_conf):
@@ -142,13 +164,10 @@ def cmd_evaluate(args):
 def cmd_run(args):
     file_conf = read_config(args.config) if args.config else {}
     run_conf = file_conf.get("run", {})
-    overrides = {}
-    for section in ("dataset", "model", "metrics"):
-        overrides.update(file_conf.get(section, {}))
-    for section, keys in file_conf.items():
-        if section.startswith("explainers."):
-            overrides.update(keys)
     experiment = args.experiment or run_conf.get("experiment", xp.HMM)
+    _check_config_keys(file_conf, experiment)
+    overrides = {key: value for section, keys in file_conf.items()
+                 if section != "run" for key, value in keys.items()}
     profile = args.profile or run_conf.get("profile", xp.FAST)
     out_dir = args.out or run_conf.get("out_dir") or \
         f"runs/{experiment}_{profile}"
@@ -191,8 +210,25 @@ def _echo_config(cfg: xp.ExperimentConfig, path):
         "compare_generators": str(cfg.compare_generators),
     }
     parser["resolved"] = {k: str(v) for k, v in sorted(settings.items())}
+    parser["environment"] = _environment()
     with open(path, "w") as fh:
         parser.write(fh)
+
+
+def _environment():
+    """The BLAS set-up of the run. Results are bitwise reproducible only
+    under the same one: the last bits of a large float64 matmul can depend
+    on the BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        name = "unknown"
+    env = {"blas": name}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env[var.lower()] = os.environ.get(var, "unset")
+    env["cpu_count"] = str(os.cpu_count())
+    return env
 
 
 def _load_aggregated(run_dir):

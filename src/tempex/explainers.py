@@ -128,16 +128,6 @@ def _per_sample_ce(logits, ref_probs):
     return ce
 
 
-def _stall_update(vals, best, stall, tol):
-    """Per-row early-stop bookkeeping: a row improves when its loss drops
-    at least tol below its best so far; otherwise its stall counter grows.
-    Mutates best/stall in place."""
-    improved = vals < best - tol
-    stall[improved] = 0
-    stall[~improved] += 1
-    np.minimum(best, vals, out=best)
-
-
 def _minmax_per_sample(raw):
     lo = raw.min(axis=(1, 2), keepdims=True)
     hi = raw.max(axis=(1, 2), keepdims=True)
@@ -148,6 +138,67 @@ def _minmax_per_sample(raw):
     return out
 
 
+def _row_view(rows, x, mask, ref, gen=None):
+    """The rows still being optimized: the input, the mask, the reference
+    probabilities and the generator. The mask and generator parameters
+    become taped row views (ad.take), so their gradients scatter back
+    into full-length arrays that Adam.step(active=...) can gate."""
+    if len(rows) == x.shape[0]:
+        return Tensor(x), mask.values, ref, gen
+    return (Tensor(x[rows]), ad.take(mask.values, rows), ref[rows],
+            gen.rows(rows) if gen is not None else None)
+
+
+def _optimize_mask(B, config, optimizers, mask, loss_rows):
+    """The optimization loop of both mask explainers.
+
+    Each iteration tapes `loss_rows(rows)` for the active rows only; it
+    returns their per-row loss Tensor and a dict of per-row loss terms.
+    The updates are gated by the full-length active flag. A row freezes
+    once its loss has not dropped early_stop_tol below its best for
+    early_stop_patience iterations, and is not computed after that. So a
+    frozen row's loss history repeats its last computed loss, and its
+    terms are those of its last computed iteration.
+
+    Returns (iterations_run, iterations_per_row, history, terms), where
+    iterations_per_row[b] is the iteration count at which row b froze (the
+    run's count for a row that never froze).
+    """
+    active = np.ones(B, dtype=bool)
+    best = np.full(B, np.inf)
+    stall = np.zeros(B, dtype=np.int64)
+    per_row = np.zeros(B, dtype=np.int64)
+    history = np.empty((config.iterations, B))
+    last = np.zeros(B)
+    terms = {}
+    iterations_run = 0
+    for it in range(config.iterations):
+        rows = np.flatnonzero(active)
+        with ad.Tape():
+            loss_b, row_terms = loss_rows(rows)
+            vals = loss_b.data.copy()
+            if not np.all(np.isfinite(vals)):
+                raise DivergenceError(f"non-finite loss at iteration {it}")
+            ad.tsum(loss_b).backward()
+        last[rows] = vals
+        history[it] = last
+        for name, value in row_terms.items():
+            terms.setdefault(name, np.zeros(B))[rows] = value
+        for opt in optimizers:
+            opt.step(active=active)
+        mask.project()
+        for opt in optimizers:
+            opt.zero_grad()
+        iterations_run = per_row[rows] = it + 1
+        improved = vals < best[rows] - config.early_stop_tol
+        stall[rows] = np.where(improved, 0, stall[rows] + 1)
+        best[rows] = np.minimum(best[rows], vals)
+        active[rows] = stall[rows] < config.early_stop_patience
+        if not active.any():
+            break
+    return iterations_run, per_row, history[:iterations_run].copy(), terms
+
+
 def explain_learned(x, classifier: ClassifierParams,
                     config: ExplainerConfig = None,
                     sample_seeds=None) -> SaliencyMap:
@@ -155,7 +206,8 @@ def explain_learned(x, classifier: ClassifierParams,
     are independent, and a sample freezes once its loss stops improving).
 
     sample_seeds optionally pins the per-row generator init streams so a
-    single-sample run can reproduce one row of a batched run.
+    single-sample run can reproduce one row of a batched run. The loss
+    terms in the metadata are means over all rows (see _optimize_mask).
     """
     config = config or ExplainerConfig()
     X, single = _as_batch(x)
@@ -169,61 +221,39 @@ def explain_learned(x, classifier: ClassifierParams,
     gen = PerturbationGenerator(config.generator, B, n,
                                 hidden=config.generator_hidden,
                                 seed=config.seed, row_seeds=sample_seeds)
-    opt_mask = ad.Adam([mask.values], lr=config.mask_lr)
-    opt_gen = ad.Adam(gen.parameters(), lr=config.generator_lr) \
-        if gen.parameters() else None
-    active = np.ones(B, dtype=bool)
-    best = np.full(B, np.inf)
-    stall = np.zeros(B, dtype=np.int64)
-    history = np.empty((config.iterations, B))
-    x_tensor = Tensor(X)
-    iterations_run = 0
-    final_terms = {}
-    for it in range(config.iterations):
-        with ad.Tape():
-            phi, nn_x = apply_learned(x_tensor, mask.values, gen)
-            logits = classifier_forward(phi, classifier)
-            if config.target == 0:
-                logits = ad.neg(logits)
-            ce_b = _per_sample_ce(logits, ref)
-            m_flat = ad.reshape(mask.values, (B, T * n))
-            if config.mode == PRESERVATION:
-                m_term = ad.tmean(m_flat, axis=1)
-            else:
-                m_term = ad.tmean(ad.sub(1.0, m_flat), axis=1)
-            nn_term = ad.tmean(
-                ad.reshape(ad.tabs(nn_x), (B, T * n)), axis=1)
-            loss_b = ad.add(
-                ad.add(ad.mul(m_term, config.lambda1),
-                       ad.mul(nn_term, config.lambda2)), ce_b)
-            loss = ad.tsum(loss_b)
-            vals = loss_b.data.copy()
-            if not np.all(np.isfinite(vals)):
-                raise DivergenceError(f"non-finite loss at iteration {it}")
-            loss.backward()
-        history[it] = vals
-        opt_mask.step(active=active)
-        if opt_gen is not None:
-            opt_gen.step(active=active)
-        mask.project()
-        opt_mask.zero_grad()
-        if opt_gen is not None:
-            opt_gen.zero_grad()
-        iterations_run = it + 1
-        final_terms = {
-            "mask_term": float(np.mean(m_term.data)),
-            "generator_term": float(np.mean(nn_term.data)),
-            "ce_term": float(np.mean(ce_b.data)),
-        }
-        _stall_update(vals, best, stall, config.early_stop_tol)
-        active &= stall < config.early_stop_patience
-        if not active.any():
-            break
+    optimizers = [ad.Adam([mask.values], lr=config.mask_lr)]
+    if gen.parameters():
+        optimizers.append(ad.Adam(gen.parameters(), lr=config.generator_lr))
+
+    def loss_rows(rows):
+        x_r, m, ref_r, gen_r = _row_view(rows, X, mask, ref, gen)
+        phi, nn_x = apply_learned(x_r, m, gen_r)
+        logits = classifier_forward(phi, classifier)
+        if config.target == 0:
+            logits = ad.neg(logits)
+        ce_b = _per_sample_ce(logits, ref_r)
+        m_flat = ad.reshape(m, (len(rows), T * n))
+        if config.mode == PRESERVATION:
+            m_term = ad.tmean(m_flat, axis=1)
+        else:
+            m_term = ad.tmean(ad.sub(1.0, m_flat), axis=1)
+        nn_term = ad.tmean(
+            ad.reshape(ad.tabs(nn_x), (len(rows), T * n)), axis=1)
+        loss_b = ad.add(
+            ad.add(ad.mul(m_term, config.lambda1),
+                   ad.mul(nn_term, config.lambda2)), ce_b)
+        return loss_b, {"mask_term": m_term.data,
+                        "generator_term": nn_term.data,
+                        "ce_term": ce_b.data}
+
+    iterations_run, per_row, history, terms = _optimize_mask(
+        B, config, optimizers, mask, loss_rows)
     classifier.check_unchanged(snap)
     scores = mask.data.copy()
-    meta = {"iterations_run": iterations_run, "mode": config.mode,
-            "generator": config.generator,
-            "loss_history": history[:iterations_run].copy(), **final_terms}
+    meta = {"iterations_run": iterations_run,
+            "iterations_per_row": per_row, "mode": config.mode,
+            "generator": config.generator, "loss_history": history,
+            **{name: float(np.mean(v)) for name, v in terms.items()}}
     return SaliencyMap(scores=scores[0:1] if single else scores,
                        method=f"learned_{config.generator}", metadata=meta)
 
@@ -253,42 +283,25 @@ def explain_dynamask(x, classifier: ClassifierParams,
     B, T, n = X.shape
     ref = _reference_probs(X, classifier, PRESERVATION, config.target)
     mask = Mask(B, T, n, init=0.5)
-    opt = ad.Adam([mask.values], lr=config.lr)
-    r_a = area_target(T * n, config.area)
-    active = np.ones(B, dtype=bool)
-    best = np.full(B, np.inf)
-    stall = np.zeros(B, dtype=np.int64)
-    history = np.empty((config.iterations, B))
-    x_tensor = Tensor(X)
-    iterations_run = 0
-    for it in range(config.iterations):
-        with ad.Tape():
-            phi = apply_fixed(x_tensor, mask.values, config.perturbation)
-            logits = classifier_forward(phi, classifier)
-            if config.target == 0:
-                logits = ad.neg(logits)
-            ce_b = _per_sample_ce(logits, ref)
-            sorted_m = ad.sort_last_axis(
-                ad.reshape(mask.values, (B, T * n)))
-            d = ad.sub(sorted_m, Tensor(r_a))
-            reg_b = ad.tmean(ad.mul(d, d), axis=1)
-            loss_b = ad.add(ad.mul(reg_b, config.reg_weight), ce_b)
-            loss = ad.tsum(loss_b)
-            vals = loss_b.data.copy()
-            if not np.all(np.isfinite(vals)):
-                raise DivergenceError(f"non-finite loss at iteration {it}")
-            loss.backward()
-        history[it] = vals
-        opt.step(active=active)
-        mask.project()
-        opt.zero_grad()
-        iterations_run = it + 1
-        _stall_update(vals, best, stall, config.early_stop_tol)
-        active &= stall < config.early_stop_patience
-        if not active.any():
-            break
+    r_a = Tensor(area_target(T * n, config.area))
+
+    def loss_rows(rows):
+        x_r, m, ref_r, _ = _row_view(rows, X, mask, ref)
+        phi = apply_fixed(x_r, m, config.perturbation)
+        logits = classifier_forward(phi, classifier)
+        if config.target == 0:
+            logits = ad.neg(logits)
+        ce_b = _per_sample_ce(logits, ref_r)
+        sorted_m = ad.sort_last_axis(ad.reshape(m, (len(rows), T * n)))
+        d = ad.sub(sorted_m, r_a)
+        reg_b = ad.tmean(ad.mul(d, d), axis=1)
+        return ad.add(ad.mul(reg_b, config.reg_weight), ce_b), {}
+
+    iterations_run, per_row, _history, _terms = _optimize_mask(
+        B, config, [ad.Adam([mask.values], lr=config.lr)], mask, loss_rows)
     classifier.check_unchanged(snap)
-    meta = {"iterations_run": iterations_run, "area": config.area,
+    meta = {"iterations_run": iterations_run,
+            "iterations_per_row": per_row, "area": config.area,
             "perturbation": config.perturbation.kind}
     return SaliencyMap(scores=mask.data.copy()[0:1] if single
                        else mask.data.copy(),

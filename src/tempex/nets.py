@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -83,57 +84,113 @@ def init_gru(rng, input_size, hidden_size, direction=FORWARD, batch=None,
     return p
 
 
-def gru_cell_step(x_t, h_prev, dp: GruDirectionParams, hidden):
-    """One gated step, fused into a single taped op.
+# per-sample mat-vec products, one per batch row (numpy >= 2.2 has ufuncs)
+_vecmat = getattr(np, "vecmat", lambda v, m: (v[..., None, :] @ m)[..., 0, :])
+_matvec = getattr(np, "matvec", lambda m, v: (m @ v[..., None])[..., 0])
 
-    x_t: (B, n) or (B, 1, n); h_prev matches with H columns. The cell is
-    the usual r/z/c gating, h' = (1-z)*c + z*h; forward and backward are
-    hand-written so a T-step unroll records T ops instead of ~20T.
+
+def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
+    """One GRU direction over the whole sequence, as a single taped op.
+
+    x: Tensor (B, T, n) -> Tensor (B, T, H). The cell is the usual r/z/c
+    gating, h_t = (1-z)*c + z*h_{t-1} from h = 0; reverse=True runs from
+    t = T-1 down to 0. Forward steps through time, and backward steps
+    only the dh recurrence. With per-sample weights the input projection,
+    dx and the weight gradients are one batched matmul each over all T
+    steps (the cuDNN recipe, Appleyard et al., arXiv:1604.01946). Shared
+    weights keep small per-step buffers, because whole-sequence
+    temporaries cost more in page faults than they save. Nothing is saved
+    for backward when the op is not recorded.
     """
     H = hidden
     w_x, w_h, b = dp.w_x, dp.w_h, dp.b
-    x, h = x_t.data, h_prev.data
-    xg = x @ w_x.data + b.data
-    hg = h @ w_h.data
-    r = ad.expit(xg[..., :H] + hg[..., :H])
-    z = ad.expit(xg[..., H:2 * H] + hg[..., H:2 * H])
-    hc = hg[..., 2 * H:]
-    c = np.tanh(xg[..., 2 * H:] + r * hc)
-    out = Tensor((1.0 - z) * c + z * h)
+    X, Wx, Wh, bias = x.data, w_x.data, w_h.data, b.data
+    B, T, _ = X.shape
+    per_sample = Wx.ndim == 3
+    record = ad._recording((x, w_x, w_h, b))
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    if per_sample:  # time-major, so that each step reads a contiguous slab
+        xg_seq = np.empty((T, B, 3 * H))
+        np.matmul(X, Wx, out=xg_seq.transpose(1, 0, 2))
+        xg_seq += bias.transpose(1, 0, 2)
+    out = np.empty((B, T, H))
+    saved = [None] * T
+    h = np.zeros((B, H))
+    for t in steps:
+        if per_sample:
+            xg = xg_seq[t]
+            hg = _vecmat(h, Wh)
+        else:
+            x_t = np.array(X[:, t])
+            xg = x_t @ Wx + bias
+            hg = h @ Wh
+        rz = expit(xg[:, :2 * H] + hg[:, :2 * H])
+        r, z = rz[:, :H], rz[:, H:]
+        hc = hg[:, 2 * H:]
+        c = np.tanh(xg[:, 2 * H:] + r * hc)
+        h_new = (1.0 - z) * c + z * h
+        if record:
+            saved[t] = (None if per_sample else x_t, h, r, z, c, hc)
+        out[:, t] = h_new
+        h = h_new
+    result = Tensor(out)
+    if not record:
+        return result
 
     def backward(g):
-        du = g * (1.0 - z) * (1.0 - c * c)
-        d_ar = du * hc * r * (1.0 - r)
-        d_az = g * (h - c) * z * (1.0 - z)
-        d_xg = np.concatenate([d_ar, d_az, du], axis=-1)
-        d_hg = np.concatenate([d_ar, d_az, du * r], axis=-1)
-        if x_t._tracked():
-            x_t._accumulate(d_xg @ w_x.data.swapaxes(-1, -2))
-        if h_prev._tracked():
-            h_prev._accumulate(g * z + d_hg @ w_h.data.swapaxes(-1, -2))
-        if w_x._tracked():
-            w_x._accumulate(x.swapaxes(-1, -2) @ d_xg)
-        if w_h._tracked():
-            w_h._accumulate(h.swapaxes(-1, -2) @ d_hg)
-        if b._tracked():
-            b._accumulate(ad._unbroadcast(d_xg, b.shape))
+        wanted = [t._tracked() for t in (x, w_x, w_h, b)]
+        grads = [None] * 4  # x, w_x, w_h, b
+        if per_sample:
+            dxg_seq = np.empty((T, B, 3 * H))
+            dhg_seq = np.empty((T, B, 3 * H)) if wanted[2] else None
+        elif wanted[0]:
+            grads[0] = np.zeros_like(X)
+        dh = None
+        for k, t in enumerate(reversed(steps)):
+            x_t, h_prev, r, z, c, hc = saved[t]
+            gt = g[:, t] if dh is None else g[:, t] + dh
+            du = gt * (1.0 - z) * (1.0 - c * c)
+            d_ar = du * hc * r * (1.0 - r)
+            d_az = gt * (h_prev - c) * z * (1.0 - z)
+            d_xg = np.concatenate([d_ar, d_az, du], axis=-1)
+            d_hg = np.concatenate([d_ar, d_az, du * r], axis=-1)
+            if k < T - 1:  # h before the first step is a constant zero
+                dh = gt * z + (_matvec(Wh, d_hg) if per_sample
+                               else d_hg @ Wh.T)
+            if per_sample:
+                dxg_seq[t] = d_xg
+                if dhg_seq is not None:
+                    dhg_seq[t] = d_hg
+                continue
+            if wanted[0]:
+                grads[0][:, t] = d_xg @ Wx.T
+            parts = (x_t.T @ d_xg if wanted[1] else None,
+                     h_prev.T @ d_hg if wanted[2] else None,
+                     ad._unbroadcast(d_xg, b.shape) if wanted[3] else None)
+            for i, gi in enumerate(parts, 1):
+                if gi is not None:
+                    grads[i] = gi if grads[i] is None else grads[i] + gi
+        if per_sample:
+            dxg = dxg_seq.transpose(1, 0, 2)  # (B, T, 3H) view
+            if wanted[0]:
+                grads[0] = dxg @ Wx.swapaxes(1, 2)
+            if wanted[1]:
+                grads[1] = X.swapaxes(1, 2) @ dxg
+            if wanted[2]:
+                # h_{t-1} pairs with step t; the zero initial state adds 0
+                if reverse:
+                    grads[2] = out[:, 1:].swapaxes(1, 2) \
+                        @ dhg_seq[:-1].transpose(1, 0, 2)
+                else:
+                    grads[2] = out[:, :-1].swapaxes(1, 2) \
+                        @ dhg_seq[1:].transpose(1, 0, 2)
+            if wanted[3]:
+                grads[3] = dxg.sum(axis=1, keepdims=True)
+        for tensor, grad in zip((x, w_x, w_h, b), grads):
+            if grad is not None:
+                tensor._accumulate(grad)
 
-    return ad._record(out, (x_t, h_prev, w_x, w_h, b), backward)
-
-
-def _run_direction(x, dp, hidden, reverse, per_sample):
-    B, T, n = x.shape
-    if per_sample:
-        h = ad.zeros((B, 1, hidden))
-    else:
-        h = ad.zeros((B, hidden))
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    outs = [None] * T
-    for t in steps:
-        x_t = x[:, t:t + 1, :] if per_sample else x[:, t, :]
-        h = gru_cell_step(x_t, h, dp, hidden)
-        outs[t] = h if not per_sample else ad.reshape(h, (B, hidden))
-    return ad.stack(outs, axis=1)  # (B, T, H)
+    return ad._record(result, (x, w_x, w_h, b), backward)
 
 
 def gru_forward(x, params: GruParams):
@@ -151,14 +208,12 @@ def gru_forward(x, params: GruParams):
         raise ad.ShapeError(
             f"gru_forward: {n} features vs params.input_size {params.input_size}"
         )
-    per_sample = params.fwd.w_x.ndim == 3
+    H = params.hidden_size
     if params.direction == BACKWARD:
-        return _run_direction(x, params.fwd, params.hidden_size, True,
-                              per_sample)
-    out = _run_direction(x, params.fwd, params.hidden_size, False, per_sample)
+        return gru_direction(x, params.fwd, H, reverse=True)
+    out = gru_direction(x, params.fwd, H)
     if params.direction == BIDIRECTIONAL:
-        rev = _run_direction(x, params.bwd, params.hidden_size, True,
-                             per_sample)
+        rev = gru_direction(x, params.bwd, H, reverse=True)
         out = ad.concatenate([out, rev], axis=2)
     return out
 

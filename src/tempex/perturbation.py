@@ -13,7 +13,8 @@ bidirectional GRU, each with a linear head back to the feature space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -230,15 +231,20 @@ class PerturbationGenerator:
         out = ad.matmul(h, self.w_head)  # (B, T, n), batched
         return ad.add(out, self.b_head)
 
-    def select(self, rows):
-        """Fresh generator holding copies of the given batch rows (used to
-        compare batched vs per-sample optimization)."""
-        sub = PerturbationGenerator(self.kind, int(np.sum(rows)),
-                                    self.n_features, self.hidden)
+    def rows(self, idx):
+        """This generator restricted to the batch rows `idx`. Its
+        parameters are taped row views (ad.take), so gradients scatter
+        back into the full parameters."""
+        view = copy.copy(self)
+        view.batch = len(idx)
         if self.kind != ZERO:
-            for dst, src in zip(sub.parameters(), self.parameters()):
-                dst.data = src.data[rows].copy()
-        return sub
+            p = [ad.take(t, idx) for t in self.parameters()]
+            view.gru = replace(
+                self.gru, fwd=nets.GruDirectionParams(*p[0:3]),
+                bwd=nets.GruDirectionParams(*p[3:6])
+                if self.gru.bwd is not None else None)
+            view.w_head, view.b_head = p[-2], p[-1]
+        return view
 
 
 def apply_learned(x, m, generator: PerturbationGenerator):

@@ -210,17 +210,17 @@ def tiny_model():
 @pytest.mark.usefixtures("clock")
 class TestProperties:
     def test_gradcheck_gru_cell(self, rng):
+        # the cell runs inside the sequence-level op; T = 3 steps
         w_x = Tensor(rng.normal(0, 0.4, (2, 9)), requires_grad=True)
         w_h = Tensor(rng.normal(0, 0.4, (3, 9)), requires_grad=True)
         b = Tensor(rng.normal(0, 0.1, (1, 9)), requires_grad=True)
-        h0 = rng.normal(0, 0.5, (4, 3))
 
         def build(x):
-            h = nets.gru_cell_step(x, Tensor(h0),
-                                   nets.GruDirectionParams(w_x, w_h, b), 3)
+            h = nets.gru_direction(x, nets.GruDirectionParams(w_x, w_h, b),
+                                   3)
             return ad.tsum(ad.mul(h, h))
 
-        assert_gradcheck(build, rng.normal(0, 1, (4, 2)), rtol=1e-4)
+        assert_gradcheck(build, rng.normal(0, 1, (4, 3, 2)), rtol=1e-4)
 
     def test_gradcheck_learned_loss_wrt_mask(self, rng, tiny_model):
         ds, model = tiny_model

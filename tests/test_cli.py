@@ -1,3 +1,4 @@
+import configparser
 import csv
 import os
 
@@ -146,6 +147,44 @@ class TestRun:
         text = (out / "config.ini").read_text()
         assert "n_series = 10" in text
         assert "seed = 5" in text
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("explainers.learned", "lambda1", "0.5"),
+        ("explainers.learned", "mask_lr", "0.1"),
+        ("model", "lr", "0.01"),
+        ("run", "chunk", "10"),
+        ("metrics", "fractions", "0.2,0.4"),  # only the ICU fold reads it
+        ("dataset", "epochs", "3"),  # a real key in the wrong section
+        ("explainers.dynamask", "iterations", "3"),
+    ])
+    def test_config_key_no_fold_reads_is_rejected(self, tmp_path,
+                                                  small_profile, section,
+                                                  key, value):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--experiment", "hmm", "--folds", "1",
+                    "--config", str(ini), "--out", str(out))
+        assert repr(key) in str(exc.value)
+        assert f"[{section}]" in str(exc.value)
+        assert not out.exists()  # rejected before any stage ran
+
+    def test_config_echo_records_environment(self, tmp_path, small_profile,
+                                             monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        code, out = self._tiny_run(tmp_path)
+        assert code == 0
+        conf = configparser.ConfigParser()
+        conf.read(out / "config.ini")
+        env = conf["environment"]
+        assert env["openblas_num_threads"] == "1"
+        assert env["omp_num_threads"] == "unset"
+        assert env["cpu_count"] == str(os.cpu_count())
+        assert env["blas"]
+        assert dict(conf["resolved"]) == {
+            k: str(v) for k, v in xp.PROFILES[xp.HMM, xp.FAST].items()}
 
     def _fail_fold_one(self, tmp_path, monkeypatch, capsys, *extra):
         orig = xp.hmm_fold

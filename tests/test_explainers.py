@@ -111,6 +111,61 @@ class TestLearned:
         # either outcome is contract-conform
 
 
+class TestRowFreezing:
+    """Rows freeze at different iterations and are no longer computed once
+    frozen; the batch must still match one run per row."""
+
+    LEARNED = ex.ExplainerConfig(iterations=200, seed=11,
+                                 early_stop_tol=1e-2, early_stop_patience=3)
+    DYNAMASK = ex.DynamaskConfig(iterations=200, early_stop_tol=3e-3,
+                                 early_stop_patience=3)
+
+    def test_learned_batched_equals_per_sample(self, toy_model, rng):
+        X = rng.uniform(-1, 1, (4, 8, 2))
+        seeds = np.random.SeedSequence(11).spawn(4)
+        batched = ex.explain_learned(X, toy_model, self.LEARNED,
+                                     sample_seeds=seeds)
+        per_row = batched.metadata["iterations_per_row"]
+        assert len(set(per_row)) >= 3
+        singles = [ex.explain_learned(X[b], toy_model, self.LEARNED,
+                                      sample_seeds=[seeds[b]])
+                   for b in range(4)]
+        for b, single in enumerate(singles):
+            np.testing.assert_allclose(batched.scores[b], single.scores[0],
+                                       atol=1e-9)
+            assert single.metadata["iterations_run"] == per_row[b]
+            np.testing.assert_allclose(
+                batched.metadata["loss_history"][:per_row[b], b],
+                single.metadata["loss_history"][:, 0], atol=1e-9)
+        # the loss terms are means over all rows, each row's terms taken
+        # from its last computed iteration
+        for name in ("mask_term", "generator_term", "ce_term"):
+            want = np.mean([s.metadata[name] for s in singles])
+            assert batched.metadata[name] == pytest.approx(want, abs=1e-9)
+
+    def test_frozen_row_history_repeats_its_last_loss(self, toy_model, rng):
+        X = rng.uniform(-1, 1, (4, 8, 2))
+        out = ex.explain_learned(X, toy_model, self.LEARNED)
+        hist = out.metadata["loss_history"]
+        per_row = out.metadata["iterations_per_row"]
+        assert hist.shape == (out.metadata["iterations_run"], 4)
+        assert per_row.max() == out.metadata["iterations_run"]
+        assert per_row.min() < per_row.max()
+        for b, k in enumerate(per_row):
+            assert np.all(hist[k:, b] == hist[k - 1, b])
+
+    def test_dynamask_batched_equals_per_sample(self, toy_model, rng):
+        X = rng.uniform(-1, 1, (4, 8, 2))
+        batched = ex.explain_dynamask(X, toy_model, self.DYNAMASK)
+        per_row = batched.metadata["iterations_per_row"]
+        assert len(set(per_row)) >= 3
+        for b in range(4):
+            single = ex.explain_dynamask(X[b], toy_model, self.DYNAMASK)
+            np.testing.assert_allclose(batched.scores[b], single.scores[0],
+                                       atol=1e-9)
+            assert single.metadata["iterations_run"] == per_row[b]
+
+
 class TestDynamask:
     def test_vecsort_definition(self):
         np.testing.assert_array_equal(ex.vecsort([0.3, 0.9, 0.1]),

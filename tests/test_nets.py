@@ -19,43 +19,89 @@ def _zero_direction(n, H):
 
 def test_zero_weights_fixed_point():
     dp = _zero_direction(3, 4)
-    h = nets.gru_cell_step(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))),
-                           dp, 4)
-    np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
+    h = nets.gru_direction(Tensor(np.ones((1, 3, 3))), dp, 4)
+    np.testing.assert_array_equal(h.data, np.zeros((1, 3, 4)))
 
 
 def test_saturated_candidate_stays_in_tanh_range():
     dp = _zero_direction(2, 3)
     dp.b = Tensor(np.concatenate([np.zeros(6), np.full(3, 50.0)]))
-    h = nets.gru_cell_step(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3))),
-                           dp, 3)
+    h = nets.gru_direction(Tensor(np.ones((1, 3, 2))), dp, 3)
     assert np.all(np.abs(h.data) < 1.0)
 
 
-def test_cell_matches_scalar_recomputation(rng):
-    n, H = 3, 4
+@pytest.mark.parametrize("reverse", [False, True])
+def test_direction_matches_scalar_recomputation(rng, reverse):
+    n, H, T = 3, 4, 3
     p = nets.init_gru(rng, n, H)
-    x = rng.uniform(-1, 1, (1, n))
-    h_prev = rng.uniform(-1, 1, (1, H))
-    got = nets.gru_cell_step(Tensor(x), Tensor(h_prev), p.fwd, H).data[0]
+    x = rng.uniform(-1, 1, (1, T, n))
+    got = nets.gru_direction(Tensor(x), p.fwd, H, reverse=reverse).data[0]
 
     # independent scalar re-computation of the gate equations
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     wx, wh, b = p.fwd.w_x.data, p.fwd.w_h.data, p.fwd.b.data
-    want = np.empty(H)
-    for j in range(H):
-        xr = sum(x[0, a] * wx[a, j] for a in range(n)) + b[j]
-        hr = sum(h_prev[0, a] * wh[a, j] for a in range(H))
-        xz = sum(x[0, a] * wx[a, H + j] for a in range(n)) + b[H + j]
-        hz = sum(h_prev[0, a] * wh[a, H + j] for a in range(H))
-        xc = sum(x[0, a] * wx[a, 2 * H + j] for a in range(n)) + b[2 * H + j]
-        hc = sum(h_prev[0, a] * wh[a, 2 * H + j] for a in range(H))
-        r, z = sig(xr + hr), sig(xz + hz)
-        c = np.tanh(xc + r * hc)
-        want[j] = (1 - z) * c + z * h_prev[0, j]
+    want = np.empty((T, H))
+    h_prev = np.zeros(H)
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        xt = x[0, t]
+        for j in range(H):
+            xr = sum(xt[a] * wx[a, j] for a in range(n)) + b[j]
+            hr = sum(h_prev[a] * wh[a, j] for a in range(H))
+            xz = sum(xt[a] * wx[a, H + j] for a in range(n)) + b[H + j]
+            hz = sum(h_prev[a] * wh[a, H + j] for a in range(H))
+            xc = sum(xt[a] * wx[a, 2 * H + j]
+                     for a in range(n)) + b[2 * H + j]
+            hc = sum(h_prev[a] * wh[a, 2 * H + j] for a in range(H))
+            r, z = sig(xr + hr), sig(xz + hz)
+            c = np.tanh(xc + r * hc)
+            want[t, j] = (1 - z) * c + z * h_prev[j]
+        h_prev = want[t]
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _direction_params(rng, n, H, batch):
+    lead = () if batch is None else (batch,)
+    return {"w_x": rng.normal(0, 0.4, lead + (n, 3 * H)),
+            "w_h": rng.normal(0, 0.4, lead + (H, 3 * H)),
+            "b": rng.normal(0, 0.1, (3 * H,) if batch is None
+                            else (batch, 1, 3 * H))}
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["forward", "reverse"])
+@pytest.mark.parametrize("per_sample", [False, True],
+                         ids=["shared", "per_sample"])
+@pytest.mark.parametrize("wrt", ["x", "w_x", "w_h", "b"])
+def test_gradcheck_gru_direction(rng, wrt, per_sample, reverse):
+    B, T, n, H = 3, 4, 2, 3
+    arrays = _direction_params(rng, n, H, B if per_sample else None)
+    arrays["x"] = rng.normal(0, 1, (B, T, n))
+    weight = Tensor(rng.normal(0, 1, (B, T, H)))
+
+    def build(leaf):
+        given = {k: leaf if k == wrt else Tensor(v)
+                 for k, v in arrays.items()}
+        dp = nets.GruDirectionParams(given["w_x"], given["w_h"], given["b"])
+        out = nets.gru_direction(given["x"], dp, H, reverse=reverse)
+        return ad.tsum(ad.mul(out, weight))
+
+    assert_gradcheck(build, arrays[wrt], rtol=1e-4)
+
+
+def test_per_sample_rows_match_shared_runs(rng):
+    B, T, n, H = 3, 5, 2, 4
+    x = rng.normal(0, 1, (B, T, n))
+    arrays = _direction_params(rng, n, H, B)
+    stacked = nets.GruDirectionParams(
+        *(Tensor(arrays[k]) for k in ("w_x", "w_h", "b")))
+    out = nets.gru_direction(Tensor(x), stacked, H, reverse=True).data
+    for row in range(B):
+        dp = nets.GruDirectionParams(
+            *(Tensor(arrays[k][row]) for k in ("w_x", "w_h", "b")))
+        one = nets.gru_direction(Tensor(x[row:row + 1]), dp, H, reverse=True)
+        np.testing.assert_allclose(out[row], one.data[0], atol=1e-14)
 
 
 def test_bidirectional_single_step_uses_same_input(rng):
