@@ -135,9 +135,14 @@ class Tensor:
     def _tracked(self):
         return self.requires_grad or self._tape is not None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned=False):
+        """Add g to .grad. owned=True promises that g is a fresh array of
+        the right shape that nothing else holds, so it needs no copy."""
         if self.grad is None:
             g = np.asarray(g, dtype=np.float64)
+            if owned and g.shape == self.data.shape:
+                self.grad = g
+                return
             if g.shape != self.data.shape:
                 g = np.broadcast_to(g, self.data.shape)
             self.grad = g.copy()
@@ -480,7 +485,7 @@ def take(a, idx):
         if a._tracked():
             buf = np.zeros_like(a.data)
             buf[idx] = g
-            a._accumulate(buf)
+            a._accumulate(buf, owned=True)
 
     return _record(out, (a,), backward)
 

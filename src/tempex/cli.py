@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import os
 import sys
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import nets
 from .autodiff import Tensor
 from .nets import ClassifierParams, classifier_forward, predict_proba, \
     target_score
@@ -29,7 +28,6 @@ from .perturbation import (
     FixedPerturbationConfig,
     Mask,
     PerturbationGenerator,
-    ZERO,
     apply_fixed,
     apply_learned,
 )
@@ -149,7 +147,7 @@ def _row_view(rows, x, mask, ref, gen=None):
             gen.rows(rows) if gen is not None else None)
 
 
-def _optimize_mask(B, config, optimizers, mask, loss_rows):
+def _optimize_mask(mask, optimizers, config, loss_rows):
     """The optimization loop of both mask explainers.
 
     Each iteration tapes `loss_rows(rows)` for the active rows only; it
@@ -164,6 +162,7 @@ def _optimize_mask(B, config, optimizers, mask, loss_rows):
     iterations_per_row[b] is the iteration count at which row b froze (the
     run's count for a row that never froze).
     """
+    B = mask.data.shape[0]
     active = np.ones(B, dtype=bool)
     best = np.full(B, np.inf)
     stall = np.zeros(B, dtype=np.int64)
@@ -247,7 +246,7 @@ def explain_learned(x, classifier: ClassifierParams,
                         "ce_term": ce_b.data}
 
     iterations_run, per_row, history, terms = _optimize_mask(
-        B, config, optimizers, mask, loss_rows)
+        mask, optimizers, config, loss_rows)
     classifier.check_unchanged(snap)
     scores = mask.data.copy()
     meta = {"iterations_run": iterations_run,
@@ -298,7 +297,7 @@ def explain_dynamask(x, classifier: ClassifierParams,
         return ad.add(ad.mul(reg_b, config.reg_weight), ce_b), {}
 
     iterations_run, per_row, _history, _terms = _optimize_mask(
-        B, config, [ad.Adam([mask.values], lr=config.lr)], mask, loss_rows)
+        mask, [ad.Adam([mask.values], lr=config.lr)], config, loss_rows)
     classifier.check_unchanged(snap)
     meta = {"iterations_run": iterations_run,
             "iterations_per_row": per_row, "area": config.area,

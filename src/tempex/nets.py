@@ -10,7 +10,7 @@ when many explanation instances are optimized jointly).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -188,7 +188,7 @@ def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
                 grads[3] = dxg.sum(axis=1, keepdims=True)
         for tensor, grad in zip((x, w_x, w_h, b), grads):
             if grad is not None:
-                tensor._accumulate(grad)
+                tensor._accumulate(grad, owned=True)
 
     return ad._record(result, (x, w_x, w_h, b), backward)
 

@@ -30,35 +30,35 @@ def test_saturated_candidate_stays_in_tanh_range():
     assert np.all(np.abs(h.data) < 1.0)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_direction_matches_scalar_recomputation(rng, reverse):
+def test_cell_matches_scalar_recomputation(rng):
     n, H, T = 3, 4, 3
     p = nets.init_gru(rng, n, H)
     x = rng.uniform(-1, 1, (1, T, n))
-    got = nets.gru_direction(Tensor(x), p.fwd, H, reverse=reverse).data[0]
 
     # independent scalar re-computation of the gate equations
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     wx, wh, b = p.fwd.w_x.data, p.fwd.w_h.data, p.fwd.b.data
-    want = np.empty((T, H))
-    h_prev = np.zeros(H)
-    for t in (range(T - 1, -1, -1) if reverse else range(T)):
-        xt = x[0, t]
-        for j in range(H):
-            xr = sum(xt[a] * wx[a, j] for a in range(n)) + b[j]
-            hr = sum(h_prev[a] * wh[a, j] for a in range(H))
-            xz = sum(xt[a] * wx[a, H + j] for a in range(n)) + b[H + j]
-            hz = sum(h_prev[a] * wh[a, H + j] for a in range(H))
-            xc = sum(xt[a] * wx[a, 2 * H + j]
-                     for a in range(n)) + b[2 * H + j]
-            hc = sum(h_prev[a] * wh[a, 2 * H + j] for a in range(H))
-            r, z = sig(xr + hr), sig(xz + hz)
-            c = np.tanh(xc + r * hc)
-            want[t, j] = (1 - z) * c + z * h_prev[j]
-        h_prev = want[t]
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    for reverse in (False, True):
+        got = nets.gru_direction(Tensor(x), p.fwd, H, reverse=reverse)
+        want = np.empty((T, H))
+        h_prev = np.zeros(H)
+        for t in (range(T - 1, -1, -1) if reverse else range(T)):
+            xt = x[0, t]
+            for j in range(H):
+                xr = sum(xt[a] * wx[a, j] for a in range(n)) + b[j]
+                hr = sum(h_prev[a] * wh[a, j] for a in range(H))
+                xz = sum(xt[a] * wx[a, H + j] for a in range(n)) + b[H + j]
+                hz = sum(h_prev[a] * wh[a, H + j] for a in range(H))
+                xc = sum(xt[a] * wx[a, 2 * H + j]
+                         for a in range(n)) + b[2 * H + j]
+                hc = sum(h_prev[a] * wh[a, 2 * H + j] for a in range(H))
+                r, z = sig(xr + hr), sig(xz + hz)
+                c = np.tanh(xc + r * hc)
+                want[t, j] = (1 - z) * c + z * h_prev[j]
+            h_prev = want[t]
+        np.testing.assert_allclose(got.data[0], want, atol=1e-12)
 
 
 def _direction_params(rng, n, H, batch):
