@@ -205,8 +205,12 @@ def explain_learned(x, classifier: ClassifierParams,
     are independent, and a sample freezes once its loss stops improving).
 
     sample_seeds optionally pins the per-row generator init streams so a
-    single-sample run can reproduce one row of a batched run. The loss
-    terms in the metadata are means over all rows (see _optimize_mask).
+    single-sample run can reproduce one row of a batched run. The metadata
+    holds iterations_run, iterations_per_row (the iteration count at which
+    each row froze), the (iterations_run, B) loss_history, in which a
+    frozen row repeats its last computed loss, and mask_term,
+    generator_term and ce_term: means over all rows of each row's terms
+    at its last computed iteration.
     """
     config = config or ExplainerConfig()
     X, single = _as_batch(x)
