@@ -573,13 +573,17 @@ class Adam:
 
     def step(self, active=None):
         """Apply one update. `active` is an optional boolean (B,) array
-        gating rows along each parameter's leading axis."""
+        gating rows along each parameter's leading axis. While every row
+        is active the update is the ungated one, without row copies."""
+        rows = None if active is None else np.asarray(active, dtype=bool)
+        if rows is not None and rows.all():
+            rows = None
         for i, p in enumerate(self.params):
             if p.grad is None:
                 name = p.name or f"param[{i}]"
                 raise ValueError(f"Adam.step: missing gradient for {name}")
             g = p.grad
-            if active is None:
+            if rows is None:
                 self.t[i] += 1
                 t = self.t[i].reshape((-1,) + (1,) * (p.ndim - 1)) \
                     if p.ndim > 0 else self.t[i]
@@ -588,10 +592,7 @@ class Adam:
                 mhat = self.m[i] / (1 - self.beta1**t)
                 vhat = self.v[i] / (1 - self.beta2**t)
                 p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            else:
-                rows = np.asarray(active, dtype=bool)
-                if not rows.any():
-                    continue
+            elif rows.any():
                 self.t[i][rows] += 1
                 t = self.t[i][rows].reshape((-1,) + (1,) * (p.ndim - 1))
                 gm = self.beta1 * self.m[i][rows] + (1 - self.beta1) * g[rows]

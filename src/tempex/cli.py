@@ -240,22 +240,20 @@ def _load_aggregated(run_dir):
                      f"of: {', '.join(expected)}")
 
 
-def _cell(rows, method, metric, frac=None, subst=None):
+def _value(rows, method, metric, frac=None, subst=None, field="mean"):
     for r in rows:
         if r["method"] == method and r["metric"] == metric and \
                 (frac is None or r["fraction"] == frac) and \
                 (subst is None or r["substitution"] == subst):
-            return f"{r['mean']:.3f} ({r['std']:.3f})"
-    return "-"
-
-
-def _value(rows, method, metric, frac=None, subst=None):
-    for r in rows:
-        if r["method"] == method and r["metric"] == metric and \
-                (frac is None or r["fraction"] == frac) and \
-                (subst is None or r["substitution"] == subst):
-            return r["mean"]
+            return r[field]
     return None
+
+
+def _cell(rows, *key):
+    mean = _value(rows, *key)
+    if mean is None:
+        return "-"
+    return f"{mean:.3f} ({_value(rows, *key, field='std'):.3f})"
 
 
 def _report_violations(exp, rows, methods):

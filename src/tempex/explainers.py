@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nets import ClassifierParams, classifier_forward, predict_proba, \
-    target_score
+from .nets import ClassifierParams, classifier_forward, \
+    perturbed_step_scores, predict_proba, target_score
 from .perturbation import (
     BIDIRECTIONAL,
     FixedPerturbationConfig,
@@ -313,17 +313,25 @@ def explain_dynamask(x, classifier: ClassifierParams,
 
 def occlusion(x, classifier: ClassifierParams, baseline=0.0,
               target=1) -> SaliencyMap:
-    """Score of each cell: |f_c(x) - f_c(x with the cell set to baseline)|."""
+    """Score of each cell: |f_c(x) - f_c(x with the cell set to baseline)|.
+
+    Copy i of the batch sets feature i to the baseline. All copies of one
+    step go through perturbed_step_scores, which reuses the classifier's
+    states on the unchanged side of that step.
+    """
     X, single = _as_batch(x)
     _check_frozen(classifier)
     B, T, n = X.shape
+    cells = np.arange(n)
+
+    def replacements(t):
+        rows = np.repeat(X[None, :, t], n, axis=0)
+        rows[cells, :, cells] = baseline
+        return rows
+
     base = target_score(X, classifier, target)
-    raw = np.empty((B, T, n))
-    for t in range(T):
-        for i in range(n):
-            mod = X.copy()
-            mod[:, t, i] = baseline
-            raw[:, t, i] = np.abs(base - target_score(mod, classifier, target))
+    sc = perturbed_step_scores(X, classifier, replacements, target)
+    raw = np.ascontiguousarray(np.abs(base - sc).transpose(2, 0, 1))
     scores = _minmax_per_sample(raw)
     return SaliencyMap(scores=scores[0:1] if single else scores,
                        method="occlusion", metadata={"raw": raw})
@@ -334,25 +342,33 @@ def augmented_occlusion(x, classifier: ClassifierParams,
                         target=1) -> SaliencyMap:
     """Occlusion with cell values resampled from the feature's empirical
     distribution across the reference dataset; scores average |delta|
-    over the draws."""
+    over the draws.
+
+    Copy i of the batch repeats each sample `draws` times and resamples
+    feature i, one draw per row, in the order t, then i, then row.
+    """
     X, single = _as_batch(x)
     _check_frozen(classifier)
     reference = np.asarray(reference, dtype=np.float64)
     if reference.size == 0:
         raise ValueError("augmented_occlusion: empty reference dataset")
+    if draws < 1:
+        raise ValueError("augmented_occlusion: draws must be >= 1")
     B, T, n = X.shape
     pool = reference.reshape(-1, reference.shape[-1])  # (N*T, n)
     rng = np.random.default_rng(seed)
-    # fold the draws into the batch axis: one forward per cell
-    tiled = np.repeat(X, draws, axis=0)  # (B*draws, T, n)
-    base = target_score(X, classifier, target)
-    raw = np.empty((B, T, n))
-    for t in range(T):
+
+    def replacements(t):
+        rows = np.repeat(np.repeat(X[None, :, t], draws, axis=1), n, axis=0)
         for i in range(n):
-            mod = tiled.copy()
-            mod[:, t, i] = rng.choice(pool[:, i], size=B * draws)
-            sc = target_score(mod, classifier, target).reshape(B, draws)
-            raw[:, t, i] = np.abs(base[:, None] - sc).mean(axis=1)
+            rows[i, :, i] = rng.choice(pool[:, i], size=B * draws)
+        return rows
+
+    base = target_score(X, classifier, target)
+    sc = perturbed_step_scores(X, classifier, replacements, target,
+                               repeats=draws).reshape(T, n, B, draws)
+    raw = np.abs(base[:, None] - sc).mean(axis=-1).transpose(2, 0, 1)
+    raw = np.ascontiguousarray(raw)
     scores = _minmax_per_sample(raw)
     return SaliencyMap(scores=scores[0:1] if single else scores,
                        method="augmented_occlusion", metadata={"raw": raw})

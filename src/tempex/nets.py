@@ -10,6 +10,7 @@ when many explanation instances are optimized jointly).
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
+
+log = logging.getLogger(__name__)
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -89,6 +92,35 @@ _vecmat = getattr(np, "vecmat", lambda v, m: (v[..., None, :] @ m)[..., 0, :])
 _matvec = getattr(np, "matvec", lambda m, v: (m @ v[..., None])[..., 0])
 
 
+def _batch_matmul(a, W):
+    """a @ W, for a (M, K) batch or a (copies, ..., K) stack of copies of
+    one batch. BLAS gives a row of a matrix product the same bits whatever
+    the row count, so the copies of a batch of 2+ rows go through as one
+    matmul. numpy hands a one-row product to gemv instead, whose bits
+    differ, so each copy of a one-row batch stays its own product."""
+    if a.ndim == 2:
+        return a @ W
+    rows = a.reshape(-1, a.shape[-1]) if a[0].size != a.shape[-1] \
+        else a.reshape(len(a), 1, a.shape[-1])
+    return (rows @ W).reshape(a.shape[:-1] + W.shape[-1:])
+
+
+def _gru_cell(xg, h, Wh, H):
+    """One GRU step from the input projection xg = x_t @ W_x + b and the
+    previous state h: returns (h_new, r, z, c, hc), where hc = h @ W_hc.
+
+    h is (B, H), or (copies, ..., H) copies of a batch that xg broadcasts
+    over (see _batch_matmul). With per-sample weights (3-d W_h) each row
+    uses its own matrix.
+    """
+    hg = _vecmat(h, Wh) if Wh.ndim == 3 else _batch_matmul(h, Wh)
+    rz = expit(xg[..., :2 * H] + hg[..., :2 * H])
+    r, z = rz[..., :H], rz[..., H:]
+    hc = hg[..., 2 * H:]
+    c = np.tanh(xg[..., 2 * H:] + r * hc)
+    return (1.0 - z) * c + z * h, r, z, c, hc
+
+
 def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
     """One GRU direction over the whole sequence, as a single taped op.
 
@@ -119,16 +151,10 @@ def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
     for t in steps:
         if per_sample:
             xg = xg_seq[t]
-            hg = _vecmat(h, Wh)
         else:
             x_t = np.array(X[:, t])
             xg = x_t @ Wx + bias
-            hg = h @ Wh
-        rz = expit(xg[:, :2 * H] + hg[:, :2 * H])
-        r, z = rz[:, :H], rz[:, H:]
-        hc = hg[:, 2 * H:]
-        c = np.tanh(xg[:, 2 * H:] + r * hc)
-        h_new = (1.0 - z) * c + z * h
+        h_new, r, z, c, hc = _gru_cell(xg, h, Wh, H)
         if record:
             saved[t] = (None if per_sample else x_t, h, r, z, c, hc)
         out[:, t] = h_new
@@ -208,14 +234,18 @@ def gru_forward(x, params: GruParams):
         raise ad.ShapeError(
             f"gru_forward: {n} features vs params.input_size {params.input_size}"
         )
-    H = params.hidden_size
+    outs = [gru_direction(x, dp, params.hidden_size, reverse=reverse)
+            for dp, reverse in _passes(params)]
+    return outs[0] if len(outs) == 1 else ad.concatenate(outs, axis=2)
+
+
+def _passes(params: GruParams):
+    """(direction params, reverse) of each pass, in output order."""
     if params.direction == BACKWARD:
-        return gru_direction(x, params.fwd, H, reverse=True)
-    out = gru_direction(x, params.fwd, H)
+        return [(params.fwd, True)]
     if params.direction == BIDIRECTIONAL:
-        rev = gru_direction(x, params.bwd, H, reverse=True)
-        out = ad.concatenate([out, rev], axis=2)
-    return out
+        return [(params.fwd, False), (params.bwd, True)]
+    return [(params.fwd, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +309,117 @@ def classifier_forward(x, params: ClassifierParams):
     return ad.reshape(logits, (B,))
 
 
+def _probs(logits):
+    return 1.0 / (1.0 + np.exp(-logits))
+
+
+def _score(p, target, per_timestep):
+    """target_score of positive-class probabilities p: (..., T) per
+    timestep, (...) at the final step."""
+    p = p if target == 1 else 1.0 - p
+    return p.sum(axis=-1) if per_timestep else p
+
+
 def predict_proba(x_data, params: ClassifierParams):
     """Positive-class probabilities as a plain array (no tape)."""
-    logits = classifier_forward(Tensor(x_data), params)
-    return 1.0 / (1.0 + np.exp(-logits.data))
+    return _probs(classifier_forward(Tensor(x_data), params).data)
 
 
 def target_score(x_data, params: ClassifierParams, target=1):
     """Scalar per-sample score for attribution methods: the target-class
     probability, summed over output positions in per-timestep mode."""
-    p = predict_proba(x_data, params)
-    p = p if target == 1 else 1.0 - p
-    return p.sum(axis=1) if p.ndim == 2 else p
+    return _score(predict_proba(x_data, params), target,
+                  params.readout == PER_TIMESTEP)
+
+
+# rows of perturbed copies that perturbed_step_scores steps at once
+_CHUNK_ROWS = 512
+
+
+def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
+                          target=1, repeats=1):
+    """target_score of copies of x_data that differ from it at one step.
+
+    A copy is the batch np.repeat(x_data, repeats, axis=0), B*repeats rows,
+    with step t replaced. replacements(t) is called once per step, for
+    t = 0 .. T-1 in order, and returns an (m, B*repeats, n) stack: row j
+    of copy k has replacements(t)[k, j] at step t. Returns scores[t, k],
+    the target_score of copy k, shape (T, m, B*repeats).
+
+    The classifier runs once over x_data and caches, per pass, the states
+    and the input projections x_s @ W_x + b. A copy starts from the
+    cached state next to step t (before it going forward, after it going
+    in reverse) and re-steps only the states that change, reusing the
+    cached projections at every step but t. Whole copies go through
+    together, about _CHUNK_ROWS rows at a time. Every step is _gru_cell,
+    and each copy's logits are one matrix-vector product over the rows of
+    the copy's batch, as in classifier_forward, so every score equals
+    target_score of its copy bit for bit.
+    """
+    X = np.asarray(x_data, dtype=np.float64)
+    B, T, n = X.shape
+    r = repeats
+    H = params.gru.hidden_size
+    per_t = params.readout == PER_TIMESTEP
+    first = 0 if per_t else T - 1  # the first position the readout reads
+    w_out, b_out = params.w_out.data, params.b_out.data
+    # the cache takes the copies' BLAS route (see _batch_matmul): a
+    # one-row x_data whose copies have 2+ rows is cached over two rows
+    Xc = np.repeat(X, 2, axis=0) if B == 1 < r else X
+    passes = []  # (W_x, W_h, b, reverse, projections, states), time-major
+    for dp, reverse in _passes(params.gru):
+        Wx, Wh, bias = dp.w_x.data, dp.w_h.data, dp.b.data
+        xg = np.empty((T, len(Xc), 3 * H))
+        states = np.empty((T, len(Xc), H))
+        h = np.zeros((len(Xc), H))
+        for s in range(T - 1, -1, -1) if reverse else range(T):
+            xg[s] = np.array(Xc[:, s]) @ Wx + bias
+            h = states[s] = _gru_cell(xg[s], h, Wh, H)[0]
+        passes.append((Wx, Wh, bias, reverse, xg[:, :B], states[:, :B]))
+    D = H * len(passes)
+    copies = max(1, _CHUNK_ROWS // max(B * r, 1))
+    # each copy's output states at the positions the readout reads
+    cat = np.empty((copies, B, r, T - first, D))
+    zeros = np.zeros((B, H))
+    scores = None
+    for t in range(T):
+        rep = np.asarray(replacements(t), dtype=np.float64)
+        if rep.shape[1:] != (B * r, n):
+            raise ad.ShapeError(f"replacements({t}): {rep.shape}, expected "
+                                f"(m, {B * r}, {n})")
+        if scores is None:
+            scores = np.empty((T, len(rep), B * r))
+        for k0 in range(0, len(rep), copies):
+            chunk = rep[k0:k0 + copies]
+            c = len(chunk)
+            for p, (Wx, Wh, bias, reverse, xg, states) in enumerate(passes):
+                cols = slice(p * H, (p + 1) * H)
+                # re-step from t to the far end of the positions read;
+                # the states read on the near side are the cached ones
+                if reverse:
+                    span = range(t, first - 1, -1)
+                    kept = range(max(t + 1, first), T)
+                    h = states[t + 1] if t + 1 < T else zeros
+                else:
+                    span, kept = range(t, T), range(first, t)
+                    h = states[t - 1] if t > 0 else zeros
+                if kept:
+                    cat[:c, :, :, kept.start - first:kept.stop - first,
+                        cols] = states[kept.start:kept.stop] \
+                        .transpose(1, 0, 2)[:, None]
+                h = np.broadcast_to(h[:, None], (c, B, r, H))
+                for s in span:
+                    x_s = xg[s][:, None] if s != t else \
+                        (_batch_matmul(chunk, Wx) + bias).reshape(
+                            c, B, r, 3 * H)
+                    h = _gru_cell(x_s, h, Wh, H)[0]
+                    if s >= first:
+                        cat[:c, :, :, s - first, cols] = h
+            logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
+            logits = (logits + b_out).reshape(c, B * r, T - first)
+            scores[t, k0:k0 + c] = _score(
+                _probs(logits if per_t else logits[..., 0]), target, per_t)
+    return scores
 
 
 @dataclass
@@ -299,7 +428,7 @@ class TrainConfig:
     lr: float = 0.001
     batch_size: int = 64
     seed: int = 0
-    log_every: int = 0  # epochs between loss prints; 0 = silent
+    log_every: int = 0  # epochs between INFO loss records; 0 = silent
 
 
 def train_classifier(dataset, params: ClassifierParams,
@@ -340,7 +469,7 @@ def train_classifier(dataset, params: ClassifierParams,
             classifier_forward(Tensor(X), params), Tensor(y))).item()
         history.append(full)
         if config.log_every and (epoch + 1) % config.log_every == 0:
-            print(f"epoch {epoch + 1}: loss {full:.4f}")
+            log.info("epoch %d: loss %.4f", epoch + 1, full)
     return params, history
 
 

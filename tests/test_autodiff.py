@@ -246,3 +246,23 @@ class TestAdam:
                 opt_b.step()
         np.testing.assert_array_equal(full.data[0:1], a.data)
         np.testing.assert_array_equal(full.data[1:2], b.data)
+
+    def test_all_rows_active_equals_ungated(self, rng):
+        # every row active takes the ungated update: same parameters,
+        # moments and step counters, bit for bit
+        shapes = [(4, 3, 5), (4, 1, 2)]
+        gated = [Tensor(rng.uniform(-1, 1, s), requires_grad=True)
+                 for s in shapes]
+        plain = [Tensor(p.data.copy(), requires_grad=True) for p in gated]
+        opt_gated, opt_plain = ad.Adam(gated, lr=0.05), ad.Adam(plain, lr=0.05)
+        for _ in range(6):
+            for p, q in zip(gated, plain):
+                p.grad = rng.uniform(-1, 1, p.shape)
+                q.grad = p.grad.copy()
+            opt_gated.step(active=np.ones(4, dtype=bool))
+            opt_plain.step()
+        for i in range(len(shapes)):
+            np.testing.assert_array_equal(gated[i].data, plain[i].data)
+            np.testing.assert_array_equal(opt_gated.m[i], opt_plain.m[i])
+            np.testing.assert_array_equal(opt_gated.v[i], opt_plain.v[i])
+            np.testing.assert_array_equal(opt_gated.t[i], opt_plain.t[i])

@@ -224,6 +224,11 @@ class TestOcclusion:
             ex.augmented_occlusion(_sample(rng), toy_model,
                                    np.zeros((0, 8, 2)))
 
+    def test_augmented_requires_a_draw(self, toy_model, rng):
+        with pytest.raises(ValueError, match="draws"):
+            ex.augmented_occlusion(_sample(rng), toy_model,
+                                   rng.uniform(-1, 1, (4, 8, 2)), draws=0)
+
     def test_augmented_determinism(self, toy_model, rng):
         X = rng.uniform(-1, 1, (2, 8, 2))
         ref = rng.uniform(-1, 1, (10, 8, 2))
@@ -234,6 +239,99 @@ class TestOcclusion:
     def test_scores_normalized(self, toy_model, rng):
         out = ex.occlusion(_sample(rng), toy_model)
         assert out.scores.min() >= 0.0 and out.scores.max() <= 1.0
+
+
+def reference_occlusion(X, classifier, baseline=0.0, target=1):
+    """Raw occlusion scores from one full forward per cell."""
+    B, T, n = X.shape
+    base = nets.target_score(X, classifier, target)
+    raw = np.empty((B, T, n))
+    for t in range(T):
+        for i in range(n):
+            mod = X.copy()
+            mod[:, t, i] = baseline
+            raw[:, t, i] = np.abs(
+                base - nets.target_score(mod, classifier, target))
+    return raw
+
+
+def reference_augmented_occlusion(X, classifier, reference, draws=10,
+                                  seed=0, target=1):
+    """Raw augmented-occlusion scores from one full forward per cell, the
+    draws folded into the batch axis."""
+    B, T, n = X.shape
+    pool = reference.reshape(-1, reference.shape[-1])
+    rng = np.random.default_rng(seed)
+    tiled = np.repeat(X, draws, axis=0)  # (B*draws, T, n)
+    base = nets.target_score(X, classifier, target)
+    raw = np.empty((B, T, n))
+    for t in range(T):
+        for i in range(n):
+            mod = tiled.copy()
+            mod[:, t, i] = rng.choice(pool[:, i], size=B * draws)
+            sc = nets.target_score(mod, classifier, target).reshape(B, draws)
+            raw[:, t, i] = np.abs(base[:, None] - sc).mean(axis=1)
+    return raw
+
+
+class TestOcclusionMatchesPerCellLoops:
+    """The batched occlusions give the per-cell loops' raw scores bit for
+    bit, for every pass layout and readout."""
+
+    @staticmethod
+    def _model(direction, readout, hidden=5):
+        return nets.init_classifier(np.random.default_rng(7), 3, hidden,
+                                    direction, readout).freeze()
+
+    @staticmethod
+    def _check(X, model, ref, **kw):
+        occ_kw = {k: v for k, v in kw.items() if k in ("baseline", "target")}
+        aug_kw = {k: v for k, v in kw.items() if k != "baseline"}
+        Xb = X if X.ndim == 3 else X[None]
+        np.testing.assert_array_equal(
+            ex.occlusion(X, model, **occ_kw).metadata["raw"],
+            reference_occlusion(Xb, model, **occ_kw))
+        np.testing.assert_array_equal(
+            ex.augmented_occlusion(X, model, ref, **aug_kw).metadata["raw"],
+            reference_augmented_occlusion(Xb, model, ref, **aug_kw))
+
+    @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
+    @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BACKWARD,
+                                           nets.BIDIRECTIONAL])
+    def test_every_direction_and_readout(self, rng, direction, readout):
+        X = rng.uniform(-1, 1, (3, 5, 3))
+        ref = rng.uniform(-1, 1, (6, 5, 3))
+        self._check(X, self._model(direction, readout), ref, draws=3, seed=4)
+
+    @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
+    def test_target_zero_and_nonzero_baseline(self, rng, direction):
+        X = rng.uniform(-1, 1, (2, 6, 3))
+        ref = rng.uniform(-1, 1, (4, 6, 3))
+        self._check(X, self._model(direction, nets.PER_TIMESTEP), ref,
+                    baseline=0.7, target=0, draws=2, seed=1)
+
+    @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
+    def test_single_sample(self, rng, readout):
+        # a one-row batch takes numpy's gemv route, unlike its copies
+        X = rng.uniform(-1, 1, (6, 3))
+        ref = rng.uniform(-1, 1, (4, 6, 3))
+        self._check(X, self._model(nets.BIDIRECTIONAL, readout, hidden=32),
+                    ref, draws=3, seed=2)
+
+    def test_empty_batch(self, rng):
+        self._check(np.zeros((0, 5, 3)),
+                    self._model(nets.BIDIRECTIONAL, nets.PER_TIMESTEP),
+                    rng.uniform(-1, 1, (4, 5, 3)), draws=2)
+
+    @pytest.mark.parametrize("chunk_rows", [4, 12])
+    def test_last_chunk_partly_filled(self, rng, monkeypatch, chunk_rows):
+        # occlusion's 3 copies of 2 rows and augmented occlusion's 3 of 6
+        # rows leave a partial last chunk at one of the two sizes
+        monkeypatch.setattr(nets, "_CHUNK_ROWS", chunk_rows)
+        X = rng.uniform(-1, 1, (2, 5, 3))
+        ref = rng.uniform(-1, 1, (4, 5, 3))
+        self._check(X, self._model(nets.FORWARD, nets.PER_TIMESTEP), ref,
+                    draws=3, seed=5)
 
 
 class TestIntegratedGradients:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ def test_zero_epochs_returns_init_unchanged(rng):
     before = c.snapshot()
     c, _ = nets.train_classifier(ds, c, nets.TrainConfig(epochs=0))
     c.check_unchanged(before)
+
+
+@pytest.mark.parametrize("log_every, epochs_logged", [(2, [2, 4]), (0, [])])
+def test_training_logs_loss_every_log_every_epochs(rng, caplog,
+                                                   log_every, epochs_logged):
+    ds = _toy_separable(rng)
+    c = nets.init_classifier(np.random.default_rng(1), 2, 4)
+    with caplog.at_level(logging.DEBUG, logger="tempex.nets"):
+        _, history = nets.train_classifier(
+            ds, c, nets.TrainConfig(epochs=4, log_every=log_every))
+    records = [r for r in caplog.records if r.name == "tempex.nets"]
+    assert [r.getMessage() for r in records] == [
+        f"epoch {e}: loss {history[e - 1]:.4f}" for e in epochs_logged]
+    assert all(r.levelno == logging.INFO for r in records)
 
 
 def test_training_determinism(rng):
