@@ -11,7 +11,6 @@ Ops executed with no active tape just compute values (inference mode).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tensor",
@@ -339,8 +338,21 @@ def matmul(a, b):
 # nonlinearities
 
 
+def _sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) in float64, written into `out` if given (which
+    may be x itself). Below x = -709 exp(-x) overflows to inf and the
+    result is 0 without a warning; the true value there is subnormal."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def sigmoid(a):
-    out_data = expit(a.data)
+    out_data = _sigmoid(a.data)
     out = Tensor(out_data)
 
     def backward(g):
@@ -531,9 +543,8 @@ def cross_entropy_with_logits(logits, targets):
 
     def backward(g):
         if logits._tracked():
-            p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
-                         np.exp(z) / (1.0 + np.exp(z)))
-            logits._accumulate(_unbroadcast(g * (p - t), logits.shape))
+            logits._accumulate(_unbroadcast(g * (_sigmoid(z) - t),
+                                            logits.shape))
         if targets._tracked():
             targets._accumulate(_unbroadcast(-g * z, targets.shape))
 

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -114,11 +113,21 @@ def _gru_cell(xg, h, Wh, H):
     uses its own matrix.
     """
     hg = _vecmat(h, Wh) if Wh.ndim == 3 else _batch_matmul(h, Wh)
-    rz = expit(xg[..., :2 * H] + hg[..., :2 * H])
+    # xg and h may be cached or broadcast, so only fresh arrays are
+    # written in place: the gate sum, c and the new state. Numpy's SIMD
+    # loops need contiguous operands, so the gate sum is a fresh array,
+    # not the strided gate columns of hg.
+    rz = xg[..., :2 * H] + hg[..., :2 * H]
+    ad._sigmoid(rz, out=rz)
     r, z = rz[..., :H], rz[..., H:]
     hc = hg[..., 2 * H:]
-    c = np.tanh(xg[..., 2 * H:] + r * hc)
-    return (1.0 - z) * c + z * h, r, z, c, hc
+    c = r * hc
+    c += xg[..., 2 * H:]
+    np.tanh(c, out=c)
+    h_new = h - c
+    h_new *= z
+    h_new += c
+    return h_new, r, z, c, hc
 
 
 def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
@@ -309,10 +318,6 @@ def classifier_forward(x, params: ClassifierParams):
     return ad.reshape(logits, (B,))
 
 
-def _probs(logits):
-    return 1.0 / (1.0 + np.exp(-logits))
-
-
 def _score(p, target, per_timestep):
     """target_score of positive-class probabilities p: (..., T) per
     timestep, (...) at the final step."""
@@ -322,7 +327,7 @@ def _score(p, target, per_timestep):
 
 def predict_proba(x_data, params: ClassifierParams):
     """Positive-class probabilities as a plain array (no tape)."""
-    return _probs(classifier_forward(Tensor(x_data), params).data)
+    return ad._sigmoid(classifier_forward(Tensor(x_data), params).data)
 
 
 def target_score(x_data, params: ClassifierParams, target=1):
@@ -378,8 +383,16 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
         passes.append((Wx, Wh, bias, reverse, xg[:, :B], states[:, :B]))
     D = H * len(passes)
     copies = max(1, _CHUNK_ROWS // max(B * r, 1))
-    # each copy's output states at the positions the readout reads
+    # each copy's output states at the positions the readout reads. A
+    # cached state is filled once, into all `copies` rows: a reverse pass
+    # re-steps positions t and below, so the ones above it are filled here;
+    # a forward pass re-steps t and above, so position t is filled after t
     cat = np.empty((copies, B, r, T - first, D))
+    lo = max(1, first)
+    for p, (_, _, _, reverse, _, states) in enumerate(passes):
+        if reverse:
+            cat[..., lo - first:, p * H:(p + 1) * H] = \
+                states[lo:].transpose(1, 0, 2)[:, None]
     zeros = np.zeros((B, H))
     scores = None
     for t in range(T):
@@ -398,15 +411,10 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                 # the states read on the near side are the cached ones
                 if reverse:
                     span = range(t, first - 1, -1)
-                    kept = range(max(t + 1, first), T)
                     h = states[t + 1] if t + 1 < T else zeros
                 else:
-                    span, kept = range(t, T), range(first, t)
+                    span = range(t, T)
                     h = states[t - 1] if t > 0 else zeros
-                if kept:
-                    cat[:c, :, :, kept.start - first:kept.stop - first,
-                        cols] = states[kept.start:kept.stop] \
-                        .transpose(1, 0, 2)[:, None]
                 h = np.broadcast_to(h[:, None], (c, B, r, H))
                 for s in span:
                     x_s = xg[s][:, None] if s != t else \
@@ -418,7 +426,11 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
             logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
             logits = (logits + b_out).reshape(c, B * r, T - first)
             scores[t, k0:k0 + c] = _score(
-                _probs(logits if per_t else logits[..., 0]), target, per_t)
+                ad._sigmoid(logits if per_t else logits[..., 0]), target,
+                per_t)
+        for p, (_, _, _, reverse, _, states) in enumerate(passes):
+            if not reverse and t >= first:
+                cat[..., t - first, p * H:(p + 1) * H] = states[t][:, None]
     return scores
 
 

@@ -1,7 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from tempex import autodiff as ad
+from tempex import nets
 from tempex.autodiff import Tensor
 
 from conftest import assert_gradcheck
@@ -9,6 +13,52 @@ from conftest import assert_gradcheck
 
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+
+
+def _sigmoid_reference(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+class TestSigmoidKernel:
+    def test_matches_math_exp_reference(self):
+        x = np.linspace(-800.0, 800.0, 160_001)
+        want = np.array([_sigmoid_reference(v) for v in x])
+        # below x = -708 the true value is subnormal, and the kernel gives 0
+        np.testing.assert_allclose(ad._sigmoid(x), want, rtol=1e-15,
+                                   atol=np.finfo(np.float64).tiny)
+
+    def test_zero_dimensional_input(self):
+        out = ad._sigmoid(np.float64(2.0))
+        assert out.shape == ()
+        assert out == pytest.approx(_sigmoid_reference(2.0), rel=1e-15)
+
+    def test_in_place_matches_fresh_output(self, rng):
+        x = rng.normal(scale=10.0, size=(7, 5))
+        before = x.copy()
+        fresh = ad._sigmoid(x)
+        np.testing.assert_array_equal(x, before)
+        assert ad._sigmoid(x, out=x) is x
+        np.testing.assert_array_equal(x, fresh)
+
+    def test_no_overflow_warning_at_800(self):
+        x = np.array([-800.0, 800.0])
+        model = nets.init_classifier(np.random.default_rng(0), 2, 3).freeze()
+        model.w_out.data[:] = 0.0
+        logits = Tensor(x, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            np.testing.assert_array_equal(ad._sigmoid(x), [0.0, 1.0])
+            for b in x:
+                model.b_out.data[:] = b
+                p = nets.predict_proba(np.zeros((1, 4, 2)), model)
+                np.testing.assert_array_equal(p, np.full((1, 4), b > 0))
+            with ad.Tape():
+                ad.tsum(ad.cross_entropy_with_logits(
+                    logits, Tensor([0.0, 1.0]))).backward()
+        np.testing.assert_array_equal(logits.grad, [0.0, 0.0])
 
 
 def test_l1_norm_definition():

@@ -1,6 +1,8 @@
 import configparser
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,20 @@ def tiny_dataset(tmp_path):
     ds = data.generate_hmm(data.HmmConfig(n_series=12, n_steps=16, seed=0))
     data.save_dataset(ds, path)
     return path
+
+
+def test_cli_import_leaves_out_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, tempex.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+             "'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestGenerateTrainExplain:
