@@ -114,9 +114,9 @@ def _gru_cell(xg, h, Wh, H):
     """
     hg = _vecmat(h, Wh) if Wh.ndim == 3 else _batch_matmul(h, Wh)
     # xg and h may be cached or broadcast, so only fresh arrays are
-    # written in place: the gate sum, c and the new state. Numpy's SIMD
-    # loops need contiguous operands, so the gate sum is a fresh array,
-    # not the strided gate columns of hg.
+    # written in place: the gate sum, c and the new state. The gate sum is
+    # a new contiguous array, not hg's strided gate columns, because
+    # numpy's exp and reciprocal run about twice as fast on contiguous data
     rz = xg[..., :2 * H] + hg[..., :2 * H]
     ad._sigmoid(rz, out=rz)
     r, z = rz[..., :H], rz[..., H:]

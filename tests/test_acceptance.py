@@ -10,11 +10,12 @@ experiment runs checked under runs/ at the repo root. Reproduce them with:
         --out runs/icu_full
 
 Adding `--jobs 2` runs two folds at a time with byte-identical output. On a
-2-core machine the icu_full command took 2 h 57 min of wall time with
-`--jobs 2`; the two hmm commands have not been run to completion, and
-reduced-fold extrapolations (about 2 h each in one process) undershot
-icu_full by a factor of about 2.6. Only the CSVs, config.ini and
-charts are committed; models/ is regenerated by the same command.
+2-core machine the icu_full command took 59 min of wall time with
+`--jobs 2` (2 h 57 min before the fused GRU op, batched occlusion and the
+numpy sigmoid); the two hmm commands have not been run to completion.
+Only the CSVs, config.ini and charts are committed; models/ is
+regenerated by the same command. Compare the [environment] section of
+config.ini before comparing bytes: the BLAS thread count moves last bits.
 
 Missing artifacts fail the corresponding tests outright (no skips): the
 gate stays red until the runs exist. The fast property checks at the bottom
