@@ -18,7 +18,6 @@ __all__ = [
     "Adam",
     "ShapeError",
     "DomainError",
-    "tensor",
     "zeros",
     "add",
     "sub",
@@ -27,22 +26,16 @@ __all__ = [
     "neg",
     "matmul",
     "sigmoid",
-    "tanh",
     "exp",
-    "log",
     "tsum",
     "tmean",
     "tabs",
     "clamp",
     "concatenate",
-    "stack",
     "take",
     "reshape",
-    "softmax",
     "sort_last_axis",
-    "l1_norm",
     "cross_entropy_with_logits",
-    "mse",
 ]
 
 
@@ -189,10 +182,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return take(self, idx)
-
-
-def tensor(data, requires_grad=False, name=None):
-    return Tensor(data, requires_grad=requires_grad, name=name)
 
 
 def zeros(shape, requires_grad=False, name=None):
@@ -362,17 +351,6 @@ def sigmoid(a):
     return _record(out, (a,), backward)
 
 
-def tanh(a):
-    out_data = np.tanh(a.data)
-    out = Tensor(out_data)
-
-    def backward(g):
-        if a._tracked():
-            a._accumulate(g * (1.0 - out_data**2))
-
-    return _record(out, (a,), backward)
-
-
 def exp(a):
     out_data = np.exp(a.data)
     out = Tensor(out_data)
@@ -380,18 +358,6 @@ def exp(a):
     def backward(g):
         if a._tracked():
             a._accumulate(g * out_data)
-
-    return _record(out, (a,), backward)
-
-
-def log(a):
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    out = Tensor(np.log(a.data))
-
-    def backward(g):
-        if a._tracked():
-            a._accumulate(g / a.data)
 
     return _record(out, (a,), backward)
 
@@ -414,20 +380,6 @@ def clamp(a, lo, hi):
     def backward(g):
         if a._tracked():
             a._accumulate(g * inside)
-
-    return _record(out, (a,), backward)
-
-
-def softmax(a, axis=-1):
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(out_data)
-
-    def backward(g):
-        if a._tracked():
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - dot))
 
     return _record(out, (a,), backward)
 
@@ -455,11 +407,6 @@ def tmean(a, axis=None, keepdims=False):
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def l1_norm(a):
-    """Sum of absolute values over all entries (scalar)."""
-    return tsum(tabs(a))
-
-
 def concatenate(parts, axis=0):
     parts = [_lift(p) for p in parts]
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
@@ -472,19 +419,6 @@ def concatenate(parts, axis=0):
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 p._accumulate(g[tuple(idx)])
-
-    return _record(out, tuple(parts), backward)
-
-
-def stack(parts, axis=0):
-    parts = [_lift(p) for p in parts]
-    out = Tensor(np.stack([p.data for p in parts], axis=axis))
-
-    def backward(g):
-        moved = np.moveaxis(g, axis, 0)
-        for k, p in enumerate(parts):
-            if p._tracked():
-                p._accumulate(moved[k])
 
     return _record(out, tuple(parts), backward)
 
@@ -549,13 +483,6 @@ def cross_entropy_with_logits(logits, targets):
             targets._accumulate(_unbroadcast(-g * z, targets.shape))
 
     return _record(out, (logits, targets), backward)
-
-
-def mse(pred, target):
-    """Mean squared error over all entries (scalar)."""
-    pred, target = _lift(pred), _lift(target)
-    d = sub(pred, target)
-    return tmean(mul(d, d))
 
 
 # ---------------------------------------------------------------------------

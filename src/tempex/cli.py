@@ -75,6 +75,25 @@ def _check_config_keys(file_conf, experiment):
                     f"by a {experiment} run; remove it")
 
 
+def _check_run_inputs(args, run_conf, experiment):
+    """Raise SystemExit naming the first `run` input that would have no
+    effect; return the fold and job counts."""
+    for key, reader in (("ablation", xp.HMM), ("compare_generators", xp.ICU)):
+        if getattr(args, key) and experiment != reader:
+            raise SystemExit(f"--{key.replace('_', '-')} is read only by "
+                             f"{reader} runs, not by {experiment} runs")
+    counts = []
+    for key, default in (("folds", 5), ("jobs", 1)):
+        flag = getattr(args, key)
+        value = run_conf.get(key, default) if flag is None else flag
+        if value < 1:
+            source = f"config key {key!r} in section [run]" if flag is None \
+                else f"--{key}"
+            raise SystemExit(f"{source} is {value}; it must be >= 1")
+        counts.append(value)
+    return counts
+
+
 def _resolve_seed(args, file_conf):
     if args.seed is not None:
         return args.seed
@@ -165,6 +184,7 @@ def cmd_run(args):
     run_conf = file_conf.get("run", {})
     experiment = args.experiment or run_conf.get("experiment", xp.HMM)
     _check_config_keys(file_conf, experiment)
+    folds, jobs = _check_run_inputs(args, run_conf, experiment)
     overrides = {key: value for section, keys in file_conf.items()
                  if section != "run" for key, value in keys.items()}
     profile = args.profile or run_conf.get("profile", xp.FAST)
@@ -176,11 +196,10 @@ def cmd_run(args):
     cfg = xp.ExperimentConfig(
         experiment=experiment,
         profile=profile,
-        folds=args.folds if args.folds is not None
-        else run_conf.get("folds", 5),
+        folds=folds,
         seed=_resolve_seed(args, file_conf),
         out_dir=out_dir,
-        jobs=args.jobs if args.jobs is not None else run_conf.get("jobs", 1),
+        jobs=jobs,
         ablation=args.ablation,
         compare_generators=args.compare_generators,
         overrides=overrides,
@@ -230,127 +249,29 @@ def _environment():
     return env
 
 
-def _load_aggregated(run_dir):
-    for exp in xp.EXPERIMENTS:
-        path = os.path.join(run_dir, f"{exp}_aggregated.csv")
-        if os.path.exists(path):
-            return exp, xp.load_results(path)
-    expected = [f"{e}_aggregated.csv" for e in xp.EXPERIMENTS]
-    raise SystemExit(f"no aggregated results in {run_dir!r}; expected one "
-                     f"of: {', '.join(expected)}")
-
-
-def _value(rows, method, metric, frac=None, subst=None, field="mean"):
-    for r in rows:
-        if r["method"] == method and r["metric"] == metric and \
-                (frac is None or r["fraction"] == frac) and \
-                (subst is None or r["substitution"] == subst):
-            return r[field]
-    return None
-
-
-def _cell(rows, *key):
-    mean = _value(rows, *key)
-    if mean is None:
-        return "-"
-    return f"{mean:.3f} ({_value(rows, *key, field='std'):.3f})"
-
-
-def _report_violations(exp, rows, methods):
-    """Claim checks printed at the end of the report; each failed check
-    emits one 'violation:' line."""
-    out = []
-
-    def check(cond, msg):
-        if cond is not None and not cond:
-            out.append(msg)
-
-    if exp == xp.HMM and "learned_preservation" in methods:
-        aup = _value(rows, "learned_preservation", "aup")
-        aur = _value(rows, "learned_preservation", "aur")
-        check(aup is None or aup >= 0.80,
-              f"learned preservation aup {aup:.3f} < 0.80")
-        check(aur is None or aur >= 0.70,
-              f"learned preservation aur {aur:.3f} < 0.70")
-        if "dynamask" in methods:
-            for metric, sign in (("aup", 1), ("information", 1),
-                                 ("entropy", -1)):
-                a = _value(rows, "learned_preservation", metric)
-                b = _value(rows, "dynamask", metric)
-                check(sign * (a - b) > 0,
-                      f"learned preservation does not beat dynamask on "
-                      f"{metric} ({a:.3f} vs {b:.3f})")
-            a = _value(rows, "learned_preservation", "aur")
-            b = _value(rows, "dynamask", "aur")
-            check(a >= b - 0.05,
-                  f"learned preservation aur {a:.3f} more than 0.05 below "
-                  f"dynamask {b:.3f}")
-        if "learned_deletion" in methods:
-            check(_value(rows, "learned_deletion", "aur")
-                  > _value(rows, "learned_preservation", "aur"),
-                  "deletion aur not above preservation aur")
-            check(_value(rows, "learned_preservation", "aup")
-                  - _value(rows, "learned_deletion", "aup") >= 0.3,
-                  "deletion aup not >= 0.3 below preservation aup")
-    names = {(l1, l2): f"learned_l1={l1:g}_l2={l2:g}"
-             for l1 in xp.LAMBDAS for l2 in xp.LAMBDAS}
-    if exp == xp.HMM and set(names.values()) <= methods:
-        grid = {k: (_value(rows, n, "aup"), _value(rows, n, "aur"))
-                for k, n in names.items()}
-        best_l1, best_l2 = max(grid, key=lambda k: grid[k][0] * grid[k][1])
-        check(best_l1 == 1.0 and best_l2 >= 1.0,
-              f"best aup*aur at l1={best_l1:g}, l2={best_l2:g}, not at "
-              "l1=1, l2>=1")
-        for (l1, l2), (_aup, aur) in sorted(grid.items()):
-            check(l1 < 10.0 or aur < 0.3,
-                  f"l1={l1:g}, l2={l2:g}: aur {aur:.3f} >= 0.3")
-    if exp == xp.ICU and "learned_preservation" in methods:
-        for subst in (mt.TIME_AVERAGE, mt.ZEROS):
-            for other in ("occlusion", "augmented_occlusion",
-                          "integrated_gradients"):
-                if other not in methods:
-                    continue
-                for metric, sign in (("cross_entropy", 1),
-                                     ("comprehensiveness", 1),
-                                     ("sufficiency", -1), ("accuracy", -1)):
-                    a = _value(rows, "learned_preservation", metric, 0.2,
-                               subst)
-                    b = _value(rows, other, metric, 0.2, subst)
-                    if a is None or b is None:
-                        continue
-                    check(sign * (a - b) > 0,
-                          f"{metric} not better than {other} ({subst})")
-        first = _value(rows, "masking_curve", "positive_rate_mask_first",
-                       0.25, mt.ZEROS)
-        last = _value(rows, "masking_curve", "positive_rate_mask_last",
-                      0.25, mt.ZEROS)
-        if first is not None and last is not None:
-            check((1.0 - last) >= 3.0 * (1.0 - first) and last < 1.0,
-                  "masking the last T/4 does not reduce the positive rate "
-                  "3x more than the first T/4")
-    if out:
-        print()
-        for msg in out:
-            print(f"violation: {msg}")
-    return out
-
-
 def cmd_report(args):
-    exp, rows = _load_aggregated(args.dir)
-    methods = sorted({r["method"] for r in rows if r["method"] !=
-                      "masking_curve"})
+    try:
+        exp, agg, _ = xp.read_run(args.dir)
+    except FileNotFoundError as e:
+        raise SystemExit(str(e)) from e
+
+    def cell(*key):
+        r = agg.get(key)
+        return "-" if r is None else f"{r['mean']:.3f} ({r['std']:.3f})"
+
+    methods = sorted({key[0] for key in agg} - {"masking_curve"})
     if exp == xp.HMM:
         metrics_ = ("aup", "aur", "information", "entropy")
         print(f"{'method':<34}" + "".join(f"{m:>18}" for m in metrics_))
         for method in methods:
             print(f"{method:<34}" + "".join(
-                f"{_cell(rows, method, m):>18}" for m in metrics_))
+                f"{cell(method, m):>18}" for m in metrics_))
         if {"learned_preservation", "learned_deletion"} <= set(methods):
             print("\ndeletion vs preservation:")
             for method in ("learned_preservation", "learned_deletion"):
                 print(f"  {method:<22} aup "
-                      f"{_cell(rows, method, 'aup')}   aur "
-                      f"{_cell(rows, method, 'aur')}")
+                      f"{cell(method, 'aup')}   aur "
+                      f"{cell(method, 'aur')}")
     else:
         metrics_ = ("accuracy", "cross_entropy", "comprehensiveness",
                     "sufficiency")
@@ -359,9 +280,12 @@ def cmd_report(args):
             print(f"{'method':<26}" + "".join(f"{m:>18}" for m in metrics_))
             for method in methods:
                 print(f"{method:<26}" + "".join(
-                    f"{_cell(rows, method, m, 0.2, subst):>18}"
+                    f"{cell(method, m, 0.2, subst):>18}"
                     for m in metrics_))
-    _report_violations(exp, rows, set(methods))
+    failed = [f"violation: {v.message}"
+              for v in xp.evaluate_claims(args.dir) if v.verdict == xp.FAIL]
+    if failed:
+        print("\n" + "\n".join(failed))
     return 0
 
 

@@ -7,16 +7,19 @@ line charts for the metrics that carry a mask-fraction axis.
 
 Every fold re-seeds data generation and model training (seed + fold), so a
 run is fully determined by its config. Learned explanations are optimized
-in chunks of at most `chunk` samples to bound tape memory; rows are
+in chunks of at most CHUNK samples to bound tape memory; rows are
 independent, so chunking does not change any individual result beyond the
-per-chunk generator init streams (which the chunk seed pins).
+per-chunk generator init streams (which the chunk seed pins). CLAIMS holds
+the paper's claims; evaluate_claims checks them against a run directory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import operator
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +37,13 @@ FULL = "full"
 LAMBDAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 SUBSTITUTIONS = (mt.TIME_AVERAGE, mt.ZEROS)
+CHUNK = 250  # samples per explain_learned call, to bound tape memory
+
+
+def grid_method(l1, l2):
+    """Method name of one cell of the lambda grid."""
+    return f"learned_l1={l1:g}_l2={l2:g}"
+
 
 CSV_HEADER = ["method", "metric", "fraction", "substitution", "mean",
               "std", "fold"]
@@ -76,7 +86,6 @@ class ExperimentConfig:
     jobs: int = 1
     ablation: str = None  # "lambda" for the 5x5 grid (HMM only)
     compare_generators: bool = False
-    chunk: int = 250
     # scalar overrides for the PROFILES entry (n_series, epochs, ...)
     overrides: dict = field(default_factory=dict)
 
@@ -107,21 +116,13 @@ def _stage(name):
 # fold pipelines
 
 
-def _explain_learned_chunked(X, model, config, chunk):
+def _explain_learned_chunked(X, model, config):
     parts = []
-    for lo in range(0, X.shape[0], chunk):
+    for lo in range(0, X.shape[0], CHUNK):
         part = ex.explain_learned(
-            X[lo:lo + chunk], model, replace(config, seed=config.seed + lo))
+            X[lo:lo + CHUNK], model, replace(config, seed=config.seed + lo))
         parts.append(part.scores)
     return np.concatenate(parts, axis=0)
-
-
-def _eval_scores(saliency_scores, mode):
-    # in the deletion game the mask stays at 1 on unimportant cells and is
-    # driven to 0 where removal destroys the prediction, so importance is 1-m
-    if mode == ex.DELETION:
-        return 1.0 - saliency_scores
-    return saliency_scores
 
 
 def _train_fold_classifier(ds, fold_seed, s, experiment):
@@ -158,27 +159,28 @@ def hmm_fold(cfg: ExperimentConfig, fold: int):
     if cfg.ablation == "lambda":
         for l1 in LAMBDAS:
             for l2 in LAMBDAS:
-                name = f"learned_l1={l1:g}_l2={l2:g}"
+                name = grid_method(l1, l2)
                 with _stage(f"explain:{name}"):
                     scores = _explain_learned_chunked(
                         sub.X, model,
                         ex.ExplainerConfig(lambda1=l1, lambda2=l2,
-                                           iterations=it, seed=fold_seed),
-                        cfg.chunk)
+                                           iterations=it, seed=fold_seed))
                 add_gt(name, scores)
         return rows, model
 
     with _stage("explain:learned_preservation"):
         scores = _explain_learned_chunked(
-            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed),
-            cfg.chunk)
+            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed))
         add_gt("learned_preservation", scores)
     with _stage("explain:learned_deletion"):
         scores = _explain_learned_chunked(
             sub.X, model,
             ex.ExplainerConfig(mode=ex.DELETION, iterations=it,
-                               seed=fold_seed), cfg.chunk)
-        add_gt("learned_deletion", _eval_scores(scores, ex.DELETION))
+                               seed=fold_seed))
+        # in the deletion game the mask stays at 1 on unimportant cells and
+        # is driven to 0 where removal destroys the prediction, so the
+        # importance is 1 - m
+        add_gt("learned_deletion", 1.0 - scores)
     with _stage("explain:dynamask"):
         out = ex.explain_dynamask(sub.X, model,
                                   ex.DynamaskConfig(iterations=it))
@@ -211,8 +213,7 @@ def icu_fold(cfg: ExperimentConfig, fold: int):
     saliencies = {}
     with _stage("explain:learned_preservation"):
         saliencies["learned_preservation"] = _explain_learned_chunked(
-            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed),
-            cfg.chunk)
+            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed))
     if cfg.compare_generators:
         for name, kind in (("learned_gru", UNIDIRECTIONAL),
                            ("learned_zeros", ZERO)):
@@ -220,7 +221,7 @@ def icu_fold(cfg: ExperimentConfig, fold: int):
                 saliencies[name] = _explain_learned_chunked(
                     sub.X, model,
                     ex.ExplainerConfig(generator=kind, iterations=it,
-                                       seed=fold_seed), cfg.chunk)
+                                       seed=fold_seed))
     with _stage("explain:occlusion"):
         saliencies["occlusion"] = ex.occlusion(sub.X, model).scores
     with _stage("explain:augmented_occlusion"):
@@ -357,6 +358,161 @@ def run_experiment(cfg: ExperimentConfig):
     with _stage("charts"):
         write_charts(cfg.out_dir, cfg.experiment, agg)
     return results_path
+
+
+# ---------------------------------------------------------------------------
+# paper claims, checked by `tempex report` and by the acceptance tests
+# (tests/test_acceptance.py) whose names they carry
+
+PASS, FAIL, MISSING = "pass", "fail", "missing rows"
+# rule(agg, folds, threshold) over read_run's tables returns (holds,
+# message with the observed numbers); a row the run lacks raises KeyError
+Claim = namedtuple("Claim", "id test threshold rule")
+ClaimVerdict = namedtuple("ClaimVerdict", "id test verdict message")
+
+
+def read_run(run_dir):
+    """(experiment, aggregated, per_fold) of the run in run_dir: its
+    aggregated rows (dicts) and per-fold {fold: value}, keyed by (method,
+    metric), plus (fraction, substitution) for rows that have a fraction.
+    Raises FileNotFoundError if run_dir has no aggregated CSV."""
+    for exp in EXPERIMENTS:
+        if os.path.exists(os.path.join(run_dir, f"{exp}_aggregated.csv")):
+            break
+    else:
+        expected = ", ".join(f"{e}_aggregated.csv" for e in EXPERIMENTS)
+        raise FileNotFoundError(f"no aggregated results in {run_dir!r}; "
+                                f"expected one of: {expected}")
+    agg, folds = {}, {}
+    for kind in ("aggregated", "results"):
+        path = os.path.join(run_dir, f"{exp}_{kind}.csv")
+        for r in load_results(path) if os.path.exists(path) else ():
+            key = (r["method"], r["metric"])
+            if r["fraction"] is not None:
+                key += (r["fraction"], r["substitution"])
+            if r["fold"] == "all":
+                agg[key] = r
+            else:
+                folds.setdefault(key, {})[int(r["fold"])] = r["mean"]
+    return exp, agg, folds
+
+
+def _diff(op, a, b=None, msg=""):
+    """Rule: op(mean(a) - mean(b), threshold), with mean(b) = 0 if b is
+    None; `msg` formats the failure from a, b and t."""
+    def rule(agg, _folds, t):
+        x, y = agg[a]["mean"], agg[b]["mean"] if b else 0.0
+        return op(x - y, t), msg.format(a=x, b=y, t=t)
+    return rule
+
+
+def _grid_best(agg, _folds, t):
+    """Rule: the best aup*aur of the lambda grid is at l1 == t, l2 >= t."""
+    score = {(l1, l2): agg[(grid_method(l1, l2), "aup")]["mean"]
+             * agg[(grid_method(l1, l2), "aur")]["mean"]
+             for l1 in LAMBDAS for l2 in LAMBDAS}
+    l1, l2 = max(score, key=score.get)
+    return l1 == t and l2 >= t, (f"best aup*aur at l1={l1:g}, l2={l2:g}, "
+                                 f"not at l1={t:g}, l2>={t:g}")
+
+
+def _ablation(hi, lo, subst, min_folds):
+    """Rule: over >= min_folds folds, the per-fold CE differences hi - lo
+    at 20% masking have a mean >= -threshold standard deviations."""
+    def rule(_agg, folds, t):
+        a, b = (folds[(m, "cross_entropy", 0.2, subst)] for m in (hi, lo))
+        common = sorted(a.keys() & b.keys())
+        tag = f"ce {hi} vs {lo} ({subst})"
+        if len(common) < min_folds:
+            return False, f"{tag}: {len(common)} folds, need {min_folds}"
+        diff = np.array([a[f] - b[f] for f in common])
+        tol = t * diff.std(ddof=1)
+        return diff.mean() >= -tol, (
+            f"{tag}: mean difference {diff.mean():.4f} < -{tol:.4f} "
+            f"({t:g} std over {len(common)} folds)")
+    return rule
+
+
+def _late_masking(base_rate):
+    """Rule: from a positive rate of base_rate, masking the last quarter of
+    the steps lowers it by >= threshold times the first quarter's drop."""
+    def rule(agg, _folds, t):
+        base, first, last = (
+            agg[("masking_curve", f"positive_rate_mask_{which}", frac,
+                 mt.ZEROS)]["mean"]
+            for which, frac in (("first", 0.0), ("first", 0.25),
+                                ("last", 0.25)))
+        first, last = base - first, base - last
+        return base == base_rate and last > 0 and last >= t * first, (
+            f"masking the last T/4 does not reduce the positive rate {t:g}x "
+            f"more than the first T/4 (base rate {base:.3f}, must be "
+            f"{base_rate:g}; drops {last:.3f} last, {first:.3f} first)")
+    return rule
+
+
+_LP, _LD, _DM = "learned_preservation", "learned_deletion", "dynamask"
+_GT, _GE, _LT = operator.gt, operator.ge, operator.lt
+
+CLAIMS = (
+    Claim("hmm.learned_aup", "test_hmm_full_learned_aup_aur", 0.80, _diff(
+        _GE, (_LP, "aup"), msg="learned preservation aup {a:.3f} < {t}")),
+    Claim("hmm.learned_aur", "test_hmm_full_learned_aup_aur", 0.70, _diff(
+        _GE, (_LP, "aur"), msg="learned preservation aur {a:.3f} < {t}")),
+    *(Claim(f"hmm.beats_dynamask.{m}", "test_hmm_full_beats_dynamask", 0.0,
+            _diff(op, (_LP, m), (_DM, m), f"learned preservation does not "
+                  f"beat dynamask on {m} ({{a:.3f}} vs {{b:.3f}})"))
+      for m, op in (("aup", _GT), ("information", _GT), ("entropy", _LT))),
+    Claim("hmm.dynamask_aur_margin", "test_hmm_full_beats_dynamask", -0.05,
+          _diff(_GE, (_LP, "aur"), (_DM, "aur"), "learned preservation aur "
+                "{a:.3f} more than {t} below dynamask {b:.3f}")),
+    Claim("hmm.deletion_aur_above", "test_hmm_full_deletion_vs_preservation",
+          0.0, _diff(_GT, (_LD, "aur"), (_LP, "aur"),
+                     "deletion aur {a:.3f} not above preservation {b:.3f}")),
+    Claim("hmm.deletion_aup_gap", "test_hmm_full_deletion_vs_preservation",
+          0.3, _diff(_GE, (_LP, "aup"), (_LD, "aup"), "deletion aup {b:.3f} "
+                     "not >= {t} below preservation {a:.3f}")),
+    Claim("hmm_grid.best_aup_aur", "test_lambda_grid_sweet_spot", 1.0,
+          _grid_best),
+    *(Claim(f"hmm_grid.aur_l1={l1:g}_l2={l2:g}",
+            "test_lambda_grid_sweet_spot", 0.3,
+            _diff(_LT, (grid_method(l1, l2), "aur"),
+                  msg=f"l1={l1:g}, l2={l2:g}: aur {{a:.3f}} >= {{t}}"))
+      for l1 in LAMBDAS if l1 >= 10.0 for l2 in LAMBDAS),
+    # at 20% masking the learned mask beats each baseline: higher CE and
+    # comprehensiveness, lower sufficiency and accuracy
+    *(Claim(f"icu.{m}_vs_{other}.{subst}", "test_icu_orderings_at_20pct",
+            0.0, _diff(op, (_LP, m, 0.2, subst), (other, m, 0.2, subst),
+                       f"{m} not better than {other} ({subst}): "
+                       "{a:.3f} vs {b:.3f}"))
+      for subst in SUBSTITUTIONS
+      for other in ("occlusion", "augmented_occlusion",
+                    "integrated_gradients")
+      for m, op in (("cross_entropy", _GT), ("comprehensiveness", _GT),
+                    ("sufficiency", _LT), ("accuracy", _LT))),
+    # GRU >= Bi-GRU >= zeros generator, ties within one std over folds
+    *(Claim(f"icu.ablation_{hi}_vs_{lo}.{subst}",
+            "test_icu_generator_ablation_ce", 1.0,
+            _ablation(hi, lo, subst, min_folds=5))
+      for subst in SUBSTITUTIONS
+      for hi, lo in (("learned_gru", _LP), (_LP, "learned_zeros"))),
+    Claim("icu.late_masking", "test_icu_late_masking_dominates", 3.0,
+          _late_masking(base_rate=1.0)),
+)
+
+
+def evaluate_claims(run_dir):
+    """A ClaimVerdict per entry of CLAIMS, in table order, from the
+    aggregated and per-fold CSVs in run_dir (see read_run)."""
+    _, agg, folds = read_run(run_dir)
+    out = []
+    for c in CLAIMS:
+        try:
+            ok, msg = c.rule(agg, folds, c.threshold)
+            verdict = PASS if ok else FAIL
+        except KeyError as e:
+            verdict, msg = MISSING, f"no row {e.args[0]}"
+        out.append(ClaimVerdict(c.id, c.test, verdict, msg))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,6 @@ class DynamaskConfig:
     early_stop_tol: float = 1e-6
     early_stop_patience: int = 10
     target: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.area <= 1:
@@ -95,10 +94,8 @@ class SaliencyMap:
 
 def _as_batch(x):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
+    if x.ndim in (2, 3):
+        return x.reshape((-1,) + x.shape[-2:])
     raise ad.ShapeError(f"expected (T, n) or (B, T, n) input, got {x.shape}")
 
 
@@ -213,7 +210,7 @@ def explain_learned(x, classifier: ClassifierParams,
     at its last computed iteration.
     """
     config = config or ExplainerConfig()
-    X, single = _as_batch(x)
+    X = _as_batch(x)
     _check_frozen(classifier)
     snap = classifier.snapshot()
     B, T, n = X.shape
@@ -252,12 +249,11 @@ def explain_learned(x, classifier: ClassifierParams,
     iterations_run, per_row, history, terms = _optimize_mask(
         mask, optimizers, config, loss_rows)
     classifier.check_unchanged(snap)
-    scores = mask.data.copy()
     meta = {"iterations_run": iterations_run,
             "iterations_per_row": per_row, "mode": config.mode,
             "generator": config.generator, "loss_history": history,
             **{name: float(np.mean(v)) for name, v in terms.items()}}
-    return SaliencyMap(scores=scores[0:1] if single else scores,
+    return SaliencyMap(scores=mask.data.copy(),
                        method=f"learned_{config.generator}", metadata=meta)
 
 
@@ -280,7 +276,7 @@ def explain_dynamask(x, classifier: ClassifierParams,
     """Fixed-perturbation mask baseline: optimizes the mask alone under the
     preservation objective with the sorted-mask area regularizer."""
     config = config or DynamaskConfig()
-    X, single = _as_batch(x)
+    X = _as_batch(x)
     _check_frozen(classifier)
     snap = classifier.snapshot()
     B, T, n = X.shape
@@ -306,9 +302,8 @@ def explain_dynamask(x, classifier: ClassifierParams,
     meta = {"iterations_run": iterations_run,
             "iterations_per_row": per_row, "area": config.area,
             "perturbation": config.perturbation.kind}
-    return SaliencyMap(scores=mask.data.copy()[0:1] if single
-                       else mask.data.copy(),
-                       method="dynamask", metadata=meta)
+    return SaliencyMap(scores=mask.data.copy(), method="dynamask",
+                       metadata=meta)
 
 
 def occlusion(x, classifier: ClassifierParams, baseline=0.0,
@@ -319,7 +314,7 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
     step go through perturbed_step_scores, which reuses the classifier's
     states on the unchanged side of that step.
     """
-    X, single = _as_batch(x)
+    X = _as_batch(x)
     _check_frozen(classifier)
     B, T, n = X.shape
     cells = np.arange(n)
@@ -332,9 +327,8 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
     base = target_score(X, classifier, target)
     sc = perturbed_step_scores(X, classifier, replacements, target)
     raw = np.ascontiguousarray(np.abs(base - sc).transpose(2, 0, 1))
-    scores = _minmax_per_sample(raw)
-    return SaliencyMap(scores=scores[0:1] if single else scores,
-                       method="occlusion", metadata={"raw": raw})
+    return SaliencyMap(scores=_minmax_per_sample(raw), method="occlusion",
+                       metadata={"raw": raw})
 
 
 def augmented_occlusion(x, classifier: ClassifierParams,
@@ -347,7 +341,7 @@ def augmented_occlusion(x, classifier: ClassifierParams,
     Copy i of the batch repeats each sample `draws` times and resamples
     feature i, one draw per row, in the order t, then i, then row.
     """
-    X, single = _as_batch(x)
+    X = _as_batch(x)
     _check_frozen(classifier)
     reference = np.asarray(reference, dtype=np.float64)
     if reference.size == 0:
@@ -369,8 +363,7 @@ def augmented_occlusion(x, classifier: ClassifierParams,
                                repeats=draws).reshape(T, n, B, draws)
     raw = np.abs(base[:, None] - sc).mean(axis=-1).transpose(2, 0, 1)
     raw = np.ascontiguousarray(raw)
-    scores = _minmax_per_sample(raw)
-    return SaliencyMap(scores=scores[0:1] if single else scores,
+    return SaliencyMap(scores=_minmax_per_sample(raw),
                        method="augmented_occlusion", metadata={"raw": raw})
 
 
@@ -380,7 +373,7 @@ def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
     attributions live in metadata; scores are min-max normalized."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    X, single = _as_batch(x)
+    X = _as_batch(x)
     _check_frozen(classifier)
     B, T, n = X.shape
     if baseline is None:
@@ -402,8 +395,7 @@ def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
             total.backward()
         avg_grad += point.grad
     raw = diff * (avg_grad / steps)
-    scores = _minmax_per_sample(np.abs(raw))
-    return SaliencyMap(scores=scores[0:1] if single else scores,
+    return SaliencyMap(scores=_minmax_per_sample(np.abs(raw)),
                        method="integrated_gradients",
                        metadata={"raw": raw, "steps": steps})
 

@@ -9,6 +9,9 @@ import pytest
 
 from tempex import cli, data, experiment as xp
 
+ICU_FULL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "runs", "icu_full")
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -186,6 +189,29 @@ class TestRun:
         assert f"[{section}]" in str(exc.value)
         assert not out.exists()  # rejected before any stage ran
 
+    @pytest.mark.parametrize("argv, ini, named", [
+        (["--experiment", "icu_like", "--ablation", "lambda"], None,
+         "--ablation"),
+        (["--experiment", "hmm", "--compare-generators"], None,
+         "--compare-generators"),
+        (["--folds", "0"], None, "--folds"),
+        (["--jobs", "0"], None, "--jobs"),
+        ([], "[run]\nfolds = 0\n", "'folds' in section [run]"),
+        ([], "[run]\njobs = -1\n", "'jobs' in section [run]"),
+    ])
+    def test_run_input_without_effect_is_rejected(self, tmp_path,
+                                                  small_profile, argv, ini,
+                                                  named):
+        if ini is not None:
+            path = tmp_path / "cfg.ini"
+            path.write_text(ini)
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--out", str(out), *argv)
+        assert named in str(exc.value)
+        assert not out.exists()  # rejected before any stage ran
+
     def test_config_echo_records_environment(self, tmp_path, small_profile,
                                              monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -290,3 +316,44 @@ class TestReport:
         assert "violation: best aup*aur at l1=0.1, l2=0.01" in out
         assert "violation: l1=10, l2=1: aur 0.500 >= 0.3" in out
         assert "violation: l1=1," not in out
+
+    def _violations(self, capsys, run_dir):
+        assert run_cli("report", "--dir", str(run_dir)) == 0
+        return [line[len("violation: "):]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("violation: ")]
+
+    def test_report_prints_the_claims_the_gate_fails(self, capsys):
+        verdicts = xp.evaluate_claims(ICU_FULL)
+        failed = [v for v in verdicts if v.verdict == xp.FAIL]
+        assert self._violations(capsys, ICU_FULL) == \
+            [v.message for v in failed]
+        # the committed runs/icu_full: 13 of the 24 orderings and the
+        # generator ablation at zeros fail; no claim lacks rows
+        assert sum(v.test == "test_icu_orderings_at_20pct"
+                   for v in failed) == 13
+        assert [v.id for v in failed
+                if v.test == "test_icu_generator_ablation_ce"] == \
+            ["icu.ablation_learned_gru_vs_learned_preservation.zeros"]
+        assert len(failed) == 14
+        assert not any(v.verdict == xp.MISSING for v in verdicts
+                       if v.id.startswith("icu."))
+
+    def test_report_checks_generator_ablation(self, tmp_path, capsys):
+        # CE at 20% masking per fold: the GRU generator falls well below
+        # the Bi-GRU on every fold, so the ablation claim fails
+        ce = {"learned_gru": 0.5, "learned_preservation": 0.8,
+              "learned_zeros": 0.7}
+        rows = [[method, "cross_entropy", 0.2, subst,
+                 value + 0.01 * fold, fold]
+                for method, value in ce.items()
+                for subst in xp.SUBSTITUTIONS for fold in range(5)]
+        xp._write_rows(tmp_path / "icu_like_results.csv", rows)
+        xp._write_aggregated(tmp_path / "icu_like_aggregated.csv",
+                             xp.aggregate(rows))
+        lines = self._violations(capsys, tmp_path)
+        assert len(lines) == 2
+        for subst, line in zip(xp.SUBSTITUTIONS, lines):
+            assert line.startswith(
+                f"ce learned_gru vs learned_preservation ({subst}): "
+                "mean difference -0.3000")
