@@ -5,11 +5,13 @@ whole experiment (folds, explainers, metrics, charts); the other verbs
 expose the individual pipeline stages for one-off work.
 
 Configuration comes from an INI file (sections [dataset], [model],
-[explainers.learned], [metrics], [run]); a key that the run would not read
-is rejected before any stage starts. Command line flags override file
-keys, and the TEMPEX_SEED environment variable overrides the file seed
-(an explicit --seed flag still wins). `run` echoes the resolved sizes and
-the BLAS set-up into config.ini.
+[explainers.learned], [metrics], [run]); a key that the run would not read,
+or a value it cannot use, is rejected before any stage starts. Command line
+flags override file keys, and the TEMPEX_SEED environment variable
+overrides the file seed (an explicit --seed flag still wins). `run` echoes
+its inputs, the resolved sizes ([resolved]) and the BLAS set-up
+([environment]) into config.ini, which feeds back through --config: the
+sizes take effect, and a different BLAS set-up is refused.
 """
 
 from __future__ import annotations
@@ -34,12 +36,23 @@ _INT_KEYS = {"n_series", "n_steps", "eval_samples", "epochs", "hidden",
 # the keys `run` and its folds read, by section; any other key would be
 # ignored, so it is rejected (`fractions` only by the ICU-like fold)
 _SECTION_KEYS = {
-    "run": {"experiment", "profile", "folds", "seed", "jobs", "out_dir"},
+    "run": {"experiment", "profile", "folds", "seed", "jobs", "out_dir",
+            "ablation", "compare_generators"},
     "dataset": {"n_series", "n_steps"},
     "model": {"epochs", "hidden"},
     "metrics": {"eval_samples", "fractions"},
     "explainers.learned": {"iterations"},
+    # written by _echo_config
+    "resolved": {"n_series", "n_steps", "eval_samples", "epochs", "hidden",
+                 "iterations", "fractions"},
+    "environment": {"blas", "openblas_num_threads", "omp_num_threads",
+                    "cpu_count"},
 }
+# the [run] inputs that are also flags, with their defaults
+_RUN_DEFAULTS = {"experiment": xp.HMM, "profile": xp.FAST, "folds": 5,
+                 "jobs": 1, "ablation": None, "compare_generators": False}
+_CHOICES = {"experiment": xp.EXPERIMENTS, "profile": (xp.FAST, xp.FULL),
+            "ablation": (None, "lambda")}
 
 
 def _coerce(key, value):
@@ -47,17 +60,29 @@ def _coerce(key, value):
         return int(value)
     if key == "fractions":
         return tuple(float(v) for v in value.split(","))
+    if key == "ablation":
+        return value or None
+    if key == "compare_generators":
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
     return value
 
 
 def read_config(path):
-    """Flatten the INI file into {section: {key: coerced value}}."""
+    """Flatten the INI file into {section: {key: coerced value}}; raise
+    SystemExit naming a value that does not parse."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
     out = {}
     for section in parser.sections():
-        out[section] = {k: _coerce(k, v) for k, v in parser[section].items()}
+        out[section] = {}
+        for key, value in parser[section].items():
+            try:
+                out[section][key] = _coerce(key, value)
+            except (ValueError, KeyError):
+                raise SystemExit(f"config key {key!r} in section "
+                                 f"[{section}] has the value {value!r}, "
+                                 "which does not parse") from None
     return out
 
 
@@ -75,23 +100,61 @@ def _check_config_keys(file_conf, experiment):
                     f"by a {experiment} run; remove it")
 
 
-def _check_run_inputs(args, run_conf, experiment):
-    """Raise SystemExit naming the first `run` input that would have no
-    effect; return the fold and job counts."""
-    for key, reader in (("ablation", xp.HMM), ("compare_generators", xp.ICU)):
-        if getattr(args, key) and experiment != reader:
-            raise SystemExit(f"--{key.replace('_', '-')} is read only by "
-                             f"{reader} runs, not by {experiment} runs")
-    counts = []
-    for key, default in (("folds", 5), ("jobs", 1)):
+def _run_inputs(args, run_conf):
+    """The [run] inputs that are also flags: each flag, else its key in
+    [run], else its default. Raise SystemExit naming the first input that
+    is not a valid value or would have no effect."""
+    values, sources = {}, {}
+    for key, default in _RUN_DEFAULTS.items():
         flag = getattr(args, key)
-        value = run_conf.get(key, default) if flag is None else flag
-        if value < 1:
-            source = f"config key {key!r} in section [run]" if flag is None \
-                else f"--{key}"
-            raise SystemExit(f"{source} is {value}; it must be >= 1")
-        counts.append(value)
-    return counts
+        if flag is not None:
+            values[key], sources[key] = flag, f"--{key.replace('_', '-')}"
+        else:
+            values[key] = run_conf.get(key, default)
+            sources[key] = f"config key {key!r} in section [run]"
+    for key, choices in _CHOICES.items():
+        if values[key] not in choices:
+            allowed = ", ".join(str(c) for c in choices if c is not None)
+            raise SystemExit(f"{sources[key]} is {values[key]!r}; it must "
+                             f"be one of: {allowed}")
+    experiment = values["experiment"]
+    for key, reader in (("ablation", xp.HMM), ("compare_generators", xp.ICU)):
+        if values[key] and experiment != reader:
+            raise SystemExit(f"{sources[key]} is read only by {reader} "
+                             f"runs, not by {experiment} runs")
+    for key in ("folds", "jobs"):
+        if values[key] < 1:
+            raise SystemExit(f"{sources[key]} is {values[key]}; it must be "
+                             ">= 1")
+    return values
+
+
+def _overrides(file_conf):
+    """The profile sizes the config file sets; raise SystemExit if two
+    sections set one to different values."""
+    out, where = {}, {}
+    for section, keys in file_conf.items():
+        if section in ("run", "environment"):
+            continue
+        for key, value in keys.items():
+            if key in out and out[key] != value:
+                raise SystemExit(
+                    f"config key {key!r} is {out[key]!r} in section "
+                    f"[{where[key]}] but {value!r} in section [{section}]")
+            out[key], where[key] = value, section
+    return out
+
+
+def _check_environment(recorded):
+    """Raise SystemExit if a recorded [environment] key differs from this
+    process's: a run repeats bitwise only under the same BLAS set-up."""
+    current = _environment()
+    for key, value in recorded.items():
+        if current[key] != value:
+            raise SystemExit(
+                f"config key {key!r} in section [environment] is {value!r}, "
+                f"but this process has {current[key]!r}, so the run would "
+                "not repeat bitwise; remove the key to run anyway")
 
 
 def _resolve_seed(args, file_conf):
@@ -182,28 +245,17 @@ def cmd_evaluate(args):
 def cmd_run(args):
     file_conf = read_config(args.config) if args.config else {}
     run_conf = file_conf.get("run", {})
-    experiment = args.experiment or run_conf.get("experiment", xp.HMM)
-    _check_config_keys(file_conf, experiment)
-    folds, jobs = _check_run_inputs(args, run_conf, experiment)
-    overrides = {key: value for section, keys in file_conf.items()
-                 if section != "run" for key, value in keys.items()}
-    profile = args.profile or run_conf.get("profile", xp.FAST)
+    run = _run_inputs(args, run_conf)
+    _check_config_keys(file_conf, run["experiment"])
+    _check_environment(file_conf.get("environment", {}))
+    overrides = _overrides(file_conf)
     out_dir = args.out or run_conf.get("out_dir") or \
-        f"runs/{experiment}_{profile}"
+        f"runs/{run['experiment']}_{run['profile']}"
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not args.force:
         raise SystemExit(f"output dir {out_dir!r} is not empty; "
                          "pass --force to overwrite")
-    cfg = xp.ExperimentConfig(
-        experiment=experiment,
-        profile=profile,
-        folds=folds,
-        seed=_resolve_seed(args, file_conf),
-        out_dir=out_dir,
-        jobs=jobs,
-        ablation=args.ablation,
-        compare_generators=args.compare_generators,
-        overrides=overrides,
-    )
+    cfg = xp.ExperimentConfig(seed=_resolve_seed(args, file_conf),
+                              out_dir=out_dir, overrides=overrides, **run)
     os.makedirs(out_dir, exist_ok=True)
     _echo_config(cfg, os.path.join(out_dir, "config.ini"))
     try:
@@ -227,7 +279,10 @@ def _echo_config(cfg: xp.ExperimentConfig, path):
         "ablation": str(cfg.ablation or ""),
         "compare_generators": str(cfg.compare_generators),
     }
-    parser["resolved"] = {k: str(v) for k, v in sorted(settings.items())}
+    # a tuple (fractions) in the comma-separated form read_config reads
+    parser["resolved"] = {
+        k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+        for k, v in sorted(settings.items())}
     parser["environment"] = _environment()
     with open(path, "w") as fh:
         parser.write(fh)
@@ -361,7 +416,7 @@ def build_parser():
     r.add_argument("--force", action="store_true")
     r.add_argument("--ablation", choices=("lambda",), default=None)
     r.add_argument("--compare-generators", action="store_true",
-                   dest="compare_generators")
+                   default=None, dest="compare_generators")
     r.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="print summary tables for a run")

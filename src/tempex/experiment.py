@@ -6,10 +6,9 @@ CSV with mean and std over folds, trained classifier checkpoints, and SVG
 line charts for the metrics that carry a mask-fraction axis.
 
 Every fold re-seeds data generation and model training (seed + fold), so a
-run is fully determined by its config. Learned explanations are optimized
-in chunks of at most CHUNK samples to bound tape memory; rows are
-independent, so chunking does not change any individual result beyond the
-per-chunk generator init streams (which the chunk seed pins). CLAIMS holds
+run is fully determined by its config. With --jobs above 1, the folds run
+in a process pool when there are several, and otherwise the mask explainers
+spread their row blocks over the jobs; neither changes a bit. CLAIMS holds
 the paper's claims; evaluate_claims checks them against a run directory.
 """
 
@@ -20,7 +19,7 @@ import csv
 import operator
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,6 @@ FULL = "full"
 LAMBDAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 SUBSTITUTIONS = (mt.TIME_AVERAGE, mt.ZEROS)
-CHUNK = 250  # samples per explain_learned call, to bound tape memory
 
 
 def grid_method(l1, l2):
@@ -116,13 +114,14 @@ def _stage(name):
 # fold pipelines
 
 
-def _explain_learned_chunked(X, model, config):
-    parts = []
-    for lo in range(0, X.shape[0], CHUNK):
-        part = ex.explain_learned(
-            X[lo:lo + CHUNK], model, replace(config, seed=config.seed + lo))
-        parts.append(part.scores)
-    return np.concatenate(parts, axis=0)
+def _folds_in_pool(cfg):
+    """Whether run_experiment runs the folds in a pool of cfg.jobs
+    processes; if not, each fold's mask explainers get the jobs."""
+    return cfg.jobs > 1 and cfg.folds > 1
+
+
+def _explain_workers(cfg):
+    return 1 if _folds_in_pool(cfg) else cfg.jobs
 
 
 def _train_fold_classifier(ds, fold_seed, s, experiment):
@@ -149,6 +148,7 @@ def hmm_fold(cfg: ExperimentConfig, fold: int):
         model = _train_fold_classifier(ds, fold_seed, s, HMM)
     sub = ds.subset(np.arange(min(s["eval_samples"], ds.n_samples)))
     it = s["iterations"]
+    workers = _explain_workers(cfg)
     rows = []
 
     def add_gt(method, scores):
@@ -161,29 +161,32 @@ def hmm_fold(cfg: ExperimentConfig, fold: int):
             for l2 in LAMBDAS:
                 name = grid_method(l1, l2)
                 with _stage(f"explain:{name}"):
-                    scores = _explain_learned_chunked(
+                    out = ex.explain_learned(
                         sub.X, model,
                         ex.ExplainerConfig(lambda1=l1, lambda2=l2,
-                                           iterations=it, seed=fold_seed))
-                add_gt(name, scores)
+                                           iterations=it, seed=fold_seed),
+                        workers=workers)
+                add_gt(name, out.scores)
         return rows, model
 
     with _stage("explain:learned_preservation"):
-        scores = _explain_learned_chunked(
-            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed))
-        add_gt("learned_preservation", scores)
+        out = ex.explain_learned(
+            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed),
+            workers=workers)
+        add_gt("learned_preservation", out.scores)
     with _stage("explain:learned_deletion"):
-        scores = _explain_learned_chunked(
+        out = ex.explain_learned(
             sub.X, model,
             ex.ExplainerConfig(mode=ex.DELETION, iterations=it,
-                               seed=fold_seed))
+                               seed=fold_seed), workers=workers)
         # in the deletion game the mask stays at 1 on unimportant cells and
         # is driven to 0 where removal destroys the prediction, so the
         # importance is 1 - m
-        add_gt("learned_deletion", 1.0 - scores)
+        add_gt("learned_deletion", 1.0 - out.scores)
     with _stage("explain:dynamask"):
         out = ex.explain_dynamask(sub.X, model,
-                                  ex.DynamaskConfig(iterations=it))
+                                  ex.DynamaskConfig(iterations=it),
+                                  workers=workers)
         add_gt("dynamask", out.scores)
     with _stage("explain:occlusion"):
         add_gt("occlusion", ex.occlusion(sub.X, model).scores)
@@ -209,19 +212,19 @@ def icu_fold(cfg: ExperimentConfig, fold: int):
         model = _train_fold_classifier(ds, fold_seed, s, ICU)
     sub = ds.subset(np.arange(min(s["eval_samples"], ds.n_samples)))
     it = s["iterations"]
+    workers = _explain_workers(cfg)
 
     saliencies = {}
-    with _stage("explain:learned_preservation"):
-        saliencies["learned_preservation"] = _explain_learned_chunked(
-            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed))
+    generators = [("learned_preservation", BIDIRECTIONAL)]
     if cfg.compare_generators:
-        for name, kind in (("learned_gru", UNIDIRECTIONAL),
-                           ("learned_zeros", ZERO)):
-            with _stage(f"explain:{name}"):
-                saliencies[name] = _explain_learned_chunked(
-                    sub.X, model,
-                    ex.ExplainerConfig(generator=kind, iterations=it,
-                                       seed=fold_seed))
+        generators += [("learned_gru", UNIDIRECTIONAL),
+                       ("learned_zeros", ZERO)]
+    for name, kind in generators:
+        with _stage(f"explain:{name}"):
+            saliencies[name] = ex.explain_learned(
+                sub.X, model,
+                ex.ExplainerConfig(generator=kind, iterations=it,
+                                   seed=fold_seed), workers=workers).scores
     with _stage("explain:occlusion"):
         saliencies["occlusion"] = ex.occlusion(sub.X, model).scores
     with _stage("explain:augmented_occlusion"):
@@ -335,7 +338,7 @@ def run_experiment(cfg: ExperimentConfig):
     all_rows = []
     tasks = [(cfg, f) for f in range(cfg.folds)]
     with contextlib.ExitStack() as stack:
-        if cfg.jobs > 1:
+        if _folds_in_pool(cfg):
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=cfg.jobs))

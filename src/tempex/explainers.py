@@ -15,6 +15,7 @@ occlusion scores are min-max normalized into [0, 1] per sample.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ from .perturbation import (
 
 PRESERVATION = "preservation"
 DELETION = "deletion"
+# the mask explainers optimize max(1, B // BLOCK_ROWS) contiguous row
+# blocks, each on its own tape (see _optimize_blocks)
+BLOCK_ROWS = 24
 
 
 class FrozenModelError(RuntimeError):
@@ -195,32 +199,75 @@ def _optimize_mask(mask, optimizers, config, loss_rows):
     return iterations_run, per_row, history[:iterations_run].copy(), terms
 
 
-def explain_learned(x, classifier: ClassifierParams,
-                    config: ExplainerConfig = None,
-                    sample_seeds=None) -> SaliencyMap:
-    """Optimize mask + generator for each sample (jointly as a batch; rows
-    are independent, and a sample freezes once its loss stops improving).
+def _row_blocks(B):
+    """(lo, hi) bounds of max(1, B // BLOCK_ROWS) near-equal contiguous
+    row blocks. They depend on B alone, never on the worker count."""
+    k = max(1, B // BLOCK_ROWS)
+    edges = [B * i // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
-    sample_seeds optionally pins the per-row generator init streams so a
-    single-sample run can reproduce one row of a batched run. The metadata
-    holds iterations_run, iterations_per_row (the iteration count at which
-    each row froze), the (iterations_run, B) loss_history, in which a
-    frozen row repeats its last computed loss, and mask_term,
-    generator_term and ce_term: means over all rows of each row's terms
-    at its last computed iteration.
-    """
-    config = config or ExplainerConfig()
-    X = _as_batch(x)
-    _check_frozen(classifier)
+
+_worker_block = None  # a forked worker's block function (_set_worker_block)
+
+
+def _set_worker_block(fn):
+    global _worker_block
+    _worker_block = fn
+
+
+def _run_worker_block(bounds):
+    return _worker_block(*bounds)
+
+
+def _map_blocks(block, bounds, workers):
+    """[block(lo, hi) for (lo, hi) in bounds], on a fork pool of
+    min(len(bounds), workers) processes when both exceed 1. block reaches
+    the workers by fork, not by pickling, and a worker's exception is
+    raised here as itself."""
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    procs = min(len(bounds), workers)
+    if procs <= 1:
+        return [block(*b) for b in bounds]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork hands block (a closure over the batch and the classifier) to the
+    # workers without pickling it; the pool forks before it starts a thread
+    with ProcessPoolExecutor(
+            procs, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_block, initargs=(block,)) as pool:
+        return list(pool.map(_run_worker_block, bounds))
+
+
+def _optimize_blocks(B, block, workers):
+    """Run block(lo, hi) over the row blocks of a B-row batch and join
+    their (scores, iterations_run, iterations_per_row, history, terms) into
+    one call's: the run's count is the longest block's, a block that
+    stopped earlier repeats each row's last loss, and each term is the mean
+    over all rows. Returns (scores, metadata)."""
+    parts = _map_blocks(block, _row_blocks(B), workers)
+    scores, counts, per_row, histories, terms = zip(*parts)
+    its = max(counts)
+    history = np.concatenate(
+        [np.pad(h, ((0, its - len(h)), (0, 0)), mode="edge")
+         for h in histories], axis=1)
+    meta = {"iterations_run": its,
+            "iterations_per_row": np.concatenate(per_row),
+            "loss_history": history,
+            **{name: float(np.mean(np.concatenate([t[name] for t in terms])))
+               for name in terms[0]}}
+    return np.concatenate(scores), meta
+
+
+def _learned_block(X, ref, classifier, config, seeds):
+    """_optimize_mask for the rows of X, with their own mask, generator
+    (seeded by `seeds`) and Adam; returns _optimize_blocks' block tuple."""
     snap = classifier.snapshot()
     B, T, n = X.shape
-    if sample_seeds is None:
-        sample_seeds = np.random.SeedSequence(config.seed).spawn(B)
-    ref = _reference_probs(X, classifier, config.mode, config.target)
     mask = Mask(B, T, n, init=0.5)
     gen = PerturbationGenerator(config.generator, B, n,
                                 hidden=config.generator_hidden,
-                                seed=config.seed, row_seeds=sample_seeds)
+                                seed=config.seed, row_seeds=seeds)
     optimizers = [ad.Adam([mask.values], lr=config.mask_lr)]
     if gen.parameters():
         optimizers.append(ad.Adam(gen.parameters(), lr=config.generator_lr))
@@ -246,15 +293,40 @@ def explain_learned(x, classifier: ClassifierParams,
                         "generator_term": nn_term.data,
                         "ce_term": ce_b.data}
 
-    iterations_run, per_row, history, terms = _optimize_mask(
-        mask, optimizers, config, loss_rows)
+    out = _optimize_mask(mask, optimizers, config, loss_rows)
     classifier.check_unchanged(snap)
-    meta = {"iterations_run": iterations_run,
-            "iterations_per_row": per_row, "mode": config.mode,
-            "generator": config.generator, "loss_history": history,
-            **{name: float(np.mean(v)) for name, v in terms.items()}}
-    return SaliencyMap(scores=mask.data.copy(),
-                       method=f"learned_{config.generator}", metadata=meta)
+    return (mask.data, *out)
+
+
+def explain_learned(x, classifier: ClassifierParams,
+                    config: ExplainerConfig = None,
+                    sample_seeds=None, workers=None) -> SaliencyMap:
+    """Optimize mask + generator for each sample (rows are independent,
+    and a sample freezes once its loss stops improving).
+
+    The rows are optimized in the blocks of _row_blocks, on `workers`
+    processes (None: the usable CPUs); the worker count never changes a
+    bit. sample_seeds optionally pins the per-row generator init streams
+    so a single-sample run can reproduce one row of a batched run. The
+    metadata holds iterations_run, iterations_per_row (the iteration count
+    at which each row froze), the (iterations_run, B) loss_history, in
+    which a frozen row repeats its last computed loss, and mask_term,
+    generator_term and ce_term: means over all rows of each row's terms
+    at its last computed iteration.
+    """
+    config = config or ExplainerConfig()
+    X = _as_batch(x)
+    _check_frozen(classifier)
+    if sample_seeds is None:
+        sample_seeds = np.random.SeedSequence(config.seed).spawn(X.shape[0])
+    ref = _reference_probs(X, classifier, config.mode, config.target)
+    scores, meta = _optimize_blocks(
+        X.shape[0], lambda lo, hi: _learned_block(
+            X[lo:hi], ref[lo:hi], classifier, config, sample_seeds[lo:hi]),
+        workers)
+    meta.update(mode=config.mode, generator=config.generator)
+    return SaliencyMap(scores=scores, method=f"learned_{config.generator}",
+                       metadata=meta)
 
 
 def vecsort(m):
@@ -271,16 +343,11 @@ def area_target(total_cells, area):
     return r
 
 
-def explain_dynamask(x, classifier: ClassifierParams,
-                     config: DynamaskConfig = None) -> SaliencyMap:
-    """Fixed-perturbation mask baseline: optimizes the mask alone under the
-    preservation objective with the sorted-mask area regularizer."""
-    config = config or DynamaskConfig()
-    X = _as_batch(x)
-    _check_frozen(classifier)
+def _dynamask_block(X, ref, classifier, config):
+    """_optimize_mask for the rows of X with their own mask and Adam;
+    returns _optimize_blocks' block tuple."""
     snap = classifier.snapshot()
     B, T, n = X.shape
-    ref = _reference_probs(X, classifier, PRESERVATION, config.target)
     mask = Mask(B, T, n, init=0.5)
     r_a = Tensor(area_target(T * n, config.area))
 
@@ -296,14 +363,28 @@ def explain_dynamask(x, classifier: ClassifierParams,
         reg_b = ad.tmean(ad.mul(d, d), axis=1)
         return ad.add(ad.mul(reg_b, config.reg_weight), ce_b), {}
 
-    iterations_run, per_row, _history, _terms = _optimize_mask(
-        mask, [ad.Adam([mask.values], lr=config.lr)], config, loss_rows)
+    out = _optimize_mask(mask, [ad.Adam([mask.values], lr=config.lr)],
+                         config, loss_rows)
     classifier.check_unchanged(snap)
-    meta = {"iterations_run": iterations_run,
-            "iterations_per_row": per_row, "area": config.area,
-            "perturbation": config.perturbation.kind}
-    return SaliencyMap(scores=mask.data.copy(), method="dynamask",
-                       metadata=meta)
+    return (mask.data, *out)
+
+
+def explain_dynamask(x, classifier: ClassifierParams,
+                     config: DynamaskConfig = None,
+                     workers=None) -> SaliencyMap:
+    """Fixed-perturbation mask baseline: optimizes the mask alone under the
+    preservation objective with the sorted-mask area regularizer, in the
+    row blocks and on the workers of explain_learned."""
+    config = config or DynamaskConfig()
+    X = _as_batch(x)
+    _check_frozen(classifier)
+    ref = _reference_probs(X, classifier, PRESERVATION, config.target)
+    scores, meta = _optimize_blocks(
+        X.shape[0], lambda lo, hi: _dynamask_block(
+            X[lo:hi], ref[lo:hi], classifier, config),
+        workers)
+    meta.update(area=config.area, perturbation=config.perturbation.kind)
+    return SaliencyMap(scores=scores, method="dynamask", metadata=meta)
 
 
 def occlusion(x, classifier: ClassifierParams, baseline=0.0,

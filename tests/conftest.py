@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from tempex import autodiff as ad
+from tempex import explainers as ex
 
 
 def finite_difference_grad(fn, x, h=1e-5):
@@ -48,3 +51,14 @@ def assert_gradcheck(build, x, rtol=1e-4, h=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def diverges_in_workers(monkeypatch):
+    """Mask explainer losses turn non-finite in forked worker processes
+    only, and the blocks have two rows."""
+    monkeypatch.setattr(ex, "BLOCK_ROWS", 2)
+    parent, ce = os.getpid(), ex._per_sample_ce
+    monkeypatch.setattr(
+        ex, "_per_sample_ce", lambda logits, ref: ad.mul(
+            ce(logits, ref), 1.0 if os.getpid() == parent else np.nan))

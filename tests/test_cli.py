@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tempex import cli, data, experiment as xp
+from tempex import explainers as ex
 
 ICU_FULL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "runs", "icu_full")
@@ -25,18 +26,29 @@ def tiny_dataset(tmp_path):
     return path
 
 
-def test_cli_import_leaves_out_scipy():
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The names of the modules that importing tempex.cli loads, in a
+    fresh interpreter."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = ("import sys, tempex.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-             "'scipy'))")
+    probe = "import sys, tempex.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_cli_import_leaves_out_scipy(cli_import_modules):
+    assert not {m for m in cli_import_modules if m.split(".")[0] == "scipy"}
+
+
+def test_cli_import_leaves_out_process_pools(cli_import_modules):
+    # the mask explainers import them only when they start a pool
+    assert not cli_import_modules & {"multiprocessing",
+                                     "concurrent.futures.process"}
 
 
 class TestGenerateTrainExplain:
@@ -189,6 +201,55 @@ class TestRun:
         assert f"[{section}]" in str(exc.value)
         assert not out.exists()  # rejected before any stage ran
 
+    @pytest.mark.parametrize("key, value", [
+        ("experiment", "foo"), ("profile", "huge"), ("ablation", "grid"),
+        ("compare_generators", "maybe"), ("folds", "two"),
+    ])
+    def test_config_run_value_is_rejected_before_the_output_dir(
+            self, tmp_path, key, value):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[run]\n{key} = {value}\n")
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(ini), "--out", str(out))
+        assert f"{key!r} in section [run]" in str(exc.value)
+        assert repr(value) in str(exc.value)
+        assert not out.exists()
+
+    def test_echoed_config_feeds_back(self, tmp_path, small_profile):
+        # the ICU-like run also echoes the profile's fractions
+        experiment = xp.ICU
+        first, again = tmp_path / "first", tmp_path / "again"
+        code = run_cli("run", "--experiment", experiment, "--out",
+                       str(first), "--folds", "1", "--seed", "3")
+        assert code == 0
+        # every [run], [resolved] and [environment] key is read back; the
+        # --out flag overrides the echoed out_dir
+        code = run_cli("run", "--config", str(first / "config.ini"),
+                       "--out", str(again))
+        assert code == 0
+        for name in ("results", "aggregated"):
+            assert (first / f"{experiment}_{name}.csv").read_bytes() == \
+                (again / f"{experiment}_{name}.csv").read_bytes()
+        assert (first / "config.ini").read_text().replace(
+            str(first), str(again)) == (again / "config.ini").read_text()
+
+    @pytest.mark.parametrize("ini, named", [
+        ("[environment]\ncpu_count = 4097\n",
+         "'cpu_count' in section [environment] is '4097'"),
+        ("[dataset]\nn_series = 10\n[resolved]\nn_series = 16\n",
+         "'n_series' is 10 in section [dataset] but 16 in section "
+         "[resolved]"),
+    ])
+    def test_echoed_config_mismatch_is_rejected(self, tmp_path, ini, named):
+        path = tmp_path / "cfg.ini"
+        path.write_text(ini)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(path), "--out", str(out))
+        assert named in str(exc.value)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, ini, named", [
         (["--experiment", "icu_like", "--ablation", "lambda"], None,
          "--ablation"),
@@ -259,20 +320,35 @@ class TestRun:
         # workers are forked, so they inherit the patched fold function
         self._fail_fold_one(tmp_path, monkeypatch, capsys, "--jobs", "2")
 
+    def test_block_failure_names_stage_with_one_fold(
+            self, tmp_path, small_profile, diverges_in_workers, capsys):
+        # one fold in-process, its 8 rows in 4 blocks on 2 workers
+        code = run_cli("run", "--experiment", "hmm", "--out",
+                       str(tmp_path / "run"), "--folds", "1", "--jobs", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'explain:learned_preservation': non-finite " \
+            "loss at iteration 0" in err
+
     @pytest.mark.parametrize("experiment", [xp.HMM, xp.ICU])
     def test_jobs_two_writes_identical_csv_bytes(self, tmp_path,
-                                                 small_profile, experiment):
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            code = run_cli("run", "--experiment", experiment, "--profile",
-                           "fast", "--out", str(out), "--folds", "3",
-                           "--jobs", jobs)
-            assert code == 0
-            outs.append(out)
-        for name in ("results", "aggregated"):
-            a, b = (o / f"{experiment}_{name}.csv" for o in outs)
-            assert a.read_bytes() == b.read_bytes()
+                                                 small_profile, monkeypatch,
+                                                 experiment):
+        # several folds run in a pool; one fold gives the jobs to its
+        # explainers, whose 8 rows make two blocks of 4
+        for folds, block_rows in (("3", ex.BLOCK_ROWS), ("1", 4)):
+            monkeypatch.setattr(ex, "BLOCK_ROWS", block_rows)
+            outs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"folds{folds}_jobs{jobs}"
+                code = run_cli("run", "--experiment", experiment,
+                               "--profile", "fast", "--out", str(out),
+                               "--folds", folds, "--jobs", jobs)
+                assert code == 0
+                outs.append(out)
+            for name in ("results", "aggregated"):
+                a, b = (o / f"{experiment}_{name}.csv" for o in outs)
+                assert a.read_bytes() == b.read_bytes()
 
 
 class TestReport:

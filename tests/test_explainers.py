@@ -166,6 +166,84 @@ class TestRowFreezing:
             assert single.metadata["iterations_run"] == per_row[b]
 
 
+class TestRowBlocks:
+    """The rows run in max(1, B // BLOCK_ROWS) contiguous blocks, each its
+    own _optimize_mask; the worker count never changes a bit."""
+
+    @pytest.fixture()
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(ex, "BLOCK_ROWS", 2)
+
+    @pytest.mark.parametrize("B, bounds", [
+        (0, [(0, 0)]), (47, [(0, 47)]), (48, [(0, 24), (24, 48)]),
+        (150, [(25 * i, 25 * i + 25) for i in range(6)]),
+    ])
+    def test_partition_depends_on_batch_size_only(self, B, bounds):
+        assert ex._row_blocks(B) == bounds
+
+    @staticmethod
+    def _assert_same(a, b):
+        np.testing.assert_array_equal(a.scores, b.scores)
+        assert a.metadata.keys() == b.metadata.keys()
+        for key, value in a.metadata.items():
+            np.testing.assert_array_equal(value, b.metadata[key])
+
+    @staticmethod
+    def _assert_block(whole, part, lo, hi):
+        """Rows lo:hi of a blocked call against a call on those rows; the
+        whole call repeats each row's last loss after the block stops."""
+        np.testing.assert_array_equal(whole.scores[lo:hi], part.scores)
+        np.testing.assert_array_equal(
+            whole.metadata["iterations_per_row"][lo:hi],
+            part.metadata["iterations_per_row"])
+        k = part.metadata["iterations_run"]
+        hist = whole.metadata["loss_history"][:, lo:hi]
+        np.testing.assert_array_equal(hist[:k], part.metadata["loss_history"])
+        assert np.all(hist[k:] == hist[k - 1])
+
+    def test_learned_blocks_on_two_workers(self, toy_model, rng,
+                                           two_row_blocks):
+        X = rng.uniform(-1, 1, (5, 8, 2))
+        cfg = TestRowFreezing.LEARNED
+        one = ex.explain_learned(X, toy_model, cfg, workers=1)
+        two = ex.explain_learned(X, toy_model, cfg, workers=2)
+        self._assert_same(one, two)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(5)
+        parts = [ex.explain_learned(X[lo:hi], toy_model, cfg,
+                                    sample_seeds=seeds[lo:hi], workers=1)
+                 for lo, hi in ex._row_blocks(5)]
+        # the blocks stop at different iterations, so one is padded
+        assert len({p.metadata["iterations_run"] for p in parts}) == 2
+        for (lo, hi), part in zip(ex._row_blocks(5), parts):
+            self._assert_block(two, part, lo, hi)
+        for name in ("mask_term", "generator_term", "ce_term"):
+            rows = [p.metadata[name] * len(p.scores) for p in parts]
+            assert two.metadata[name] == pytest.approx(sum(rows) / 5,
+                                                       abs=1e-12)
+
+    def test_dynamask_blocks_on_two_workers(self, toy_model, rng,
+                                            two_row_blocks):
+        X = rng.uniform(-1, 1, (5, 8, 2))
+        cfg = TestRowFreezing.DYNAMASK
+        two = ex.explain_dynamask(X, toy_model, cfg, workers=2)
+        self._assert_same(ex.explain_dynamask(X, toy_model, cfg, workers=1),
+                          two)
+        parts = [ex.explain_dynamask(X[lo:hi], toy_model, cfg, workers=1)
+                 for lo, hi in ex._row_blocks(5)]
+        assert len({p.metadata["iterations_run"] for p in parts}) == 2
+        for (lo, hi), part in zip(ex._row_blocks(5), parts):
+            self._assert_block(two, part, lo, hi)
+
+    @pytest.mark.parametrize("explain", [ex.explain_learned,
+                                         ex.explain_dynamask])
+    def test_worker_error_keeps_type_and_message(self, toy_model, rng,
+                                                 diverges_in_workers,
+                                                 explain):
+        with pytest.raises(ex.DivergenceError,
+                           match="non-finite loss at iteration 0"):
+            explain(rng.uniform(-1, 1, (4, 8, 2)), toy_model, workers=2)
+
+
 class TestDynamask:
     def test_vecsort_definition(self):
         np.testing.assert_array_equal(ex.vecsort([0.3, 0.9, 0.1]),
