@@ -1,7 +1,8 @@
 """Dense f64 tensors with reverse-mode autodiff and an Adam optimizer.
 
 The graph is dynamic: a Tape records every tracked operation while it is
-active, and backward() replays the records in reverse. Tapes are cheap and
+active in the current thread (each thread has its own stack of open
+tapes), and backward() replays the records in reverse. Tapes are cheap and
 meant to be rebuilt on every optimization step (recurrent unrolls change
 with sequence length). A tape can be backwarded once; reuse raises.
 
@@ -9,6 +10,8 @@ Ops executed with no active tape just compute values (inference mode).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -51,11 +54,19 @@ class TapeError(RuntimeError):
     pass
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """The open tapes of the current thread, innermost last."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tape:
@@ -66,11 +77,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
         return False
 

@@ -116,7 +116,8 @@ def _stage(name):
 
 def _folds_in_pool(cfg):
     """Whether run_experiment runs the folds in a pool of cfg.jobs
-    processes; if not, each fold's mask explainers get the jobs."""
+    processes; if not, each fold's mask explainers and occlusions get the
+    jobs."""
     return cfg.jobs > 1 and cfg.folds > 1
 
 
@@ -189,11 +190,12 @@ def hmm_fold(cfg: ExperimentConfig, fold: int):
                                   workers=workers)
         add_gt("dynamask", out.scores)
     with _stage("explain:occlusion"):
-        add_gt("occlusion", ex.occlusion(sub.X, model).scores)
+        add_gt("occlusion", ex.occlusion(sub.X, model,
+                                         workers=workers).scores)
     with _stage("explain:augmented_occlusion"):
         add_gt("augmented_occlusion",
-               ex.augmented_occlusion(sub.X, model, ds.X,
-                                      seed=fold_seed).scores)
+               ex.augmented_occlusion(sub.X, model, ds.X, seed=fold_seed,
+                                      workers=workers).scores)
     with _stage("explain:integrated_gradients"):
         add_gt("integrated_gradients",
                ex.integrated_gradients(sub.X, model, steps=128).scores)
@@ -226,10 +228,11 @@ def icu_fold(cfg: ExperimentConfig, fold: int):
                 ex.ExplainerConfig(generator=kind, iterations=it,
                                    seed=fold_seed), workers=workers).scores
     with _stage("explain:occlusion"):
-        saliencies["occlusion"] = ex.occlusion(sub.X, model).scores
+        saliencies["occlusion"] = ex.occlusion(sub.X, model,
+                                               workers=workers).scores
     with _stage("explain:augmented_occlusion"):
         saliencies["augmented_occlusion"] = ex.augmented_occlusion(
-            sub.X, model, ds.X, seed=fold_seed).scores
+            sub.X, model, ds.X, seed=fold_seed, workers=workers).scores
     with _stage("explain:integrated_gradients"):
         saliencies["integrated_gradients"] = ex.integrated_gradients(
             sub.X, model, steps=128).scores

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -207,23 +209,48 @@ def _row_blocks(B):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _openblas_threads(kind):
+    """OpenBLAS's `kind`_num_threads function ("get" or "set") of the BLAS
+    numpy loaded, through ctypes, or None where it exports none of the
+    names below (another BLAS, or an unknown build)."""
+    import ctypes
+    umath = sys.modules.get("numpy._core._multiarray_umath") \
+        or sys.modules.get("numpy.core._multiarray_umath")
+    try:
+        lib = ctypes.CDLL(umath.__file__)  # its symbols and its BLAS's
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}_{kind}_num_threads{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
 _worker_block = None  # a forked worker's block function (_set_worker_block)
 
 
-def _set_worker_block(fn):
+def _set_worker_block(fn, blas_threads):
+    """A forked worker's initializer: keep the block function, and set
+    OpenBLAS's thread count (None: keep the parent's)."""
     global _worker_block
     _worker_block = fn
+    set_threads = _openblas_threads("set") if blas_threads else None
+    if set_threads is not None:
+        set_threads(blas_threads)
 
 
 def _run_worker_block(bounds):
     return _worker_block(*bounds)
 
 
-def _map_blocks(block, bounds, workers):
+def _map_blocks(block, bounds, workers, blas_threads=None):
     """[block(lo, hi) for (lo, hi) in bounds], on a fork pool of
-    min(len(bounds), workers) processes when both exceed 1. block reaches
-    the workers by fork, not by pickling, and a worker's exception is
-    raised here as itself."""
+    min(len(bounds), workers) processes when both exceed 1 (workers None:
+    the usable CPUs), each running OpenBLAS on blas_threads threads (None:
+    the parent's count). block reaches the workers by fork, not by
+    pickling, and a worker's exception is raised here as itself."""
     if workers is None:
         workers = len(os.sched_getaffinity(0))
     procs = min(len(bounds), workers)
@@ -235,8 +262,24 @@ def _map_blocks(block, bounds, workers):
     # workers without pickling it; the pool forks before it starts a thread
     with ProcessPoolExecutor(
             procs, mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_block, initargs=(block,)) as pool:
+            initializer=_set_worker_block,
+            initargs=(block, blas_threads)) as pool:
         return list(pool.map(_run_worker_block, bounds))
+
+
+def _map_step_blocks(workers):
+    """The map_blocks of perturbed_step_scores: its step blocks on
+    `workers` processes with one OpenBLAS thread each, since the workers
+    already use the cores. OpenBLAS's sums do not depend on its thread
+    count while a matrix product's inner size fits its K block (384 in
+    the scipy-openblas 0.3.31 build measured), and the step blocks'
+    inner sizes are n and H (their readout is a matrix-vector product,
+    which splits no sum), so up to H = 384 this moves no bit; the profiles
+    use H <= 200. The row blocks' backward multiplies over 3H, which at
+    H = 200 does not fit (a (24, 600) @ (600, 200) product gives other
+    last bits on one thread than on two), so the row blocks' workers keep
+    the parent's count."""
+    return partial(_map_blocks, workers=workers, blas_threads=1)
 
 
 def _optimize_blocks(B, block, workers):
@@ -388,12 +431,14 @@ def explain_dynamask(x, classifier: ClassifierParams,
 
 
 def occlusion(x, classifier: ClassifierParams, baseline=0.0,
-              target=1) -> SaliencyMap:
+              target=1, workers=None) -> SaliencyMap:
     """Score of each cell: |f_c(x) - f_c(x with the cell set to baseline)|.
 
     Copy i of the batch sets feature i to the baseline. All copies of one
     step go through perturbed_step_scores, which reuses the classifier's
-    states on the unchanged side of that step.
+    states on the unchanged side of that step. Its step blocks run on
+    `workers` processes (None: the usable CPUs); _map_step_blocks says
+    why that moves no bit.
     """
     X = _as_batch(x)
     _check_frozen(classifier)
@@ -406,7 +451,8 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
         return rows
 
     base = target_score(X, classifier, target)
-    sc = perturbed_step_scores(X, classifier, replacements, target)
+    sc = perturbed_step_scores(X, classifier, replacements, target,
+                               map_blocks=_map_step_blocks(workers))
     raw = np.ascontiguousarray(np.abs(base - sc).transpose(2, 0, 1))
     return SaliencyMap(scores=_minmax_per_sample(raw), method="occlusion",
                        metadata={"raw": raw})
@@ -414,13 +460,17 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
 
 def augmented_occlusion(x, classifier: ClassifierParams,
                         reference: np.ndarray, draws=10, seed=0,
-                        target=1) -> SaliencyMap:
+                        target=1, workers=None) -> SaliencyMap:
     """Occlusion with cell values resampled from the feature's empirical
     distribution across the reference dataset; scores average |delta|
     over the draws.
 
     Copy i of the batch repeats each sample `draws` times and resamples
-    feature i, one draw per row, in the order t, then i, then row.
+    feature i, one draw per row. All draws are made up front, in the
+    order t, then i, then row, and are the values rng.choice(pool[:, i],
+    size=B * draws) gives for each t and i in turn. So the step blocks of
+    perturbed_step_scores can run in any order, on `workers` processes as
+    in occlusion.
     """
     X = _as_batch(x)
     _check_frozen(classifier)
@@ -431,17 +481,19 @@ def augmented_occlusion(x, classifier: ClassifierParams,
         raise ValueError("augmented_occlusion: draws must be >= 1")
     B, T, n = X.shape
     pool = reference.reshape(-1, reference.shape[-1])  # (N*T, n)
-    rng = np.random.default_rng(seed)
+    picks = np.random.default_rng(seed).integers(
+        0, len(pool), size=(T, n, B * draws))  # pool rows
+    cells = np.arange(n)
 
     def replacements(t):
         rows = np.repeat(np.repeat(X[None, :, t], draws, axis=1), n, axis=0)
-        for i in range(n):
-            rows[i, :, i] = rng.choice(pool[:, i], size=B * draws)
+        rows[cells, :, cells] = pool[picks[t], cells[:, None]]
         return rows
 
     base = target_score(X, classifier, target)
-    sc = perturbed_step_scores(X, classifier, replacements, target,
-                               repeats=draws).reshape(T, n, B, draws)
+    sc = perturbed_step_scores(
+        X, classifier, replacements, target, repeats=draws,
+        map_blocks=_map_step_blocks(workers)).reshape(T, n, B, draws)
     raw = np.abs(base[:, None] - sc).mean(axis=-1).transpose(2, 0, 1)
     raw = np.ascontiguousarray(raw)
     return SaliencyMap(scores=_minmax_per_sample(raw),

@@ -339,17 +339,49 @@ def target_score(x_data, params: ClassifierParams, target=1):
 
 # rows of perturbed copies that perturbed_step_scores steps at once
 _CHUNK_ROWS = 512
+# perturbed_step_scores scores min(T, STEP_BLOCKS) contiguous step blocks
+# (see step_blocks)
+STEP_BLOCKS = 4
+
+
+def _restep_costs(T, params: ClassifierParams):
+    """Cost of step t in perturbed_step_scores, t = 0 .. T-1: the GRU steps
+    it re-runs, summed over the passes, plus one for its input projection
+    and readout."""
+    first = 0 if params.readout == PER_TIMESTEP else T - 1
+    t = np.arange(T)
+    cost = np.ones(T, dtype=np.int64)
+    for _, reverse in _passes(params.gru):
+        cost += np.maximum(t - first + 1, 0) if reverse else T - t
+    return cost
+
+
+def step_blocks(T, params: ClassifierParams):
+    """(lo, hi) bounds of min(T, STEP_BLOCKS) contiguous blocks of the
+    steps 0 .. T-1, of near-equal _restep_costs. They depend on T, the
+    classifier's passes and its readout alone, never on a worker count."""
+    k = max(1, min(T, STEP_BLOCKS))
+    # the cost of the steps before each edge e = 0 .. T
+    before = np.concatenate([[0], np.cumsum(_restep_costs(T, params))])
+    edges = [0]
+    for i in range(1, k):
+        # the edge nearest to i/k of the total, leaving no block empty
+        e = int(np.abs(before * k - before[-1] * i).argmin())
+        edges.append(min(max(e, edges[-1] + 1), T - k + i))
+    edges.append(T)
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
-                          target=1, repeats=1):
+                          target=1, repeats=1, map_blocks=None):
     """target_score of copies of x_data that differ from it at one step.
 
     A copy is the batch np.repeat(x_data, repeats, axis=0), B*repeats rows,
-    with step t replaced. replacements(t) is called once per step, for
-    t = 0 .. T-1 in order, and returns an (m, B*repeats, n) stack: row j
-    of copy k has replacements(t)[k, j] at step t. Returns scores[t, k],
-    the target_score of copy k, shape (T, m, B*repeats).
+    with step t replaced. replacements(t) returns an (m, B*repeats, n)
+    stack: row j of copy k has replacements(t)[k, j] at step t. It must be
+    a pure function of t: each step calls it once, but the steps run in
+    blocks, in any order and possibly in other processes. Returns
+    scores[t, k], the target_score of copy k, shape (T, m, B*repeats).
 
     The classifier runs once over x_data and caches, per pass, the states
     and the input projections x_s @ W_x + b. A copy starts from the
@@ -360,6 +392,13 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     and each copy's logits are one matrix-vector product over the rows of
     the copy's batch, as in classifier_forward, so every score equals
     target_score of its copy bit for bit.
+
+    The steps of one step_blocks block are scored by block(lo, hi), which
+    returns scores[lo:hi] and reads the cache, built before any block
+    runs. map_blocks(block, bounds) returns [block(lo, hi) for (lo, hi) in
+    bounds], possibly computed elsewhere (default: here, in order). Each
+    step is independent of the others, so the blocks give the scores of
+    one pass over all steps, bit for bit.
     """
     X = np.asarray(x_data, dtype=np.float64)
     B, T, n = X.shape
@@ -383,55 +422,70 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
         passes.append((Wx, Wh, bias, reverse, xg[:, :B], states[:, :B]))
     D = H * len(passes)
     copies = max(1, _CHUNK_ROWS // max(B * r, 1))
-    # each copy's output states at the positions the readout reads. A
-    # cached state is filled once, into all `copies` rows: a reverse pass
-    # re-steps positions t and below, so the ones above it are filled here;
-    # a forward pass re-steps t and above, so position t is filled after t
-    cat = np.empty((copies, B, r, T - first, D))
-    lo = max(1, first)
-    for p, (_, _, _, reverse, _, states) in enumerate(passes):
-        if reverse:
-            cat[..., lo - first:, p * H:(p + 1) * H] = \
-                states[lo:].transpose(1, 0, 2)[:, None]
     zeros = np.zeros((B, H))
-    scores = None
-    for t in range(T):
-        rep = np.asarray(replacements(t), dtype=np.float64)
-        if rep.shape[1:] != (B * r, n):
-            raise ad.ShapeError(f"replacements({t}): {rep.shape}, expected "
-                                f"(m, {B * r}, {n})")
-        if scores is None:
-            scores = np.empty((T, len(rep), B * r))
-        for k0 in range(0, len(rep), copies):
-            chunk = rep[k0:k0 + copies]
-            c = len(chunk)
-            for p, (Wx, Wh, bias, reverse, xg, states) in enumerate(passes):
-                cols = slice(p * H, (p + 1) * H)
-                # re-step from t to the far end of the positions read;
-                # the states read on the near side are the cached ones
-                if reverse:
-                    span = range(t, first - 1, -1)
-                    h = states[t + 1] if t + 1 < T else zeros
-                else:
-                    span = range(t, T)
-                    h = states[t - 1] if t > 0 else zeros
-                h = np.broadcast_to(h[:, None], (c, B, r, H))
-                for s in span:
-                    x_s = xg[s][:, None] if s != t else \
-                        (_batch_matmul(chunk, Wx) + bias).reshape(
-                            c, B, r, 3 * H)
-                    h = _gru_cell(x_s, h, Wh, H)[0]
-                    if s >= first:
-                        cat[:c, :, :, s - first, cols] = h
-            logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
-            logits = (logits + b_out).reshape(c, B * r, T - first)
-            scores[t, k0:k0 + c] = _score(
-                ad._sigmoid(logits if per_t else logits[..., 0]), target,
-                per_t)
+
+    def block(t0, t1):
+        # each copy's output states at the positions the readout reads. A
+        # cached state is filled once, into all `copies` rows: the steps go
+        # up from t0, a reverse pass re-steps positions t and below, and a
+        # forward pass re-steps t and above, so the reverse positions above
+        # t0 and the forward ones below it are filled here, and forward
+        # position t after step t
+        cat = np.empty((copies, B, r, T - first, D))
         for p, (_, _, _, reverse, _, states) in enumerate(passes):
-            if not reverse and t >= first:
-                cat[..., t - first, p * H:(p + 1) * H] = states[t][:, None]
-    return scores
+            cols = slice(p * H, (p + 1) * H)
+            if reverse:
+                lo = max(t0 + 1, first)
+                cat[..., lo - first:, cols] = \
+                    states[lo:].transpose(1, 0, 2)[:, None]
+            elif t0 > first:
+                cat[..., :t0 - first, cols] = \
+                    states[first:t0].transpose(1, 0, 2)[:, None]
+        scores = None
+        for t in range(t0, t1):
+            rep = np.asarray(replacements(t), dtype=np.float64)
+            if rep.shape[1:] != (B * r, n):
+                raise ad.ShapeError(f"replacements({t}): {rep.shape}, "
+                                    f"expected (m, {B * r}, {n})")
+            if scores is None:
+                scores = np.empty((t1 - t0, len(rep), B * r))
+            for k0 in range(0, len(rep), copies):
+                chunk = rep[k0:k0 + copies]
+                c = len(chunk)
+                for p, (Wx, Wh, bias, reverse, xg, states) in \
+                        enumerate(passes):
+                    cols = slice(p * H, (p + 1) * H)
+                    # re-step from t to the far end of the positions read;
+                    # the states read on the near side are the cached ones
+                    if reverse:
+                        span = range(t, first - 1, -1)
+                        h = states[t + 1] if t + 1 < T else zeros
+                    else:
+                        span = range(t, T)
+                        h = states[t - 1] if t > 0 else zeros
+                    h = np.broadcast_to(h[:, None], (c, B, r, H))
+                    for s in span:
+                        x_s = xg[s][:, None] if s != t else \
+                            (_batch_matmul(chunk, Wx) + bias).reshape(
+                                c, B, r, 3 * H)
+                        h = _gru_cell(x_s, h, Wh, H)[0]
+                        if s >= first:
+                            cat[:c, :, :, s - first, cols] = h
+                logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
+                logits = (logits + b_out).reshape(c, B * r, T - first)
+                scores[t - t0, k0:k0 + c] = _score(
+                    ad._sigmoid(logits if per_t else logits[..., 0]),
+                    target, per_t)
+            for p, (_, _, _, reverse, _, states) in enumerate(passes):
+                if not reverse and t >= first:
+                    cat[..., t - first, p * H:(p + 1) * H] = \
+                        states[t][:, None]
+        return scores
+
+    bounds = step_blocks(T, params)
+    parts = map_blocks(block, bounds) if map_blocks is not None \
+        else [block(*b) for b in bounds]
+    return np.concatenate(parts)
 
 
 @dataclass

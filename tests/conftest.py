@@ -62,3 +62,19 @@ def diverges_in_workers(monkeypatch):
     monkeypatch.setattr(
         ex, "_per_sample_ce", lambda logits, ref: ad.mul(
             ce(logits, ref), 1.0 if os.getpid() == parent else np.nan))
+
+
+@pytest.fixture
+def short_draws_in_workers(monkeypatch):
+    """augmented_occlusion's replacements (the copies with repeats > 1)
+    come out one row short in forked worker processes only."""
+    parent, scores = os.getpid(), ex.perturbed_step_scores
+
+    def patched(x, params, replacements, target=1, repeats=1, **kw):
+        def short(t):
+            rows = replacements(t)
+            return rows if repeats == 1 or os.getpid() == parent \
+                else rows[:, 1:]
+        return scores(x, params, short, target, repeats, **kw)
+
+    monkeypatch.setattr(ex, "perturbed_step_scores", patched)

@@ -330,12 +330,29 @@ class TestRun:
         assert "error in stage 'explain:learned_preservation': non-finite " \
             "loss at iteration 0" in err
 
+    def test_block_failure_in_occlusion_names_stage(
+            self, tmp_path, small_profile, short_draws_in_workers, capsys):
+        # one fold in-process, its 12 steps in 4 blocks on 2 workers
+        code = run_cli("run", "--experiment", "hmm", "--out",
+                       str(tmp_path / "run"), "--folds", "1", "--jobs", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'explain:augmented_occlusion': " \
+            "replacements(" in err
+
     @pytest.mark.parametrize("experiment", [xp.HMM, xp.ICU])
     def test_jobs_two_writes_identical_csv_bytes(self, tmp_path,
                                                  small_profile, monkeypatch,
                                                  experiment):
         # several folds run in a pool; one fold gives the jobs to its
-        # explainers, whose 8 rows make two blocks of 4
+        # explainers, whose 8 rows make two blocks of 4, and to the
+        # occlusions' step blocks
+        workers = []
+        for name in ("occlusion", "augmented_occlusion"):
+            def spy(*args, _explain=getattr(ex, name), **kw):
+                workers.append(kw["workers"])
+                return _explain(*args, **kw)
+            monkeypatch.setattr(ex, name, spy)
         for folds, block_rows in (("3", ex.BLOCK_ROWS), ("1", 4)):
             monkeypatch.setattr(ex, "BLOCK_ROWS", block_rows)
             outs = []
@@ -349,6 +366,9 @@ class TestRun:
             for name in ("results", "aggregated"):
                 a, b = (o / f"{experiment}_{name}.csv" for o in outs)
                 assert a.read_bytes() == b.read_bytes()
+        # three folds here at --jobs 1 and none at --jobs 2, where the
+        # pool runs them; then one fold at each, with the jobs
+        assert workers == [1] * 6 + [1, 1, 2, 2]
 
 
 class TestReport:

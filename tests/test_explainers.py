@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -363,15 +367,20 @@ class TestOcclusionMatchesPerCellLoops:
 
     @staticmethod
     def _check(X, model, ref, **kw):
+        """Both occlusions against their loops, with the step blocks in
+        this process and on two workers."""
         occ_kw = {k: v for k, v in kw.items() if k in ("baseline", "target")}
         aug_kw = {k: v for k, v in kw.items() if k != "baseline"}
         Xb = X if X.ndim == 3 else X[None]
-        np.testing.assert_array_equal(
-            ex.occlusion(X, model, **occ_kw).metadata["raw"],
-            reference_occlusion(Xb, model, **occ_kw))
-        np.testing.assert_array_equal(
-            ex.augmented_occlusion(X, model, ref, **aug_kw).metadata["raw"],
-            reference_augmented_occlusion(Xb, model, ref, **aug_kw))
+        occ = reference_occlusion(Xb, model, **occ_kw)
+        aug = reference_augmented_occlusion(Xb, model, ref, **aug_kw)
+        for workers in (1, 2):
+            np.testing.assert_array_equal(
+                ex.occlusion(X, model, workers=workers,
+                             **occ_kw).metadata["raw"], occ)
+            np.testing.assert_array_equal(
+                ex.augmented_occlusion(X, model, ref, workers=workers,
+                                       **aug_kw).metadata["raw"], aug)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
     @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BACKWARD,
@@ -401,6 +410,14 @@ class TestOcclusionMatchesPerCellLoops:
                     self._model(nets.BIDIRECTIONAL, nets.PER_TIMESTEP),
                     rng.uniform(-1, 1, (4, 5, 3)), draws=2)
 
+    def test_icu_full_hidden_size(self, rng):
+        # at H = 200 the step products are large enough for OpenBLAS to
+        # split them over threads, here and not in the one-thread workers
+        X = rng.uniform(-1, 1, (8, 6, 3))
+        ref = rng.uniform(-1, 1, (4, 6, 3))
+        self._check(X, self._model(nets.FORWARD, nets.FINAL_STEP,
+                                   hidden=200), ref, draws=4, seed=3)
+
     @pytest.mark.parametrize("chunk_rows", [4, 12])
     def test_last_chunk_partly_filled(self, rng, monkeypatch, chunk_rows):
         # occlusion's 3 copies of 2 rows and augmented occlusion's 3 of 6
@@ -410,6 +427,93 @@ class TestOcclusionMatchesPerCellLoops:
         ref = rng.uniform(-1, 1, (4, 5, 3))
         self._check(X, self._model(nets.FORWARD, nets.PER_TIMESTEP), ref,
                     draws=3, seed=5)
+
+
+class TestStepBlocks:
+    """perturbed_step_scores runs its steps in step_blocks blocks, through
+    the explainers' worker pool, whose workers run OpenBLAS on one
+    thread."""
+
+    @staticmethod
+    def _model(direction, readout, n=3, hidden=5, seed=0):
+        return nets.init_classifier(np.random.default_rng(seed), n, hidden,
+                                    direction, readout)
+
+    @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
+    @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BACKWARD,
+                                           nets.BIDIRECTIONAL])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 48, 200])
+    def test_partition_covers_each_step_once(self, T, direction, readout):
+        bounds = nets.step_blocks(T, self._model(direction, readout))
+        assert len(bounds) == min(T, nets.STEP_BLOCKS)
+        assert bounds[0][0] == 0 and bounds[-1][1] == T
+        assert all(lo < hi for lo, hi in bounds)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        # the passes and the readout decide it, not the sizes or weights
+        other = self._model(direction, readout, n=7, hidden=11, seed=1)
+        assert nets.step_blocks(T, other) == bounds
+        # each block's re-step cost is within one step of an equal share
+        cost = nets._restep_costs(T, other)
+        for lo, hi in bounds:
+            share = cost.sum() / len(bounds)
+            assert abs(cost[lo:hi].sum() - share) <= cost.max()
+
+    def test_partition_follows_the_passes(self):
+        fwd = nets.step_blocks(48, self._model(nets.FORWARD,
+                                               nets.PER_TIMESTEP))
+        bwd = nets.step_blocks(48, self._model(nets.BACKWARD,
+                                               nets.PER_TIMESTEP))
+        bi = nets.step_blocks(48, self._model(nets.BIDIRECTIONAL,
+                                              nets.PER_TIMESTEP))
+        # early steps re-step the most going forward, the fewest in reverse
+        assert fwd[0][1] < 12 < bwd[0][1]
+        assert bi == [(0, 12), (12, 24), (24, 36), (36, 48)]
+
+    def test_step_workers_run_one_blas_thread(self):
+        get = ex._openblas_threads("get")
+        assert get is not None and ex._openblas_threads("set") is not None
+        before = get()
+        blocks = [(0, 1), (1, 2)]
+        assert ex._map_step_blocks(2)(lambda lo, hi: get(), blocks) \
+            == [1, 1]
+        # the row blocks' workers keep the parent's count
+        assert ex._map_blocks(lambda lo, hi: get(), blocks, 2) \
+            == [before] * 2
+        assert get() == before
+
+    def test_worker_shape_error_keeps_type(self, toy_model, rng,
+                                           short_draws_in_workers):
+        X = rng.uniform(-1, 1, (2, 8, 2))
+        ref = rng.uniform(-1, 1, (4, 8, 2))
+        # the parent computes its own rows right
+        ex.augmented_occlusion(X, toy_model, ref, draws=3, workers=1)
+        with pytest.raises(ad.ShapeError,
+                           match=r"replacements\(\d+\): \(2, 5, 2\), "
+                                 r"expected \(m, 6, 2\)"):
+            ex.augmented_occlusion(X, toy_model, ref, draws=3, workers=2)
+
+
+def test_tapes_of_threads_stay_apart(toy_model, rng):
+    X = rng.uniform(-1, 1, (4, 3, 8, 2))
+    cfg = ex.ExplainerConfig(iterations=40, seed=1)
+    serial = [ex.explain_learned(x, toy_model, cfg, workers=1) for x in X]
+    barrier = threading.Barrier(len(X))
+
+    def explain(x):
+        barrier.wait(timeout=60)
+        return ex.explain_learned(x, toy_model, cfg, workers=1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' tapes often
+    try:
+        with ThreadPoolExecutor(len(X)) as pool:
+            threaded = list(pool.map(explain, X, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a.metadata["loss_history"],
+                                      b.metadata["loss_history"])
 
 
 class TestIntegratedGradients:
