@@ -344,9 +344,15 @@ def _sigmoid(x, out=None):
     result is 0 without a warning; the true value there is subnormal."""
     if out is None:
         out = np.empty(np.shape(x))
-    np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+        return _sigmoid_unguarded(x, out)
+
+
+def _sigmoid_unguarded(x, out):
+    """_sigmoid(x, out) without its np.errstate: a loop that calls it per
+    step enters np.errstate(over="ignore") once around all the steps."""
+    np.negative(x, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 

@@ -45,12 +45,12 @@ _SECTION_KEYS = {
     # written by _echo_config
     "resolved": {"n_series", "n_steps", "eval_samples", "epochs", "hidden",
                  "iterations", "fractions"},
-    "environment": {"blas", "openblas_num_threads", "omp_num_threads",
-                    "cpu_count"},
+    "environment": {"blas", "blas_threads", "openblas_num_threads",
+                    "omp_num_threads", "cpu_count"},
 }
-# the [run] inputs that are also flags, with their defaults
-_RUN_DEFAULTS = {"experiment": xp.HMM, "profile": xp.FAST, "folds": 5,
-                 "jobs": 1, "ablation": None, "compare_generators": False}
+# the [run] inputs that are also flags; ExperimentConfig holds the defaults
+_RUN_FLAGS = ("experiment", "profile", "folds", "jobs", "ablation",
+              "compare_generators")
 _CHOICES = {"experiment": xp.EXPERIMENTS, "profile": (xp.FAST, xp.FULL),
             "ablation": (None, "lambda")}
 
@@ -105,12 +105,13 @@ def _run_inputs(args, run_conf):
     [run], else its default. Raise SystemExit naming the first input that
     is not a valid value or would have no effect."""
     values, sources = {}, {}
-    for key, default in _RUN_DEFAULTS.items():
+    defaults = xp.ExperimentConfig()
+    for key in _RUN_FLAGS:
         flag = getattr(args, key)
         if flag is not None:
             values[key], sources[key] = flag, f"--{key.replace('_', '-')}"
         else:
-            values[key] = run_conf.get(key, default)
+            values[key] = run_conf.get(key, getattr(defaults, key))
             sources[key] = f"config key {key!r} in section [run]"
     for key, choices in _CHOICES.items():
         if values[key] not in choices:
@@ -243,6 +244,13 @@ def cmd_evaluate(args):
 
 
 def cmd_run(args):
+    # one OpenBLAS thread in this process and in every worker it forks, so
+    # the jobs alone decide how many cores the run keeps busy
+    with ex.single_blas_thread():
+        return _run(args)
+
+
+def _run(args):
     file_conf = read_config(args.config) if args.config else {}
     run_conf = file_conf.get("run", {})
     run = _run_inputs(args, run_conf)
@@ -291,13 +299,15 @@ def _echo_config(cfg: xp.ExperimentConfig, path):
 def _environment():
     """The BLAS set-up of the run. Results are bitwise reproducible only
     under the same one: the last bits of a large float64 matmul can depend
-    on the BLAS thread count."""
+    on the BLAS thread count, which blas_threads reads from OpenBLAS."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):  # numpy < 1.26 only prints its config
         name = "unknown"
-    env = {"blas": name}
+    get_threads = ex._openblas_threads("get")
+    env = {"blas": name,
+           "blas_threads": str(get_threads()) if get_threads else "unknown"}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env[var.lower()] = os.environ.get(var, "unset")
     env["cpu_count"] = str(os.cpu_count())
@@ -412,7 +422,12 @@ def build_parser():
     r.add_argument("--config", default=None, help="INI config file")
     r.add_argument("--folds", type=int, default=None)
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--jobs", type=int, default=None)
+    r.add_argument(
+        "--jobs", type=int, default=None,
+        help="processes: several folds run in a pool of this size, and a "
+             "single fold runs its explainers on it; every process runs "
+             "OpenBLAS on one thread, and the count never changes a byte "
+             f"(default: the usable CPUs, {ex.usable_cpus()} here)")
     r.add_argument("--force", action="store_true")
     r.add_argument("--ablation", choices=("lambda",), default=None)
     r.add_argument("--compare-generators", action="store_true",

@@ -6,10 +6,12 @@ CSV with mean and std over folds, trained classifier checkpoints, and SVG
 line charts for the metrics that carry a mask-fraction axis.
 
 Every fold re-seeds data generation and model training (seed + fold), so a
-run is fully determined by its config. With --jobs above 1, the folds run
-in a process pool when there are several, and otherwise the mask explainers
-spread their row blocks over the jobs; neither changes a bit. CLAIMS holds
-the paper's claims; evaluate_claims checks them against a run directory.
+run is fully determined by its config. With jobs above 1, the folds run in
+a process pool when there are several; a fold that runs alone runs its
+explainers as named stages on a pool of the jobs instead. Every explainer
+runs in one process, and rows are written in a fixed order, so the job
+count never changes a byte. CLAIMS holds the paper's claims;
+evaluate_claims checks them against a run directory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import csv
 import operator
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +39,8 @@ FULL = "full"
 LAMBDAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 SUBSTITUTIONS = (mt.TIME_AVERAGE, mt.ZEROS)
+# the fixed-perturbation baselines of both experiments, in row order
+BASELINES = ("occlusion", "augmented_occlusion", "integrated_gradients")
 
 
 def grid_method(l1, l2):
@@ -81,7 +86,8 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 0
     out_dir: str = "runs/out"
-    jobs: int = 1
+    # processes: the folds' pool, or else the one fold's explainer stages
+    jobs: int = field(default_factory=ex.usable_cpus)
     ablation: str = None  # "lambda" for the 5x5 grid (HMM only)
     compare_generators: bool = False
     # scalar overrides for the PROFILES entry (n_series, epochs, ...)
@@ -114,15 +120,33 @@ def _stage(name):
 # fold pipelines
 
 
-def _folds_in_pool(cfg):
-    """Whether run_experiment runs the folds in a pool of cfg.jobs
-    processes; if not, each fold's mask explainers and occlusions get the
-    jobs."""
-    return cfg.jobs > 1 and cfg.folds > 1
+def _run_stages(stages, jobs):
+    """{name: fn()} for the (name, fn) stages, each under its own
+    _stage("explain:" + name), on min(len(stages), jobs) processes
+    (explainers._map_blocks forks them when there are two or more). List the heaviest stages first: the pool
+    hands them out in order. Each fn calls its explainer with workers=1,
+    and the caller writes its rows in a fixed method order, so no byte of
+    the output depends on jobs."""
+    def run(i):
+        name, fn = stages[i]
+        with _stage(f"explain:{name}"):
+            return fn()
+
+    # the stages are closures, so they reach the workers by fork with
+    # `run`, and only their indices are pickled
+    results = ex._map_blocks(run, [(i,) for i in range(len(stages))], jobs)
+    return {name: r for (name, _), r in zip(stages, results)}
 
 
-def _explain_workers(cfg):
-    return 1 if _folds_in_pool(cfg) else cfg.jobs
+def _baseline_stages(X, model, reference, seed):
+    """The BASELINES of a fold as _run_stages stages, heaviest first."""
+    return [
+        ("augmented_occlusion", lambda: ex.augmented_occlusion(
+            X, model, reference, seed=seed, workers=1).scores),
+        ("integrated_gradients", lambda: ex.integrated_gradients(
+            X, model, steps=128).scores),
+        ("occlusion", lambda: ex.occlusion(X, model, workers=1).scores),
+    ]
 
 
 def _train_fold_classifier(ds, fold_seed, s, experiment):
@@ -149,56 +173,44 @@ def hmm_fold(cfg: ExperimentConfig, fold: int):
         model = _train_fold_classifier(ds, fold_seed, s, HMM)
     sub = ds.subset(np.arange(min(s["eval_samples"], ds.n_samples)))
     it = s["iterations"]
-    workers = _explain_workers(cfg)
-    rows = []
 
-    def add_gt(method, scores):
-        rep = mt.ground_truth_report(scores, sub.true_saliency)
-        for metric in ("aup", "aur", "information", "entropy"):
-            rows.append([method, metric, "", "", getattr(rep, metric), fold])
+    def learned(**kw):
+        return ex.explain_learned(
+            sub.X, model,
+            ex.ExplainerConfig(iterations=it, seed=fold_seed, **kw),
+            workers=1).scores
 
     if cfg.ablation == "lambda":
-        for l1 in LAMBDAS:
-            for l2 in LAMBDAS:
-                name = grid_method(l1, l2)
-                with _stage(f"explain:{name}"):
-                    out = ex.explain_learned(
-                        sub.X, model,
-                        ex.ExplainerConfig(lambda1=l1, lambda2=l2,
-                                           iterations=it, seed=fold_seed),
-                        workers=workers)
-                add_gt(name, out.scores)
-        return rows, model
-
-    with _stage("explain:learned_preservation"):
-        out = ex.explain_learned(
-            sub.X, model, ex.ExplainerConfig(iterations=it, seed=fold_seed),
-            workers=workers)
-        add_gt("learned_preservation", out.scores)
-    with _stage("explain:learned_deletion"):
-        out = ex.explain_learned(
-            sub.X, model,
-            ex.ExplainerConfig(mode=ex.DELETION, iterations=it,
-                               seed=fold_seed), workers=workers)
-        # in the deletion game the mask stays at 1 on unimportant cells and
-        # is driven to 0 where removal destroys the prediction, so the
-        # importance is 1 - m
-        add_gt("learned_deletion", 1.0 - out.scores)
-    with _stage("explain:dynamask"):
-        out = ex.explain_dynamask(sub.X, model,
-                                  ex.DynamaskConfig(iterations=it),
-                                  workers=workers)
-        add_gt("dynamask", out.scores)
-    with _stage("explain:occlusion"):
-        add_gt("occlusion", ex.occlusion(sub.X, model,
-                                         workers=workers).scores)
-    with _stage("explain:augmented_occlusion"):
-        add_gt("augmented_occlusion",
-               ex.augmented_occlusion(sub.X, model, ds.X, seed=fold_seed,
-                                      workers=workers).scores)
-    with _stage("explain:integrated_gradients"):
-        add_gt("integrated_gradients",
-               ex.integrated_gradients(sub.X, model, steps=128).scores)
+        stages = [(grid_method(l1, l2), partial(learned, lambda1=l1,
+                                                 lambda2=l2))
+                  for l1 in LAMBDAS for l2 in LAMBDAS]
+    else:
+        augmented, *baselines = _baseline_stages(sub.X, model, ds.X,
+                                                 fold_seed)
+        stages = [
+            ("learned_preservation", learned),
+            # in the deletion game the mask stays at 1 on unimportant
+            # cells and is driven to 0 where removal destroys the
+            # prediction, so the importance is 1 - m
+            ("learned_deletion", lambda: 1.0 - learned(mode=ex.DELETION)),
+            augmented,
+            ("dynamask", lambda: ex.explain_dynamask(
+                sub.X, model, ex.DynamaskConfig(iterations=it),
+                workers=1).scores),
+            *baselines,
+        ]
+    saliencies = _run_stages(stages, cfg.jobs)
+    methods = [name for name, _ in stages] if cfg.ablation == "lambda" \
+        else ["learned_preservation", "learned_deletion", "dynamask",
+              *BASELINES]
+    rows = []
+    with _stage("metrics"):
+        for method in methods:
+            rep = mt.ground_truth_report(saliencies[method],
+                                         sub.true_saliency)
+            for metric in ("aup", "aur", "information", "entropy"):
+                rows.append([method, metric, "", "", getattr(rep, metric),
+                             fold])
     return rows, model
 
 
@@ -214,33 +226,27 @@ def icu_fold(cfg: ExperimentConfig, fold: int):
         model = _train_fold_classifier(ds, fold_seed, s, ICU)
     sub = ds.subset(np.arange(min(s["eval_samples"], ds.n_samples)))
     it = s["iterations"]
-    workers = _explain_workers(cfg)
-
-    saliencies = {}
     generators = [("learned_preservation", BIDIRECTIONAL)]
     if cfg.compare_generators:
         generators += [("learned_gru", UNIDIRECTIONAL),
                        ("learned_zeros", ZERO)]
-    for name, kind in generators:
-        with _stage(f"explain:{name}"):
-            saliencies[name] = ex.explain_learned(
-                sub.X, model,
-                ex.ExplainerConfig(generator=kind, iterations=it,
-                                   seed=fold_seed), workers=workers).scores
-    with _stage("explain:occlusion"):
-        saliencies["occlusion"] = ex.occlusion(sub.X, model,
-                                               workers=workers).scores
-    with _stage("explain:augmented_occlusion"):
-        saliencies["augmented_occlusion"] = ex.augmented_occlusion(
-            sub.X, model, ds.X, seed=fold_seed, workers=workers).scores
-    with _stage("explain:integrated_gradients"):
-        saliencies["integrated_gradients"] = ex.integrated_gradients(
-            sub.X, model, steps=128).scores
+
+    def learned(kind):
+        return ex.explain_learned(
+            sub.X, model, ex.ExplainerConfig(generator=kind, iterations=it,
+                                             seed=fold_seed),
+            workers=1).scores
+
+    saliencies = _run_stages(
+        [(name, partial(learned, kind)) for name, kind in generators]
+        + _baseline_stages(sub.X, model, ds.X, fold_seed), cfg.jobs)
+    methods = [name for name, _ in generators] + list(BASELINES)
 
     rows = []
     with _stage("metrics"):
         fractions = s.get("fractions", FRACTIONS)
-        for method, scores in saliencies.items():
+        for method in methods:
+            scores = saliencies[method]
             for frac in fractions:
                 for subst in SUBSTITUTIONS:
                     rep = mt.masked_prediction_metrics(model, sub, scores,
@@ -339,12 +345,17 @@ def run_experiment(cfg: ExperimentConfig):
     results_path = os.path.join(cfg.out_dir, f"{cfg.experiment}_results.csv")
 
     all_rows = []
-    tasks = [(cfg, f) for f in range(cfg.folds)]
+    in_pool = cfg.jobs > 1 and cfg.folds > 1
+    # a fold in the pool runs its explainer stages one after another
+    tasks = [(replace(cfg, jobs=1) if in_pool else cfg, f)
+             for f in range(cfg.folds)]
     with contextlib.ExitStack() as stack:
-        if _folds_in_pool(cfg):
+        if in_pool:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=cfg.jobs))
+            # forked, so the workers keep the caller's BLAS thread count
+            pool = stack.enter_context(ProcessPoolExecutor(
+                cfg.jobs, mp_context=multiprocessing.get_context("fork")))
             done = pool.map(_fold_runner, tasks)
         else:
             done = map(_fold_runner, tasks)
@@ -491,8 +502,7 @@ CLAIMS = (
                        f"{m} not better than {other} ({subst}): "
                        "{a:.3f} vs {b:.3f}"))
       for subst in SUBSTITUTIONS
-      for other in ("occlusion", "augmented_occlusion",
-                    "integrated_gradients")
+      for other in BASELINES
       for m, op in (("cross_entropy", _GT), ("comprehensiveness", _GT),
                     ("sufficiency", _LT), ("accuracy", _LT))),
     # GRU >= Bi-GRU >= zeros generator, ties within one std over folds

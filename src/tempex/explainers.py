@@ -14,6 +14,7 @@ occlusion scores are min-max normalized into [0, 1] per sample.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import sys
@@ -228,6 +229,29 @@ def _openblas_threads(kind):
     return None
 
 
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run OpenBLAS on one thread inside the block, and give the caller's
+    count back after it; where numpy's BLAS exports no thread functions
+    (see _openblas_threads), the block keeps the library's count."""
+    get, set_threads = _openblas_threads("get"), _openblas_threads("set")
+    if get is None or set_threads is None:
+        yield
+        return
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def usable_cpus():
+    """The CPUs this process may run on: the explainers' default worker
+    count and the default job count of a run."""
+    return len(os.sched_getaffinity(0))
+
+
 _worker_block = None  # a forked worker's block function (_set_worker_block)
 
 
@@ -241,21 +265,22 @@ def _set_worker_block(fn, blas_threads):
         set_threads(blas_threads)
 
 
-def _run_worker_block(bounds):
-    return _worker_block(*bounds)
+def _run_worker_block(args):
+    return _worker_block(*args)
 
 
-def _map_blocks(block, bounds, workers, blas_threads=None):
-    """[block(lo, hi) for (lo, hi) in bounds], on a fork pool of
-    min(len(bounds), workers) processes when both exceed 1 (workers None:
+def _map_blocks(block, tasks, workers, blas_threads=None):
+    """[block(*args) for args in tasks], in task order, on a fork pool of
+    min(len(tasks), workers) processes when both exceed 1 (workers None:
     the usable CPUs), each running OpenBLAS on blas_threads threads (None:
-    the parent's count). block reaches the workers by fork, not by
+    the parent's count). The pool hands the tasks out in order, so list
+    the longest first. block reaches the workers by fork, not by
     pickling, and a worker's exception is raised here as itself."""
     if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    procs = min(len(bounds), workers)
+        workers = usable_cpus()
+    procs = min(len(tasks), workers)
     if procs <= 1:
-        return [block(*b) for b in bounds]
+        return [block(*args) for args in tasks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     # fork hands block (a closure over the batch and the classifier) to the
@@ -264,7 +289,7 @@ def _map_blocks(block, bounds, workers, blas_threads=None):
             procs, mp_context=multiprocessing.get_context("fork"),
             initializer=_set_worker_block,
             initargs=(block, blas_threads)) as pool:
-        return list(pool.map(_run_worker_block, bounds))
+        return list(pool.map(_run_worker_block, tasks))
 
 
 def _map_step_blocks(workers):

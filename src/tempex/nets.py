@@ -118,7 +118,7 @@ def _gru_cell(xg, h, Wh, H):
     # a new contiguous array, not hg's strided gate columns, because
     # numpy's exp and reciprocal run about twice as fast on contiguous data
     rz = xg[..., :2 * H] + hg[..., :2 * H]
-    ad._sigmoid(rz, out=rz)
+    ad._sigmoid_unguarded(rz, rz)  # callers ignore overflow around the loop
     r, z = rz[..., :H], rz[..., H:]
     hc = hg[..., 2 * H:]
     c = r * hc
@@ -157,17 +157,18 @@ def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
     out = np.empty((B, T, H))
     saved = [None] * T
     h = np.zeros((B, H))
-    for t in steps:
-        if per_sample:
-            xg = xg_seq[t]
-        else:
-            x_t = np.array(X[:, t])
-            xg = x_t @ Wx + bias
-        h_new, r, z, c, hc = _gru_cell(xg, h, Wh, H)
-        if record:
-            saved[t] = (None if per_sample else x_t, h, r, z, c, hc)
-        out[:, t] = h_new
-        h = h_new
+    with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
+        for t in steps:
+            if per_sample:
+                xg = xg_seq[t]
+            else:
+                x_t = np.array(X[:, t])
+                xg = x_t @ Wx + bias
+            h_new, r, z, c, hc = _gru_cell(xg, h, Wh, H)
+            if record:
+                saved[t] = (None if per_sample else x_t, h, r, z, c, hc)
+            out[:, t] = h_new
+            h = h_new
     result = Tensor(out)
     if not record:
         return result
@@ -416,14 +417,16 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
         xg = np.empty((T, len(Xc), 3 * H))
         states = np.empty((T, len(Xc), H))
         h = np.zeros((len(Xc), H))
-        for s in range(T - 1, -1, -1) if reverse else range(T):
-            xg[s] = np.array(Xc[:, s]) @ Wx + bias
-            h = states[s] = _gru_cell(xg[s], h, Wh, H)[0]
+        with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
+            for s in range(T - 1, -1, -1) if reverse else range(T):
+                xg[s] = np.array(Xc[:, s]) @ Wx + bias
+                h = states[s] = _gru_cell(xg[s], h, Wh, H)[0]
         passes.append((Wx, Wh, bias, reverse, xg[:, :B], states[:, :B]))
     D = H * len(passes)
     copies = max(1, _CHUNK_ROWS // max(B * r, 1))
     zeros = np.zeros((B, H))
 
+    @np.errstate(over="ignore")  # the gate and readout sigmoids
     def block(t0, t1):
         # each copy's output states at the positions the readout reads. A
         # cached state is filled once, into all `copies` rows: the steps go
@@ -473,9 +476,9 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                             cat[:c, :, :, s - first, cols] = h
                 logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
                 logits = (logits + b_out).reshape(c, B * r, T - first)
+                probs = logits if per_t else logits[..., 0]
                 scores[t - t0, k0:k0 + c] = _score(
-                    ad._sigmoid(logits if per_t else logits[..., 0]),
-                    target, per_t)
+                    ad._sigmoid_unguarded(probs, probs), target, per_t)
             for p, (_, _, _, reverse, _, states) in enumerate(passes):
                 if not reverse and t >= first:
                     cat[..., t - first, p * H:(p + 1) * H] = \

@@ -16,13 +16,15 @@ checked in under runs/ at the repo root. Reproduce them with:
     tempex run --experiment icu_like --profile full --compare-generators \
         --out runs/icu_full
 
-Adding `--jobs 2` runs two folds at a time with byte-identical output. On a
-2-core machine the icu_full command took 59 min of wall time with
-`--jobs 2` (2 h 57 min before the fused GRU op, batched occlusion and the
-numpy sigmoid); the two hmm commands have not been run to completion.
-Only the CSVs, config.ini and charts are committed; models/ is
-regenerated by the same command. Compare the [environment] section of
-config.ini before comparing bytes: the BLAS thread count moves last bits.
+By default they run as many folds at a time as there are usable CPUs,
+each process on one OpenBLAS thread; `--jobs` never changes a byte. On a
+2-core machine the icu_full command took 25 min 41 s of wall time (85 min
+with two BLAS threads per fold worker, and 2 h 57 min before the fused
+GRU op, batched occlusion and the numpy sigmoid); the two hmm commands
+have not been run to completion. Only the CSVs, config.ini and charts are
+committed; models/ is regenerated by the same command. Compare the
+[environment] section of config.ini before comparing bytes: the BLAS
+thread count moves last bits.
 
 Missing artifacts fail the corresponding tests outright (no skips): the
 gate stays red until the runs exist. The fast property checks at the bottom

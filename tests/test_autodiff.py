@@ -55,9 +55,19 @@ class TestSigmoidKernel:
             warnings.simplefilter("error", RuntimeWarning)
             np.testing.assert_array_equal(ad._sigmoid(x), [0.0, 1.0])
             for b in x:
+                # the gate sums and the readout both overflow at -800:
+                # through the GRU op's time loop, and through the cache
+                # and the step blocks of perturbed_step_scores
+                model.gru.fwd.b.data[:] = b
                 model.b_out.data[:] = b
                 p = nets.predict_proba(np.zeros((1, 4, 2)), model)
                 np.testing.assert_array_equal(p, np.full((1, 4), b > 0))
+                sc = nets.perturbed_step_scores(
+                    np.zeros((2, 4, 2)), model,
+                    lambda t: np.ones((3, 2, 2)))
+                # per-timestep scores sum the 4 positions
+                np.testing.assert_array_equal(sc, np.full((4, 3, 2),
+                                                          4.0 * (b > 0)))
             with ad.Tape():
                 ad.tsum(ad.cross_entropy_with_logits(
                     logits, Tensor([0.0, 1.0]))).backward()

@@ -26,6 +26,31 @@ def tiny_dataset(tmp_path):
     return path
 
 
+@pytest.fixture()
+def explainer_calls(tmp_path, monkeypatch):
+    """Every explainer call of a run, from whichever process makes it. The
+    fixture is a function that returns the calls since its last call, as
+    (explainer, pid, workers argument, OpenBLAS threads) string tuples."""
+    log = tmp_path / "explainer_calls.txt"
+    get_threads = ex._openblas_threads("get")
+    for name in ("explain_learned", "explain_dynamask", "occlusion",
+                 "augmented_occlusion", "integrated_gradients"):
+        def spy(*args, _name=name, _explain=getattr(ex, name), **kw):
+            with open(log, "a") as fh:  # one short append per call
+                fh.write(f"{_name} {os.getpid()} {kw.get('workers')} "
+                         f"{get_threads()}\n")
+            return _explain(*args, **kw)
+        monkeypatch.setattr(ex, name, spy)
+
+    def calls():
+        if not log.exists():
+            return []
+        lines = log.read_text().splitlines()
+        log.unlink()
+        return [tuple(line.split()) for line in lines]
+    return calls
+
+
 @pytest.fixture(scope="module")
 def cli_import_modules():
     """The names of the modules that importing tempex.cli loads, in a
@@ -88,7 +113,8 @@ class TestRun:
         out = tmp_path / "run"
         code = run_cli(
             "run", "--experiment", "hmm", "--profile", "fast",
-            "--out", str(out), "--folds", "1", "--seed", "0", *extra)
+            "--out", str(out), "--folds", "1", "--seed", "0", "--jobs", "1",
+            *extra)
         return code, out
 
     @pytest.fixture()
@@ -237,6 +263,9 @@ class TestRun:
     @pytest.mark.parametrize("ini, named", [
         ("[environment]\ncpu_count = 4097\n",
          "'cpu_count' in section [environment] is '4097'"),
+        ("[environment]\nblas_threads = 2\n",
+         "'blas_threads' in section [environment] is '2', but this process "
+         "has '1'"),
         ("[dataset]\nn_series = 10\n[resolved]\nn_series = 16\n",
          "'n_series' is 10 in section [dataset] but 16 in section "
          "[resolved]"),
@@ -284,6 +313,7 @@ class TestRun:
         env = conf["environment"]
         assert env["openblas_num_threads"] == "1"
         assert env["omp_num_threads"] == "unset"
+        assert env["blas_threads"] == "1"  # the count the run used
         assert env["cpu_count"] == str(os.cpu_count())
         assert env["blas"]
         assert dict(conf["resolved"]) == {
@@ -313,7 +343,7 @@ class TestRun:
     def test_failure_names_stage_and_keeps_partials(self, tmp_path,
                                                     small_profile,
                                                     monkeypatch, capsys):
-        self._fail_fold_one(tmp_path, monkeypatch, capsys)
+        self._fail_fold_one(tmp_path, monkeypatch, capsys, "--jobs", "1")
 
     def test_failure_in_worker_names_stage_and_keeps_partials(
             self, tmp_path, small_profile, monkeypatch, capsys):
@@ -322,7 +352,7 @@ class TestRun:
 
     def test_block_failure_names_stage_with_one_fold(
             self, tmp_path, small_profile, diverges_in_workers, capsys):
-        # one fold in-process, its 8 rows in 4 blocks on 2 workers
+        # one fold in-process, its explainer stages on 2 workers
         code = run_cli("run", "--experiment", "hmm", "--out",
                        str(tmp_path / "run"), "--folds", "1", "--jobs", "2")
         assert code == 1
@@ -332,7 +362,7 @@ class TestRun:
 
     def test_block_failure_in_occlusion_names_stage(
             self, tmp_path, small_profile, short_draws_in_workers, capsys):
-        # one fold in-process, its 12 steps in 4 blocks on 2 workers
+        # one fold in-process, its explainer stages on 2 workers
         code = run_cli("run", "--experiment", "hmm", "--out",
                        str(tmp_path / "run"), "--folds", "1", "--jobs", "2")
         assert code == 1
@@ -340,35 +370,71 @@ class TestRun:
         assert "error in stage 'explain:augmented_occlusion': " \
             "replacements(" in err
 
+    def _same_bytes_at_jobs_one_and_two(self, tmp_path, experiment,
+                                        explainer_calls, *argv):
+        """Run at --jobs 1 and 2, assert equal CSV bytes and that every
+        explainer got workers=1; returns each run's explainer calls."""
+        outs, calls = [], []
+        for jobs in ("1", "2"):
+            out = tmp_path / "_".join((experiment, *argv, "jobs", jobs))
+            code = run_cli("run", "--experiment", experiment, "--profile",
+                           "fast", "--out", str(out), *argv, "--jobs", jobs)
+            assert code == 0
+            outs.append(out)
+            calls.append(explainer_calls())
+            assert {workers for name, _, workers, _ in calls[-1]
+                    if name != "integrated_gradients"} == {"1"}
+        for name in ("results", "aggregated"):
+            a, b = (o / f"{experiment}_{name}.csv" for o in outs)
+            assert a.read_bytes() == b.read_bytes()
+        return calls
+
     @pytest.mark.parametrize("experiment", [xp.HMM, xp.ICU])
     def test_jobs_two_writes_identical_csv_bytes(self, tmp_path,
                                                  small_profile, monkeypatch,
+                                                 explainer_calls,
                                                  experiment):
-        # several folds run in a pool; one fold gives the jobs to its
-        # explainers, whose 8 rows make two blocks of 4, and to the
-        # occlusions' step blocks
-        workers = []
-        for name in ("occlusion", "augmented_occlusion"):
-            def spy(*args, _explain=getattr(ex, name), **kw):
-                workers.append(kw["workers"])
-                return _explain(*args, **kw)
-            monkeypatch.setattr(ex, name, spy)
-        for folds, block_rows in (("3", ex.BLOCK_ROWS), ("1", 4)):
-            monkeypatch.setattr(ex, "BLOCK_ROWS", block_rows)
-            outs = []
-            for jobs in ("1", "2"):
-                out = tmp_path / f"folds{folds}_jobs{jobs}"
-                code = run_cli("run", "--experiment", experiment,
-                               "--profile", "fast", "--out", str(out),
-                               "--folds", folds, "--jobs", jobs)
-                assert code == 0
-                outs.append(out)
-            for name in ("results", "aggregated"):
-                a, b = (o / f"{experiment}_{name}.csv" for o in outs)
-                assert a.read_bytes() == b.read_bytes()
-        # three folds here at --jobs 1 and none at --jobs 2, where the
-        # pool runs them; then one fold at each, with the jobs
-        assert workers == [1] * 6 + [1, 1, 2, 2]
+        # several folds run in a pool; one fold runs its explainer stages
+        # on the jobs, each stage in one process, where the 8 rows make
+        # two row blocks of 4
+        self._same_bytes_at_jobs_one_and_two(tmp_path, experiment,
+                                             explainer_calls, "--folds", "3")
+        monkeypatch.setattr(ex, "BLOCK_ROWS", 4)
+        one, two = self._same_bytes_at_jobs_one_and_two(
+            tmp_path, experiment, explainer_calls, "--folds", "1")
+        assert {pid for _, pid, _, _ in one} == {str(os.getpid())}
+        assert len({pid for _, pid, _, _ in two}) >= 2
+        assert str(os.getpid()) not in {pid for _, pid, _, _ in two}
+
+    def test_lambda_grid_jobs_two_writes_identical_csv_bytes(
+            self, tmp_path, small_profile, monkeypatch, explainer_calls):
+        monkeypatch.setattr(xp, "LAMBDAS", (0.1, 1.0))
+        _, two = self._same_bytes_at_jobs_one_and_two(
+            tmp_path, xp.HMM, explainer_calls, "--folds", "1", "--ablation",
+            "lambda")
+        assert len(two) == 4 and len({pid for _, pid, _, _ in two}) >= 2
+
+    @pytest.mark.parametrize("folds", ["1", "2"])
+    def test_run_workers_use_one_blas_thread(self, tmp_path, small_profile,
+                                             explainer_calls, folds):
+        # stage workers with one fold, fold-pool workers with two; the
+        # caller's own count comes back when the run returns
+        get = ex._openblas_threads("get")
+        set_threads = ex._openblas_threads("set")
+        before = get()
+        set_threads(2)
+        try:
+            code = run_cli("run", "--experiment", "hmm", "--out",
+                           str(tmp_path / "run"), "--folds", folds,
+                           "--jobs", "2")
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert code == 0
+        calls = explainer_calls()
+        assert len(calls) == 6 * int(folds)
+        assert {threads for _, _, _, threads in calls} == {"1"}
+        assert str(os.getpid()) not in {pid for _, pid, _, _ in calls}
 
 
 class TestReport:
