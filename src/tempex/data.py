@@ -81,6 +81,10 @@ class HmmConfig:
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.mu = np.asarray(self.mu, dtype=np.float64)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
+        if self.transition.shape != (2, 2):
+            raise ValueError("transition must be (2, 2): two states")
+        if (self.transition < 0).any():
+            raise ValueError("transition probabilities must be non-negative")
         if not np.allclose(self.transition.sum(axis=1), 1.0):
             raise ValueError("transition rows must sum to 1")
         if self.mu.shape != (2, 3):
@@ -106,6 +110,13 @@ def hmm_stationary_distribution(transition):
     return pi / pi.sum()
 
 
+def _first_cdf(p):
+    """The first entry of p's CDF, normalised as rng.choice normalises it."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf[0]
+
+
 def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
     """Two hidden states; emissions Gaussian per state; label at each step
     drawn Bernoulli(sigmoid of feature 2) in state 0 and (feature 3) in
@@ -120,12 +131,17 @@ def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
     # one independent stream per series so generation order is irrelevant
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(config.seed).spawn(N)]
-    pi0 = hmm_stationary_distribution(config.transition)
+    # rng.choice(2, p=p) draws u = rng.random() and picks state 1 if u is
+    # at least the normalised CDF's first entry; that one draw per step
+    # gives the same states in a tenth of the time
+    first_cut, *cuts = (_first_cdf(p) for p in
+                        (hmm_stationary_distribution(config.transition),
+                         *config.transition))
     for i, rng in enumerate(streams):
-        s = rng.choice(2, p=pi0)
+        s = int(rng.random() >= first_cut)
         for t in range(T):
             if t > 0:
-                s = rng.choice(2, p=config.transition[s])
+                s = int(rng.random() >= cuts[s])
             states[i, t] = s
             X[i, t] = config.mu[s] + chol[s] @ rng.standard_normal(3)
             driver = X[i, t, 1] if s == 0 else X[i, t, 2]

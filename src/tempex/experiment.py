@@ -6,17 +6,17 @@ CSV with mean and std over folds, trained classifier checkpoints, and SVG
 line charts for the metrics that carry a mask-fraction axis.
 
 Every fold re-seeds data generation and model training (seed + fold), so a
-run is fully determined by its config. With jobs above 1, the folds run in
-a process pool when there are several; a fold that runs alone runs its
-explainers as named stages on a pool of the jobs instead. Every explainer
-runs in one process, and rows are written in a fixed order, so the job
-count never changes a byte. CLAIMS holds the paper's claims;
-evaluate_claims checks them against a run directory.
+run is fully determined by its config. With jobs above 1, whole rounds of
+`jobs` folds run in a process pool, one fold per process; each fold left
+over (all of them when there are fewer folds than jobs) runs in the
+calling process, with its explainers as named stages on a pool of the
+jobs. Every explainer runs in one process, and rows are written in a
+fixed order, so the job count never changes a byte. CLAIMS holds the
+paper's claims; evaluate_claims checks them against a run directory.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import operator
 import os
@@ -86,7 +86,8 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 0
     out_dir: str = "runs/out"
-    # processes: the folds' pool, or else the one fold's explainer stages
+    # processes: the fold pool, and the explainer stages of each fold
+    # that runs outside it
     jobs: int = field(default_factory=ex.usable_cpus)
     ablation: str = None  # "lambda" for the 5x5 grid (HMM only)
     compare_generators: bool = False
@@ -345,27 +346,31 @@ def run_experiment(cfg: ExperimentConfig):
     results_path = os.path.join(cfg.out_dir, f"{cfg.experiment}_results.csv")
 
     all_rows = []
-    in_pool = cfg.jobs > 1 and cfg.folds > 1
-    # a fold in the pool runs its explainer stages one after another
-    tasks = [(replace(cfg, jobs=1) if in_pool else cfg, f)
-             for f in range(cfg.folds)]
-    with contextlib.ExitStack() as stack:
-        if in_pool:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            # forked, so the workers keep the caller's BLAS thread count
-            pool = stack.enter_context(ProcessPoolExecutor(
-                cfg.jobs, mp_context=multiprocessing.get_context("fork")))
-            done = pool.map(_fold_runner, tasks)
-        else:
-            done = map(_fold_runner, tasks)
-        # folds arrive in fold order; flush each one as it arrives so a
+
+    def flush(fold, rows, model):
+        # folds arrive in fold order; each is flushed as it arrives so a
         # later failure keeps the earlier folds on disk
-        for fold, rows, model in done:
-            _write_rows(results_path, rows, append=fold > 0)
-            nets.save_classifier(model, os.path.join(
-                cfg.out_dir, "models", f"fold{fold}.json"))
-            all_rows.extend(rows)
+        _write_rows(results_path, rows, append=fold > 0)
+        nets.save_classifier(model, os.path.join(
+            cfg.out_dir, "models", f"fold{fold}.json"))
+        all_rows.extend(rows)
+
+    # whole rounds of `jobs` folds run in a fold pool, each fold running
+    # its explainer stages one after another; the folds left over run here,
+    # each with its stages on all the jobs, so no core waits for the last
+    pooled = cfg.folds - cfg.folds % cfg.jobs if cfg.jobs > 1 else 0
+    if pooled:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # forked, so the workers keep the caller's BLAS thread count
+        with ProcessPoolExecutor(
+                cfg.jobs,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            for result in pool.map(_fold_runner, [
+                    (replace(cfg, jobs=1), f) for f in range(pooled)]):
+                flush(*result)
+    for f in range(pooled, cfg.folds):
+        flush(*_fold_runner((cfg, f)))
 
     with _stage("aggregate"):
         agg = aggregate(all_rows)

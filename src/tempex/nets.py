@@ -91,32 +91,17 @@ _vecmat = getattr(np, "vecmat", lambda v, m: (v[..., None, :] @ m)[..., 0, :])
 _matvec = getattr(np, "matvec", lambda m, v: (m @ v[..., None])[..., 0])
 
 
-def _batch_matmul(a, W):
-    """a @ W, for a (M, K) batch or a (copies, ..., K) stack of copies of
-    one batch. BLAS gives a row of a matrix product the same bits whatever
-    the row count, so the copies of a batch of 2+ rows go through as one
-    matmul. numpy hands a one-row product to gemv instead, whose bits
-    differ, so each copy of a one-row batch stays its own product."""
-    if a.ndim == 2:
-        return a @ W
-    rows = a.reshape(-1, a.shape[-1]) if a[0].size != a.shape[-1] \
-        else a.reshape(len(a), 1, a.shape[-1])
-    return (rows @ W).reshape(a.shape[:-1] + W.shape[-1:])
-
-
 def _gru_cell(xg, h, Wh, H):
     """One GRU step from the input projection xg = x_t @ W_x + b and the
-    previous state h: returns (h_new, r, z, c, hc), where hc = h @ W_hc.
-
-    h is (B, H), or (copies, ..., H) copies of a batch that xg broadcasts
-    over (see _batch_matmul). With per-sample weights (3-d W_h) each row
-    uses its own matrix.
+    previous state h (B, H): returns (h_new, r, z, c, hc), where
+    hc = h @ W_hc. With per-sample weights (3-d W_h) each row uses its own
+    matrix.
     """
-    hg = _vecmat(h, Wh) if Wh.ndim == 3 else _batch_matmul(h, Wh)
-    # xg and h may be cached or broadcast, so only fresh arrays are
-    # written in place: the gate sum, c and the new state. The gate sum is
-    # a new contiguous array, not hg's strided gate columns, because
-    # numpy's exp and reciprocal run about twice as fast on contiguous data
+    hg = _vecmat(h, Wh) if Wh.ndim == 3 else h @ Wh
+    # xg may be cached, so only fresh arrays are written in place: the gate
+    # sum, c and the new state. The gate sum is a new contiguous array, not
+    # hg's strided gate columns, because numpy's exp and reciprocal run
+    # about twice as fast on contiguous data
     rz = xg[..., :2 * H] + hg[..., :2 * H]
     ad._sigmoid_unguarded(rz, rz)  # callers ignore overflow around the loop
     r, z = rz[..., :H], rz[..., H:]
@@ -338,8 +323,12 @@ def target_score(x_data, params: ClassifierParams, target=1):
                   params.readout == PER_TIMESTEP)
 
 
-# rows of perturbed copies that perturbed_step_scores steps at once
+# rows of perturbed copies that perturbed_step_scores steps at once, at most
+# (see _step_rows)
 _CHUNK_ROWS = 512
+# OpenBLAS multiplies an (M, K) @ (K, N) product with M*N*K at most this
+# with its small-matrix kernel, which packs nothing
+_SMALL_PRODUCT = 10**6
 # perturbed_step_scores scores min(T, STEP_BLOCKS) contiguous step blocks
 # (see step_blocks)
 STEP_BLOCKS = 4
@@ -373,6 +362,132 @@ def step_blocks(T, params: ClassifierParams):
     return list(zip(edges[:-1], edges[1:]))
 
 
+# gate blocks whose width is a multiple of this get the bits of the same
+# columns of the whole product (see _step_weights)
+_GATE_BLOCK_COLUMNS = 8
+
+
+def _negate_rz(a, H):
+    """a (..., 3H) with its r and z gate columns negated."""
+    out = a.copy()
+    np.negative(out[..., :2 * H], out=out[..., :2 * H])
+    return out
+
+
+def _gates(a, H):
+    """The (..., 3H) gate columns of a as a (3, ..., H) view, gate first."""
+    return np.moveaxis(a.reshape(a.shape[:-1] + (3, H)), -2, 0)
+
+
+def _copies_matmul(a, W, out):
+    """a @ W into out, for a (copies, rows, K) stack of copies of a batch
+    and W (K, N), or a (G, K, N) stack of matrices with out (G, copies,
+    rows, N). BLAS gives a row of a matrix product the same bits whatever
+    the row count, so the copies of a batch of 2+ rows go through as one
+    matmul. numpy hands a one-row product to gemv instead, whose bits
+    differ, so each copy of a one-row batch stays its own product."""
+    K, N = W.shape[-2:]
+    if a.shape[1] > 1:
+        a, out = a.reshape(-1, K), out.reshape(out.shape[:-3] + (-1, N))
+    else:
+        W = W.reshape(W.shape[:-2] + (1, K, N))
+    np.matmul(a, W, out=out)
+
+
+def _step_weights(Wh, H):
+    """W_h of _restep, r and z negated: three contiguous (H, H) gate blocks
+    when H is a multiple of _GATE_BLOCK_COLUMNS, else the (H, 3H) matrix.
+
+    A gate block's product has the bits of the same columns of the whole
+    h @ W_h only where the BLAS sums both alike. scipy-openblas 0.3.31
+    does when H is a multiple of 8, the width of its vector kernels
+    (measured for H = 8 .. 256 in steps of 8, 1 .. 2048 rows, 1 and 2
+    threads), and not in general: at H = 17 .. 20 every row count
+    differs."""
+    Wh = _negate_rz(Wh, H)
+    if H % _GATE_BLOCK_COLUMNS:
+        return Wh
+    return np.ascontiguousarray(_gates(Wh, H))
+
+
+def _step_rows(W):
+    """The rows that perturbed_step_scores re-steps at once, for the
+    weights W of _step_weights: _CHUNK_ROWS, or fewer if at least 128 rows
+    keep each h @ W product within _SMALL_PRODUCT. At H = 64 a
+    (192, 64) @ (64, 64) gate product took 177 ns a row, against 268 ns at
+    256 rows, past that bound (scipy-openblas 0.3.31, one thread); below
+    128 rows numpy's per-call cost outweighs the gain."""
+    rows = _SMALL_PRODUCT // (W.shape[-2] * W.shape[-1])
+    return min(_CHUNK_ROWS, rows) if rows >= 128 else _CHUNK_ROWS
+
+
+def _step_chunks(m, B, r, rows):
+    """(copies, draw ranges) of the chunks in which perturbed_step_scores
+    re-steps m copies of r draws of B rows, about `rows` rows at a time: as
+    many whole copies as fit, in near-equal chunks, or one copy at a time
+    in near-equal ranges of its draws. A copy of two or more rows keeps
+    two or more in each range, so that a range's product takes the copy's
+    own BLAS route (see _copies_matmul)."""
+    if B * r <= rows:
+        n_chunks = max(1, -(-m * B * r // rows))
+        return max(1, -(-m // n_chunks)), [(0, r)]
+    parts = min(-(-B * r // rows), r if B > 1 else r // 2)
+    edges = [r * i // parts for i in range(parts + 1)]
+    return 1, list(zip(edges[:-1], edges[1:]))
+
+
+def _restep_buffers(lead, H, W):
+    """The workspace of _restep for states of shape lead + (H,) and the
+    weights W of _step_weights: the gate blocks, and the whole product
+    when W is not split."""
+    return (np.empty((3,) + lead + (H,)),
+            np.empty(lead + (3 * H,)) if W.ndim == 2 else None)
+
+
+def _gate_products(h, W, ws):
+    """h @ W_h into the gate blocks ws[0], for the (k, ..., H) stack of k
+    copies h: a product per gate block when W is split, else one whole
+    product into ws[1], copied into the blocks."""
+    g, whole = ws
+    k, H = len(h), h.shape[-1]
+    h = h.reshape(k, -1, H)
+    if whole is None:
+        _copies_matmul(h, W, g.reshape(3, k, -1, H))
+    else:
+        _copies_matmul(h, W, whole.reshape(k, -1, 3 * H))
+        np.copyto(g, _gates(whole, H))
+
+
+def _restep(x, h, W, ws, out, products=None):
+    """The _gru_cell step of perturbed_step_scores, on gate blocks: writes
+    the new state of h into out, which may be h.
+
+    x is the input projection as (3, ..., H) gate blocks that broadcast to
+    h's rows; x and W (_step_weights) have r and z negated. Negation is
+    exact, so the gate sums are exactly _gru_cell's negated ones and the
+    sigmoid skips its negation pass; ws (_restep_buffers) takes every
+    result, each ufunc runs on contiguous blocks, and nothing is
+    allocated. The step has _gru_cell's bits. products, if given, are the
+    gate products h @ W_h, broadcasting to h's rows; else the step
+    computes them into ws.
+    """
+    g = ws[0]
+    if products is None:
+        _gate_products(h, W, ws)
+        products = g
+    rz, c = g[:2], g[2]
+    np.add(products[:2], x[:2], out=rz)
+    np.exp(rz, out=rz)  # callers ignore overflow around the loop
+    rz += 1.0
+    np.reciprocal(rz, out=rz)
+    np.multiply(products[2], g[0], out=c)
+    c += x[2]
+    np.tanh(c, out=c)
+    np.subtract(h, c, out=out)
+    out *= g[1]
+    out += c
+
+
 def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                           target=1, repeats=1, map_blocks=None):
     """target_score of copies of x_data that differ from it at one step.
@@ -385,11 +500,15 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     scores[t, k], the target_score of copy k, shape (T, m, B*repeats).
 
     The classifier runs once over x_data and caches, per pass, the states
-    and the input projections x_s @ W_x + b. A copy starts from the
-    cached state next to step t (before it going forward, after it going
-    in reverse) and re-steps only the states that change, reusing the
-    cached projections at every step but t. Whole copies go through
-    together, about _CHUNK_ROWS rows at a time. Every step is _gru_cell,
+    and the input projections x_s @ W_x + b, as gate blocks. A copy starts
+    from the cached state next to step t (before it going forward, after
+    it going in reverse) and re-steps only the states that change,
+    reusing the cached projections at every step but t, and the gate
+    products of the state it starts from, computed once for all copies.
+    Copies go through about _step_rows rows at a time: several whole
+    copies, or one copy's draws in ranges. Their rows are ordered
+    draw-major, so that a cached projection broadcasts over whole blocks.
+    The cache and every re-step are _restep, which has _gru_cell's bits,
     and each copy's logits are one matrix-vector product over the rows of
     the copy's batch, as in classifier_forward, so every score equals
     target_score of its copy bit for bit.
@@ -408,42 +527,59 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     per_t = params.readout == PER_TIMESTEP
     first = 0 if per_t else T - 1  # the first position the readout reads
     w_out, b_out = params.w_out.data, params.b_out.data
-    # the cache takes the copies' BLAS route (see _batch_matmul): a
+    # the cache takes the copies' BLAS route (see _copies_matmul): a
     # one-row x_data whose copies have 2+ rows is cached over two rows
     Xc = np.repeat(X, 2, axis=0) if B == 1 < r else X
-    passes = []  # (W_x, W_h, b, reverse, projections, states), time-major
-    for dp, reverse in _passes(params.gru):
-        Wx, Wh, bias = dp.w_x.data, dp.w_h.data, dp.b.data
-        xg = np.empty((T, len(Xc), 3 * H))
-        states = np.empty((T, len(Xc), H))
-        h = np.zeros((len(Xc), H))
-        with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
+    Bc = len(Xc)
+    # (W_x, W_h, b, reverse, projections, states), r and z negated (see
+    # _restep), the projections (3, T, Bc, H) gate blocks, the states
+    # (T, Bc, H)
+    passes = []
+    with np.errstate(over="ignore"):  # the gate sigmoids of _restep
+        for dp, reverse in _passes(params.gru):
+            Wx, bias = (_negate_rz(a.data, H) for a in (dp.w_x, dp.b))
+            Wh = _step_weights(dp.w_h.data, H)
+            ws = _restep_buffers((1, Bc), H, Wh)
+            xg = np.empty((3, T, Bc, H))
+            states = np.empty((T, Bc, H))
+            h = np.zeros((Bc, H))
             for s in range(T - 1, -1, -1) if reverse else range(T):
-                xg[s] = np.array(Xc[:, s]) @ Wx + bias
-                h = states[s] = _gru_cell(xg[s], h, Wh, H)[0]
-        passes.append((Wx, Wh, bias, reverse, xg[:, :B], states[:, :B]))
+                xs = np.array(Xc[:, s]) @ Wx + bias
+                np.copyto(xg[:, s], _gates(xs, H))
+                _restep(xg[:, s, None], h[None], Wh, ws, out=states[s][None])
+                h = states[s]
+            passes.append((Wx, Wh, bias, reverse, xg[:, :, :B], states))
     D = H * len(passes)
-    copies = max(1, _CHUNK_ROWS // max(B * r, 1))
-    zeros = np.zeros((B, H))
+    rows = _step_rows(passes[0][1])
+    zeros = np.zeros((Bc, H))
 
-    @np.errstate(over="ignore")  # the gate and readout sigmoids
-    def block(t0, t1):
-        # each copy's output states at the positions the readout reads. A
-        # cached state is filled once, into all `copies` rows: the steps go
-        # up from t0, a reverse pass re-steps positions t and below, and a
-        # forward pass re-steps t and above, so the reverse positions above
-        # t0 and the forward ones below it are filled here, and forward
-        # position t after step t
+    def readout_states(copies, t0):
+        """Each copy's output states at the positions the readout reads,
+        for a block from t0. A cached state is filled once, into all
+        `copies` rows: the steps go up from t0, a reverse pass re-steps
+        positions t and below, and a forward pass re-steps t and above, so
+        the reverse positions above t0 and the forward ones below it are
+        filled here, and forward position t after step t."""
         cat = np.empty((copies, B, r, T - first, D))
         for p, (_, _, _, reverse, _, states) in enumerate(passes):
             cols = slice(p * H, (p + 1) * H)
             if reverse:
                 lo = max(t0 + 1, first)
                 cat[..., lo - first:, cols] = \
-                    states[lo:].transpose(1, 0, 2)[:, None]
+                    states[lo:, :B].transpose(1, 0, 2)[:, None]
             elif t0 > first:
                 cat[..., :t0 - first, cols] = \
-                    states[first:t0].transpose(1, 0, 2)[:, None]
+                    states[first:t0, :B].transpose(1, 0, 2)[:, None]
+        return cat
+
+    @np.errstate(over="ignore")  # the gate and readout sigmoids
+    def block(t0, t1):
+        # per pass, the gate products of the cached state that every copy
+        # starts from; per chunk size, step t's projections as computed and
+        # as gate blocks; per pass and chunk shape, the re-stepped states
+        # (c, draws, B, H) and their workspace. Every step reuses them
+        starts = [_restep_buffers((1, Bc), H, Wh) for _, Wh, *_ in passes]
+        projections, steppers = {}, {}
         scores = None
         for t in range(t0, t1):
             rep = np.asarray(replacements(t), dtype=np.float64)
@@ -452,28 +588,51 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                                     f"expected (m, {B * r}, {n})")
             if scores is None:
                 scores = np.empty((t1 - t0, len(rep), B * r))
+                copies, draws = _step_chunks(len(rep), B, r, rows)
+                cat = readout_states(copies, t0)
+            # a copy re-steps from t to the far end of the positions read,
+            # from the cached state next to t; the states read on the near
+            # side are the cached ones
+            spans, h0 = [], []
+            for (_, Wh, _, reverse, _, states), ws in zip(passes, starts):
+                if reverse:
+                    spans.append(range(t, first - 1, -1))
+                    h0.append(states[t + 1] if t + 1 < T else zeros)
+                else:
+                    spans.append(range(t, T))
+                    h0.append(states[t - 1] if t > 0 else zeros)
+                _gate_products(h0[-1][None], Wh, ws)
             for k0 in range(0, len(rep), copies):
                 chunk = rep[k0:k0 + copies]
                 c = len(chunk)
-                for p, (Wx, Wh, bias, reverse, xg, states) in \
-                        enumerate(passes):
+                if c not in projections:
+                    projections[c] = (np.empty((c, B * r, 3 * H)),
+                                      np.empty((3, c, r, B, H)))
+                proj, x_t = projections[c]
+                for p, (Wx, Wh, bias, _, xg, _) in enumerate(passes):
                     cols = slice(p * H, (p + 1) * H)
-                    # re-step from t to the far end of the positions read;
-                    # the states read on the near side are the cached ones
-                    if reverse:
-                        span = range(t, first - 1, -1)
-                        h = states[t + 1] if t + 1 < T else zeros
-                    else:
-                        span = range(t, T)
-                        h = states[t - 1] if t > 0 else zeros
-                    h = np.broadcast_to(h[:, None], (c, B, r, H))
-                    for s in span:
-                        x_s = xg[s][:, None] if s != t else \
-                            (_batch_matmul(chunk, Wx) + bias).reshape(
-                                c, B, r, 3 * H)
-                        h = _gru_cell(x_s, h, Wh, H)[0]
-                        if s >= first:
-                            cat[:c, :, :, s - first, cols] = h
+                    _copies_matmul(chunk, Wx, proj)
+                    proj += bias
+                    np.copyto(x_t, _gates(proj.reshape(c, B, r, 3 * H),
+                                          H).swapaxes(2, 3))
+                    start = starts[p][0][:, :, None, :B]
+                    for d0, d1 in draws:
+                        if (p, c, d1 - d0) not in steppers:
+                            steppers[p, c, d1 - d0] = (
+                                np.empty((c, d1 - d0, B, H)),
+                                _restep_buffers((c, d1 - d0, B), H, Wh))
+                        h, ws = steppers[p, c, d1 - d0]
+                        h[...] = h0[p][:B]
+                        for s in spans[p]:
+                            if s == t:
+                                _restep(x_t[:, :, d0:d1], h, Wh, ws, out=h,
+                                        products=start)
+                            else:
+                                _restep(xg[:, s, None, None], h, Wh, ws,
+                                        out=h)
+                            if s >= first:
+                                cat[:c, :, d0:d1, s - first, cols] = \
+                                    h.swapaxes(1, 2)
                 logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
                 logits = (logits + b_out).reshape(c, B * r, T - first)
                 probs = logits if per_t else logits[..., 0]
@@ -482,7 +641,7 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
             for p, (_, _, _, reverse, _, states) in enumerate(passes):
                 if not reverse and t >= first:
                     cat[..., t - first, p * H:(p + 1) * H] = \
-                        states[t][:, None]
+                        states[t, :B][:, None]
         return scores
 
     bounds = step_blocks(T, params)

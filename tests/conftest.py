@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -46,6 +47,16 @@ def assert_gradcheck(build, x, rtol=1e-4, h=1e-5):
     denom = np.maximum(np.abs(want), 1.0)
     err = np.max(np.abs(got - want) / denom)
     assert err < rtol, f"gradcheck failed: max rel err {err:.3e}"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process running: every pool of
+    the package must be closed, and its workers joined, by the time the
+    call that started it returns."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still running: {left}"
 
 
 @pytest.fixture

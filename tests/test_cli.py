@@ -406,6 +406,20 @@ class TestRun:
         assert len({pid for _, pid, _, _ in two}) >= 2
         assert str(os.getpid()) not in {pid for _, pid, _, _ in two}
 
+    def test_leftover_fold_runs_its_stages_on_the_jobs(
+            self, tmp_path, small_profile, explainer_calls):
+        # folds 0 and 1 of 3 run in the fold pool at --jobs 2; fold 2 runs
+        # after the pool closes, with its stages on two fresh workers
+        code = run_cli("run", "--experiment", "hmm", "--out",
+                       str(tmp_path / "run"), "--folds", "3", "--jobs", "2")
+        assert code == 0
+        calls = explainer_calls()
+        assert len(calls) == 18
+        pooled = {pid for _, pid, _, _ in calls[:12]}
+        last = {pid for _, pid, _, _ in calls[12:]}
+        assert len(last) >= 2
+        assert not last & (pooled | {str(os.getpid())})
+
     def test_lambda_grid_jobs_two_writes_identical_csv_bytes(
             self, tmp_path, small_profile, monkeypatch, explainer_calls):
         monkeypatch.setattr(xp, "LAMBDAS", (0.1, 1.0))

@@ -53,6 +53,49 @@ class TestHmm:
         np.testing.assert_array_equal(a.y, b.y)
 
 
+def reference_hmm(config):
+    """generate_hmm's X, y and states with one rng.choice per state draw."""
+    N, T = config.n_series, config.n_steps
+    chol = [np.linalg.cholesky(config.sigma[s]) for s in range(2)]
+    X = np.empty((N, T, 3))
+    y = np.empty((N, T), dtype=np.int64)
+    states = np.empty((N, T), dtype=np.int64)
+    streams = [np.random.default_rng(s)
+               for s in np.random.SeedSequence(config.seed).spawn(N)]
+    pi0 = data.hmm_stationary_distribution(config.transition)
+    for i, rng in enumerate(streams):
+        s = rng.choice(2, p=pi0)
+        for t in range(T):
+            if t > 0:
+                s = rng.choice(2, p=config.transition[s])
+            states[i, t] = s
+            X[i, t] = config.mu[s] + chol[s] @ rng.standard_normal(3)
+            driver = X[i, t, 1] if s == 0 else X[i, t, 2]
+            y[i, t] = rng.random() < data._sigmoid(driver)
+    return X, y, states
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("transition", [None, [[0.7, 0.3], [0.05, 0.95]]])
+def test_hmm_matches_choice_reference(seed, transition):
+    cfg = HmmConfig(n_series=6, n_steps=40, transition=transition,
+                    seed=seed)
+    ds = data.generate_hmm(cfg)
+    X, y, states = reference_hmm(cfg)
+    np.testing.assert_array_equal(ds.X, X)
+    np.testing.assert_array_equal(ds.y, y)
+    np.testing.assert_array_equal(ds.states, states)
+
+
+@pytest.mark.parametrize("transition, match", [
+    ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], "two states"),
+    ([[1.2, -0.2], [0.5, 0.5]], "non-negative"),
+])
+def test_hmm_transition_checked(transition, match):
+    with pytest.raises(ValueError, match=match):
+        HmmConfig(transition=transition)
+
+
 class TestIcuLike:
     def test_default_window_is_48(self):
         ds = data.generate_icu_like(10, seed=0)

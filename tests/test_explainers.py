@@ -418,6 +418,26 @@ class TestOcclusionMatchesPerCellLoops:
         self._check(X, self._model(nets.FORWARD, nets.FINAL_STEP,
                                    hidden=200), ref, draws=4, seed=3)
 
+    @pytest.mark.parametrize("hidden", [20, 64])
+    def test_gate_block_routes(self, rng, hidden):
+        # the re-steps multiply by W_h whole at H = 20 and in three gate
+        # blocks at the bench's H = 64 (nets._step_weights)
+        X = rng.uniform(-1, 1, (3, 5, 3))
+        ref = rng.uniform(-1, 1, (4, 5, 3))
+        self._check(X, self._model(nets.BIDIRECTIONAL, nets.PER_TIMESTEP,
+                                   hidden=hidden), ref, draws=3, seed=6)
+        self._check(X[0], self._model(nets.FORWARD, nets.FINAL_STEP,
+                                      hidden=hidden), ref, draws=2, seed=7)
+
+    def test_copies_split_by_draws(self, rng, monkeypatch):
+        # at 2 rows a step, augmented occlusion's copies of 5 draws of one
+        # row go through in draw ranges of 2 and 3 rows (nets._step_chunks)
+        monkeypatch.setattr(nets, "_CHUNK_ROWS", 2)
+        X = rng.uniform(-1, 1, (6, 3))
+        ref = rng.uniform(-1, 1, (4, 6, 3))
+        self._check(X, self._model(nets.BIDIRECTIONAL, nets.PER_TIMESTEP,
+                                   hidden=32), ref, draws=5, seed=8)
+
     @pytest.mark.parametrize("chunk_rows", [4, 12])
     def test_last_chunk_partly_filled(self, rng, monkeypatch, chunk_rows):
         # occlusion's 3 copies of 2 rows and augmented occlusion's 3 of 6

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -248,3 +249,104 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     x = rng.uniform(-1, 1, (2, 6, 3))
     np.testing.assert_array_equal(nets.predict_proba(x, c),
                                   nets.predict_proba(x, loaded))
+
+
+
+class TestRestepMatchesGruCell:
+    """nets._restep, the step of perturbed_step_scores, gives _gru_cell's
+    bits on every copy of a batch: h stacks c copies of r draws of B rows,
+    draw-major, and each copy is checked against _gru_cell over its own
+    rows."""
+
+    @staticmethod
+    def _case(rng, h, cached=True, bias=0.0):
+        """W_h, the projection as _restep takes it, and the new states."""
+        c, r, B, H = h.shape
+        Wh = rng.uniform(-1, 1, (H, 3 * H)) / np.sqrt(H)
+        # a cached projection per batch row, or a fresh one per copy row
+        xg = rng.uniform(-2, 2, (B, 3 * H) if cached else h.shape[:-1]
+                         + (3 * H,)) + bias
+        rows = np.broadcast_to(xg, (c, r, B, 3 * H))
+        with np.errstate(over="ignore"):  # as gru_direction's loop does
+            want = np.stack([
+                nets._gru_cell(rows[k].reshape(-1, 3 * H),
+                               h[k].reshape(-1, H), Wh, H)[0].reshape(r, B, H)
+                for k in range(c)])
+        x = nets._gates(nets._negate_rz(xg, H), H)
+        return Wh, x[:, None, None] if cached else x, want
+
+    @staticmethod
+    def _restep(x, h, Wh, products=None):
+        H = h.shape[-1]
+        W = nets._step_weights(Wh, H)
+        out = np.empty_like(h)
+        nets._restep(x, h, W, nets._restep_buffers(h.shape[:-1], H, W), out,
+                     products=products)
+        return out
+
+    # W_h is split into gate blocks at 64 and 200, and stays whole at 1, 5
+    # and 20; at 20 three products would give other bits (_step_weights)
+    @pytest.mark.parametrize("H", [1, 5, 20, 64, 200])
+    @pytest.mark.parametrize("B, r", [(4, 1), (4, 3), (1, 3), (1, 1)])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_copies_match_cell(self, rng, H, B, r, cached):
+        # (1, 3): a one-row batch whose copies have three rows, which take
+        # gemm; (1, 1): one-row copies, which take gemv one copy at a time
+        h = rng.uniform(-1, 1, (3, r, B, H))
+        Wh, x, want = self._case(rng, h, cached)
+        np.testing.assert_array_equal(self._restep(x, h, Wh), want)
+
+    @pytest.mark.parametrize("H", [1, 5, 20, 64, 200])
+    @pytest.mark.parametrize("B, r", [(4, 3), (1, 3), (1, 1)])
+    def test_gate_products_match_whole_product(self, rng, H, B, r):
+        # the products before any nonlinearity, where a last-bit change
+        # of BLAS route always shows: the sums and the sigmoid and tanh
+        # after them absorb most such changes
+        h = rng.uniform(-1, 1, (3, r, B, H))
+        Wh = rng.uniform(-1, 1, (H, 3 * H))
+        W = nets._step_weights(Wh, H)
+        ws = nets._restep_buffers(h.shape[:-1], H, W)
+        nets._gate_products(h, W, ws)
+        want = np.stack([h[k].reshape(-1, H) @ nets._negate_rz(Wh, H)
+                         for k in range(3)])
+        np.testing.assert_array_equal(
+            ws[0], nets._gates(want.reshape(3, r, B, 3 * H), H))
+
+    @pytest.mark.parametrize("H", [5, 64])
+    def test_shared_products_and_in_place(self, rng, H):
+        # every copy and draw starts from one state per batch row, whose
+        # gate products perturbed_step_scores computes once over the batch
+        h0 = rng.uniform(-1, 1, (4, H))
+        h = np.broadcast_to(h0, (3, 2, 4, H)).copy()
+        Wh, x, want = self._case(rng, h, cached=False)
+        W = nets._step_weights(Wh, H)
+        start = nets._restep_buffers((1, 4), H, W)
+        nets._gate_products(h0[None], W, start)
+        np.testing.assert_array_equal(
+            self._restep(x, h, Wh, products=start[0][:, :, None]), want)
+        nets._restep(x, h, W, nets._restep_buffers(h.shape[:-1], H, W),
+                     out=h)
+        np.testing.assert_array_equal(h, want)
+
+    @pytest.mark.parametrize("H", [5, 64])
+    @pytest.mark.parametrize("bias", [-800.0, 800.0])
+    def test_saturated_gates_raise_no_warning(self, rng, H, bias):
+        h = rng.uniform(-1, 1, (3, 2, 4, H))
+        Wh, x, want = self._case(rng, h, bias=bias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore"):  # as the callers' loops do
+                got = self._restep(x, h, Wh)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("B", [1, 2, 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("rows", [1, 2, 4, 12, 192])
+def test_step_chunks_cover_every_row(B, r, rows):
+    copies, draws = nets._step_chunks(7, B, r, rows)
+    # the draw ranges cover each draw once, whole copies or one at a time
+    assert [d for lo, hi in draws for d in range(lo, hi)] == list(range(r))
+    assert copies == 1 or draws == [(0, r)]
+    if B * r > 1:  # a range never takes the one-row route of its copy
+        assert min(hi - lo for lo, hi in draws) * B >= 2
