@@ -6,13 +6,14 @@ CSV with mean and std over folds, trained classifier checkpoints, and SVG
 line charts for the metrics that carry a mask-fraction axis.
 
 Every fold re-seeds data generation and model training (seed + fold), so a
-run is fully determined by its config. With jobs above 1, whole rounds of
-`jobs` folds run in a process pool, one fold per process; each fold left
-over (all of them when there are fewer folds than jobs) runs in the
-calling process, with its explainers as named stages on a pool of the
-jobs. Every explainer runs in one process, and rows are written in a
-fixed order, so the job count never changes a byte. CLAIMS holds the
-paper's claims; evaluate_claims checks them against a run directory.
+run is fully determined by its config. With jobs above 1 and several
+folds, the folds run in a process pool, one fold per process: all of them
+when there are no more folds than jobs, else whole rounds of `jobs` folds.
+A fold left over, or a fold that runs alone, runs in the calling process,
+with its explainers as named stages on a pool of the jobs. Every explainer
+runs in one process, and rows are written in a fixed order, so the job
+count never changes a byte. CLAIMS holds the paper's claims;
+evaluate_claims checks them against a run directory.
 """
 
 from __future__ import annotations
@@ -355,10 +356,16 @@ def run_experiment(cfg: ExperimentConfig):
             cfg.out_dir, "models", f"fold{fold}.json"))
         all_rows.extend(rows)
 
-    # whole rounds of `jobs` folds run in a fold pool, each fold running
-    # its explainer stages one after another; the folds left over run here,
-    # each with its stages on all the jobs, so no core waits for the last
-    pooled = cfg.folds - cfg.folds % cfg.jobs if cfg.jobs > 1 else 0
+    # folds run in a fold pool, each running its explainer stages one after
+    # another: every fold when there are no more folds than jobs, else whole
+    # rounds of `jobs` folds. A fold left over runs here, with its stages on
+    # all the jobs, so no core waits for the last one
+    if cfg.jobs < 2 or cfg.folds < 2:
+        pooled = 0
+    elif cfg.folds <= cfg.jobs:
+        pooled = cfg.folds
+    else:
+        pooled = cfg.folds - cfg.folds % cfg.jobs
     if pooled:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -326,8 +326,9 @@ def target_score(x_data, params: ClassifierParams, target=1):
 # rows of perturbed copies that perturbed_step_scores steps at once, at most
 # (see _step_rows)
 _CHUNK_ROWS = 512
-# OpenBLAS multiplies an (M, K) @ (K, N) product with M*N*K at most this
-# with its small-matrix kernel, which packs nothing
+# scipy-openblas 0.3.31 multiplies an (M, K) @ (K, N) product with M*N*K
+# at most this with its small-matrix kernel, which packs nothing; with
+# another BLAS the bound only sets the chunk size
 _SMALL_PRODUCT = 10**6
 # perturbed_step_scores scores min(T, STEP_BLOCKS) contiguous step blocks
 # (see step_blocks)
@@ -399,11 +400,17 @@ def _step_weights(Wh, H):
     when H is a multiple of _GATE_BLOCK_COLUMNS, else the (H, 3H) matrix.
 
     A gate block's product has the bits of the same columns of the whole
-    h @ W_h only where the BLAS sums both alike. scipy-openblas 0.3.31
-    does when H is a multiple of 8, the width of its vector kernels
-    (measured for H = 8 .. 256 in steps of 8, 1 .. 2048 rows, 1 and 2
-    threads), and not in general: at H = 17 .. 20 every row count
-    differs."""
+    h @ W_h only where the BLAS sums both alike, which depends on its
+    kernels. scipy-openblas 0.3.31's SkylakeX kernels do when H is a
+    multiple of 8 (measured for H = 8 .. 256 in steps of 8, 1 .. 2048
+    rows, 1 and 2 threads), and not in general: at H = 17 .. 20 every row
+    count differs. Its Haswell, Sandybridge, Nehalem and Prescott kernels
+    keep the rule on one thread at the row counts tried (1 .. 512); on
+    two, all but Sandybridge break it for some row counts. Where it
+    breaks, scores move in their last bits and tests/test_nets.py's
+    gate-block cases at H = 64 and 200 fail. Three products instead of
+    one whole product copied into the blocks ran the occlusion_icu
+    benchmark 1.12x faster."""
     Wh = _negate_rz(Wh, H)
     if H % _GATE_BLOCK_COLUMNS:
         return Wh
@@ -416,7 +423,9 @@ def _step_rows(W):
     keep each h @ W product within _SMALL_PRODUCT. At H = 64 a
     (192, 64) @ (64, 64) gate product took 177 ns a row, against 268 ns at
     256 rows, past that bound (scipy-openblas 0.3.31, one thread); below
-    128 rows numpy's per-call cost outweighs the gain."""
+    128 rows numpy's per-call cost outweighs the gain. These chunks, with
+    the draw ranges of _step_chunks, ran the occlusion_icu benchmark 1.13x
+    faster than chunks of _CHUNK_ROWS whole copies."""
     rows = _SMALL_PRODUCT // (W.shape[-2] * W.shape[-1])
     return min(_CHUNK_ROWS, rows) if rows >= 128 else _CHUNK_ROWS
 
@@ -458,7 +467,7 @@ def _gate_products(h, W, ws):
         np.copyto(g, _gates(whole, H))
 
 
-def _restep(x, h, W, ws, out, products=None):
+def _restep(x, h, W, ws, out):
     """The _gru_cell step of perturbed_step_scores, on gate blocks: writes
     the new state of h into out, which may be h.
 
@@ -467,20 +476,16 @@ def _restep(x, h, W, ws, out, products=None):
     exact, so the gate sums are exactly _gru_cell's negated ones and the
     sigmoid skips its negation pass; ws (_restep_buffers) takes every
     result, each ufunc runs on contiguous blocks, and nothing is
-    allocated. The step has _gru_cell's bits. products, if given, are the
-    gate products h @ W_h, broadcasting to h's rows; else the step
-    computes them into ws.
+    allocated. The step has _gru_cell's bits.
     """
+    _gate_products(h, W, ws)
     g = ws[0]
-    if products is None:
-        _gate_products(h, W, ws)
-        products = g
     rz, c = g[:2], g[2]
-    np.add(products[:2], x[:2], out=rz)
+    rz += x[:2]
     np.exp(rz, out=rz)  # callers ignore overflow around the loop
     rz += 1.0
     np.reciprocal(rz, out=rz)
-    np.multiply(products[2], g[0], out=c)
+    np.multiply(g[2], g[0], out=c)
     c += x[2]
     np.tanh(c, out=c)
     np.subtract(h, c, out=out)
@@ -503,11 +508,10 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     and the input projections x_s @ W_x + b, as gate blocks. A copy starts
     from the cached state next to step t (before it going forward, after
     it going in reverse) and re-steps only the states that change,
-    reusing the cached projections at every step but t, and the gate
-    products of the state it starts from, computed once for all copies.
-    Copies go through about _step_rows rows at a time: several whole
-    copies, or one copy's draws in ranges. Their rows are ordered
-    draw-major, so that a cached projection broadcasts over whole blocks.
+    reusing the cached projections at every step but t. Copies go through
+    about _step_rows rows at a time: several whole copies, or one copy's
+    draws in ranges. Their rows are ordered draw-major, so that a cached
+    projection broadcasts over whole blocks.
     The cache and every re-step are _restep, which has _gru_cell's bits,
     and each copy's logits are one matrix-vector product over the rows of
     the copy's batch, as in classifier_forward, so every score equals
@@ -532,8 +536,8 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     Xc = np.repeat(X, 2, axis=0) if B == 1 < r else X
     Bc = len(Xc)
     # (W_x, W_h, b, reverse, projections, states), r and z negated (see
-    # _restep), the projections (3, T, Bc, H) gate blocks, the states
-    # (T, Bc, H)
+    # _restep), the projections (3, T, B, H) gate blocks, the states
+    # (T, B, H)
     passes = []
     with np.errstate(over="ignore"):  # the gate sigmoids of _restep
         for dp, reverse in _passes(params.gru):
@@ -548,10 +552,11 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                 np.copyto(xg[:, s], _gates(xs, H))
                 _restep(xg[:, s, None], h[None], Wh, ws, out=states[s][None])
                 h = states[s]
-            passes.append((Wx, Wh, bias, reverse, xg[:, :, :B], states))
+            passes.append((Wx, Wh, bias, reverse, xg[:, :, :B],
+                           states[:, :B]))
     D = H * len(passes)
     rows = _step_rows(passes[0][1])
-    zeros = np.zeros((Bc, H))
+    zeros = np.zeros((B, H))
 
     def readout_states(copies, t0):
         """Each copy's output states at the positions the readout reads,
@@ -566,19 +571,17 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
             if reverse:
                 lo = max(t0 + 1, first)
                 cat[..., lo - first:, cols] = \
-                    states[lo:, :B].transpose(1, 0, 2)[:, None]
+                    states[lo:].transpose(1, 0, 2)[:, None]
             elif t0 > first:
                 cat[..., :t0 - first, cols] = \
-                    states[first:t0, :B].transpose(1, 0, 2)[:, None]
+                    states[first:t0].transpose(1, 0, 2)[:, None]
         return cat
 
     @np.errstate(over="ignore")  # the gate and readout sigmoids
     def block(t0, t1):
-        # per pass, the gate products of the cached state that every copy
-        # starts from; per chunk size, step t's projections as computed and
-        # as gate blocks; per pass and chunk shape, the re-stepped states
+        # per chunk size, step t's projections as computed and as gate
+        # blocks; per pass and chunk shape, the re-stepped states
         # (c, draws, B, H) and their workspace. Every step reuses them
-        starts = [_restep_buffers((1, Bc), H, Wh) for _, Wh, *_ in passes]
         projections, steppers = {}, {}
         scores = None
         for t in range(t0, t1):
@@ -594,14 +597,13 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
             # from the cached state next to t; the states read on the near
             # side are the cached ones
             spans, h0 = [], []
-            for (_, Wh, _, reverse, _, states), ws in zip(passes, starts):
+            for _, _, _, reverse, _, states in passes:
                 if reverse:
                     spans.append(range(t, first - 1, -1))
                     h0.append(states[t + 1] if t + 1 < T else zeros)
                 else:
                     spans.append(range(t, T))
                     h0.append(states[t - 1] if t > 0 else zeros)
-                _gate_products(h0[-1][None], Wh, ws)
             for k0 in range(0, len(rep), copies):
                 chunk = rep[k0:k0 + copies]
                 c = len(chunk)
@@ -615,21 +617,17 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                     proj += bias
                     np.copyto(x_t, _gates(proj.reshape(c, B, r, 3 * H),
                                           H).swapaxes(2, 3))
-                    start = starts[p][0][:, :, None, :B]
                     for d0, d1 in draws:
                         if (p, c, d1 - d0) not in steppers:
                             steppers[p, c, d1 - d0] = (
                                 np.empty((c, d1 - d0, B, H)),
                                 _restep_buffers((c, d1 - d0, B), H, Wh))
                         h, ws = steppers[p, c, d1 - d0]
-                        h[...] = h0[p][:B]
+                        h[...] = h0[p]
                         for s in spans[p]:
-                            if s == t:
-                                _restep(x_t[:, :, d0:d1], h, Wh, ws, out=h,
-                                        products=start)
-                            else:
-                                _restep(xg[:, s, None, None], h, Wh, ws,
-                                        out=h)
+                            x_s = x_t[:, :, d0:d1] if s == t else \
+                                xg[:, s, None, None]
+                            _restep(x_s, h, Wh, ws, out=h)
                             if s >= first:
                                 cat[:c, :, d0:d1, s - first, cols] = \
                                     h.swapaxes(1, 2)
@@ -641,7 +639,7 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
             for p, (_, _, _, reverse, _, states) in enumerate(passes):
                 if not reverse and t >= first:
                     cat[..., t - first, p * H:(p + 1) * H] = \
-                        states[t, :B][:, None]
+                        states[t][:, None]
         return scores
 
     bounds = step_blocks(T, params)

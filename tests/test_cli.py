@@ -1,3 +1,4 @@
+import collections
 import configparser
 import csv
 import os
@@ -419,6 +420,17 @@ class TestRun:
         last = {pid for _, pid, _, _ in calls[12:]}
         assert len(last) >= 2
         assert not last & (pooled | {str(os.getpid())})
+
+    def test_fewer_folds_than_jobs_all_run_in_the_fold_pool(
+            self, tmp_path, small_profile, explainer_calls):
+        # both folds of 2 run side by side at --jobs 3, each in its own
+        # fold-pool worker with its stages one after another
+        code = run_cli("run", "--experiment", "hmm", "--out",
+                       str(tmp_path / "run"), "--folds", "2", "--jobs", "3")
+        assert code == 0
+        pids = collections.Counter(pid for _, pid, _, _ in explainer_calls())
+        assert sorted(pids.values()) == [6, 6]
+        assert str(os.getpid()) not in pids
 
     def test_lambda_grid_jobs_two_writes_identical_csv_bytes(
             self, tmp_path, small_profile, monkeypatch, explainer_calls):

@@ -90,6 +90,8 @@ def test_hmm_matches_choice_reference(seed, transition):
 @pytest.mark.parametrize("transition, match", [
     ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], "two states"),
     ([[1.2, -0.2], [0.5, 0.5]], "non-negative"),
+    # np.allclose accepts this row; rng.choice rejects it
+    ([[0.9, 0.1 + 1e-6], [0.5, 0.5]], "sum to 1"),
 ])
 def test_hmm_transition_checked(transition, match):
     with pytest.raises(ValueError, match=match):

@@ -276,12 +276,11 @@ class TestRestepMatchesGruCell:
         return Wh, x[:, None, None] if cached else x, want
 
     @staticmethod
-    def _restep(x, h, Wh, products=None):
+    def _restep(x, h, Wh):
         H = h.shape[-1]
         W = nets._step_weights(Wh, H)
         out = np.empty_like(h)
-        nets._restep(x, h, W, nets._restep_buffers(h.shape[:-1], H, W), out,
-                     products=products)
+        nets._restep(x, h, W, nets._restep_buffers(h.shape[:-1], H, W), out)
         return out
 
     # W_h is split into gate blocks at 64 and 200, and stays whole at 1, 5
@@ -313,17 +312,12 @@ class TestRestepMatchesGruCell:
             ws[0], nets._gates(want.reshape(3, r, B, 3 * H), H))
 
     @pytest.mark.parametrize("H", [5, 64])
-    def test_shared_products_and_in_place(self, rng, H):
-        # every copy and draw starts from one state per batch row, whose
-        # gate products perturbed_step_scores computes once over the batch
-        h0 = rng.uniform(-1, 1, (4, H))
-        h = np.broadcast_to(h0, (3, 2, 4, H)).copy()
+    def test_in_place(self, rng, H):
+        # every copy and draw starts from one state per batch row, and
+        # perturbed_step_scores steps it in place
+        h = np.broadcast_to(rng.uniform(-1, 1, (4, H)), (3, 2, 4, H)).copy()
         Wh, x, want = self._case(rng, h, cached=False)
         W = nets._step_weights(Wh, H)
-        start = nets._restep_buffers((1, 4), H, W)
-        nets._gate_products(h0[None], W, start)
-        np.testing.assert_array_equal(
-            self._restep(x, h, Wh, products=start[0][:, :, None]), want)
         nets._restep(x, h, W, nets._restep_buffers(h.shape[:-1], H, W),
                      out=h)
         np.testing.assert_array_equal(h, want)
