@@ -197,9 +197,11 @@ def cmd_train(args):
 
 
 def cmd_explain(args):
+    if args.samples is not None and args.samples < 1:
+        raise SystemExit(f"--samples is {args.samples}; it must be >= 1")
     ds = data.load_dataset(args.data)
     model = nets.load_classifier(args.model).freeze()
-    X = ds.X[: args.samples] if args.samples else ds.X
+    X = ds.X if args.samples is None else ds.X[: args.samples]
     seed = args.seed or 0
     if args.method == "learned":
         cfg = ex.ExplainerConfig(lambda1=args.lambda1, lambda2=args.lambda2,
@@ -424,10 +426,10 @@ def build_parser():
     r.add_argument("--seed", type=int, default=None)
     r.add_argument(
         "--jobs", type=int, default=None,
-        help="processes: several folds run in a pool of this size, and a "
-             "single fold runs its explainers on it; every process runs "
-             "OpenBLAS on one thread, and the count never changes a byte "
-             f"(default: the usable CPUs, {ex.usable_cpus()} here)")
+        help="processes for the run's tasks: every fold's data and "
+             "training, then one task per fold and method; every process "
+             "runs OpenBLAS on one thread, and the count never changes a "
+             f"byte (default: the usable CPUs, {ex.usable_cpus()} here)")
     r.add_argument("--force", action="store_true")
     r.add_argument("--ablation", choices=("lambda",), default=None)
     r.add_argument("--compare-generators", action="store_true",

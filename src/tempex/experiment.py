@@ -6,23 +6,23 @@ CSV with mean and std over folds, trained classifier checkpoints, and SVG
 line charts for the metrics that carry a mask-fraction axis.
 
 Every fold re-seeds data generation and model training (seed + fold), so a
-run is fully determined by its config. With jobs above 1 and several
-folds, the folds run in a process pool, one fold per process: all of them
-when there are no more folds than jobs, else whole rounds of `jobs` folds.
-A fold left over, or a fold that runs alone, runs in the calling process,
-with its explainers as named stages on a pool of the jobs. Every explainer
-runs in one process, and rows are written in a fixed order, so the job
-count never changes a byte. CLAIMS holds the paper's claims;
-evaluate_claims checks them against a run directory.
+run is fully determined by its config. A run is one ordered list of tasks
+on a pool of `jobs` processes: first every fold's data and classifier
+(fold_data), then every fold's tasks (hmm_fold, icu_fold), fold by fold and
+heaviest first within a fold, each one explainer with its metric rows.
+Every explainer runs in one process, and each fold's rows are written in a
+fixed method order, so the job count never changes a byte. CLAIMS holds
+the paper's claims; evaluate_claims checks them against a run directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import operator
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -87,8 +87,8 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 0
     out_dir: str = "runs/out"
-    # processes: the fold pool, and the explainer stages of each fold
-    # that runs outside it
+    # processes for the run's tasks: each fold's data and training, then
+    # each fold's explainers, one task per method
     jobs: int = field(default_factory=ex.usable_cpus)
     ablation: str = None  # "lambda" for the 5x5 grid (HMM only)
     compare_generators: bool = False
@@ -119,29 +119,52 @@ def _stage(name):
 
 
 # ---------------------------------------------------------------------------
-# fold pipelines
+# fold tasks
 
 
-def _run_stages(stages, jobs):
-    """{name: fn()} for the (name, fn) stages, each under its own
-    _stage("explain:" + name), on min(len(stages), jobs) processes
-    (explainers._map_blocks forks them when there are two or more). List the heaviest stages first: the pool
-    hands them out in order. Each fn calls its explainer with workers=1,
-    and the caller writes its rows in a fixed method order, so no byte of
-    the output depends on jobs."""
-    def run(i):
-        name, fn = stages[i]
-        with _stage(f"explain:{name}"):
-            return fn()
+def fold_data(cfg: ExperimentConfig, fold: int):
+    """The first phase of a fold, under the stages "generate" and "train":
+    (eval subset, frozen classifier, every series), with the data and the
+    classifier seeded by seed + fold."""
+    s = cfg.settings()
+    fold_seed = cfg.seed + fold
+    with _stage("generate"):
+        if cfg.experiment == HMM:
+            ds = data.generate_hmm(data.HmmConfig(
+                n_series=s["n_series"], n_steps=s["n_steps"],
+                seed=fold_seed))
+        else:
+            ds = data.generate_icu_like(s["n_series"], n_steps=s["n_steps"],
+                                        seed=fold_seed)
+    with _stage("train"):
+        readout = nets.PER_TIMESTEP if cfg.experiment == HMM \
+            else nets.FINAL_STEP
+        model = nets.init_classifier(np.random.default_rng(fold_seed),
+                                     ds.X.shape[2], s["hidden"],
+                                     readout=readout)
+        model, _ = nets.train_classifier(
+            ds, model, nets.TrainConfig(epochs=s["epochs"], seed=fold_seed))
+    sub = ds.subset(np.arange(min(s["eval_samples"], ds.n_samples)))
+    return sub, model.freeze(), ds.X
 
-    # the stages are closures, so they reach the workers by fork with
-    # `run`, and only their indices are pickled
-    results = ex._map_blocks(run, [(i,) for i in range(len(stages))], jobs)
-    return {name: r for (name, _), r in zip(stages, results)}
+
+def _explain_tasks(stages, rows):
+    """A (method, fn) task per (method, explain) stage: fn() runs explain()
+    under _stage("explain:" + method), with its explainer on workers=1, and
+    returns rows(method, scores), computed under _stage("metrics")."""
+    def task(method, explain):
+        def run():
+            with _stage(f"explain:{method}"):
+                scores = explain()
+            with _stage("metrics"):
+                return rows(method, scores)
+        return method, run
+
+    return [task(method, explain) for method, explain in stages]
 
 
 def _baseline_stages(X, model, reference, seed):
-    """The BASELINES of a fold as _run_stages stages, heaviest first."""
+    """The BASELINES of a fold as stages, heaviest first."""
     return [
         ("augmented_occlusion", lambda: ex.augmented_occlusion(
             X, model, reference, seed=seed, workers=1).scores),
@@ -151,30 +174,12 @@ def _baseline_stages(X, model, reference, seed):
     ]
 
 
-def _train_fold_classifier(ds, fold_seed, s, experiment):
-    if experiment == HMM:
-        model = nets.init_classifier(np.random.default_rng(fold_seed),
-                                     ds.X.shape[2], s["hidden"])
-    else:
-        model = nets.init_classifier(np.random.default_rng(fold_seed),
-                                     ds.X.shape[2], s["hidden"],
-                                     readout=nets.FINAL_STEP)
-    model, _ = nets.train_classifier(
-        ds, model, nets.TrainConfig(epochs=s["epochs"], seed=fold_seed))
-    return model.freeze()
-
-
-def hmm_fold(cfg: ExperimentConfig, fold: int):
-    """One HMM fold: rows of (method, metric, value) ground-truth metrics."""
-    s = cfg.settings()
+def hmm_fold(cfg: ExperimentConfig, fold: int, sub, model, X):
+    """The tasks of one HMM fold on fold_data's output, heaviest first, and
+    its methods in row order. Each task returns its method's rows of
+    ground-truth metrics."""
     fold_seed = cfg.seed + fold
-    with _stage("generate"):
-        ds = data.generate_hmm(data.HmmConfig(
-            n_series=s["n_series"], n_steps=s["n_steps"], seed=fold_seed))
-    with _stage("train"):
-        model = _train_fold_classifier(ds, fold_seed, s, HMM)
-    sub = ds.subset(np.arange(min(s["eval_samples"], ds.n_samples)))
-    it = s["iterations"]
+    it = cfg.settings()["iterations"]
 
     def learned(**kw):
         return ex.explain_learned(
@@ -182,52 +187,40 @@ def hmm_fold(cfg: ExperimentConfig, fold: int):
             ex.ExplainerConfig(iterations=it, seed=fold_seed, **kw),
             workers=1).scores
 
+    def rows(method, scores):
+        rep = mt.ground_truth_report(scores, sub.true_saliency)
+        return [[method, metric, "", "", getattr(rep, metric), fold]
+                for metric in ("aup", "aur", "information", "entropy")]
+
     if cfg.ablation == "lambda":
         stages = [(grid_method(l1, l2), partial(learned, lambda1=l1,
                                                  lambda2=l2))
                   for l1 in LAMBDAS for l2 in LAMBDAS]
-    else:
-        augmented, *baselines = _baseline_stages(sub.X, model, ds.X,
-                                                 fold_seed)
-        stages = [
-            ("learned_preservation", learned),
-            # in the deletion game the mask stays at 1 on unimportant
-            # cells and is driven to 0 where removal destroys the
-            # prediction, so the importance is 1 - m
-            ("learned_deletion", lambda: 1.0 - learned(mode=ex.DELETION)),
-            augmented,
-            ("dynamask", lambda: ex.explain_dynamask(
-                sub.X, model, ex.DynamaskConfig(iterations=it),
-                workers=1).scores),
-            *baselines,
-        ]
-    saliencies = _run_stages(stages, cfg.jobs)
-    methods = [name for name, _ in stages] if cfg.ablation == "lambda" \
-        else ["learned_preservation", "learned_deletion", "dynamask",
-              *BASELINES]
-    rows = []
-    with _stage("metrics"):
-        for method in methods:
-            rep = mt.ground_truth_report(saliencies[method],
-                                         sub.true_saliency)
-            for metric in ("aup", "aur", "information", "entropy"):
-                rows.append([method, metric, "", "", getattr(rep, metric),
-                             fold])
-    return rows, model
+        return _explain_tasks(stages, rows), [name for name, _ in stages]
+    augmented, *baselines = _baseline_stages(sub.X, model, X, fold_seed)
+    stages = [
+        ("learned_preservation", learned),
+        # in the deletion game the mask stays at 1 on unimportant cells
+        # and is driven to 0 where removal destroys the prediction, so the
+        # importance is 1 - m
+        ("learned_deletion", lambda: 1.0 - learned(mode=ex.DELETION)),
+        augmented,
+        ("dynamask", lambda: ex.explain_dynamask(
+            sub.X, model, ex.DynamaskConfig(iterations=it),
+            workers=1).scores),
+        *baselines,
+    ]
+    return _explain_tasks(stages, rows), [
+        "learned_preservation", "learned_deletion", "dynamask", *BASELINES]
 
 
-def icu_fold(cfg: ExperimentConfig, fold: int):
-    """One ICU-like fold: masked-prediction metrics over fractions and
-    substitutions, plus the front/back masking curve."""
+def icu_fold(cfg: ExperimentConfig, fold: int, sub, model, X):
+    """The tasks of one ICU-like fold on fold_data's output, heaviest
+    first, and its methods in row order: masked-prediction metrics over
+    fractions and substitutions per method, then the front/back masking
+    curve."""
     s = cfg.settings()
     fold_seed = cfg.seed + fold
-    with _stage("generate"):
-        ds = data.generate_icu_like(s["n_series"], n_steps=s["n_steps"],
-                                    seed=fold_seed)
-    with _stage("train"):
-        model = _train_fold_classifier(ds, fold_seed, s, ICU)
-    sub = ds.subset(np.arange(min(s["eval_samples"], ds.n_samples)))
-    it = s["iterations"]
     generators = [("learned_preservation", BIDIRECTIONAL)]
     if cfg.compare_generators:
         generators += [("learned_gru", UNIDIRECTIONAL),
@@ -235,48 +228,46 @@ def icu_fold(cfg: ExperimentConfig, fold: int):
 
     def learned(kind):
         return ex.explain_learned(
-            sub.X, model, ex.ExplainerConfig(generator=kind, iterations=it,
-                                             seed=fold_seed),
+            sub.X, model, ex.ExplainerConfig(
+                generator=kind, iterations=s["iterations"], seed=fold_seed),
             workers=1).scores
 
-    saliencies = _run_stages(
-        [(name, partial(learned, kind)) for name, kind in generators]
-        + _baseline_stages(sub.X, model, ds.X, fold_seed), cfg.jobs)
-    methods = [name for name, _ in generators] + list(BASELINES)
+    def rows(method, scores):
+        out = []
+        for frac in s.get("fractions", FRACTIONS):
+            for subst in SUBSTITUTIONS:
+                rep = mt.masked_prediction_metrics(model, sub, scores, frac,
+                                                   subst)
+                for metric in ("accuracy", "cross_entropy",
+                               "comprehensiveness", "sufficiency"):
+                    out.append([method, metric, frac, subst,
+                                getattr(rep, metric), fold])
+        return out
 
-    rows = []
-    with _stage("metrics"):
-        fractions = s.get("fractions", FRACTIONS)
-        for method in methods:
-            scores = saliencies[method]
-            for frac in fractions:
-                for subst in SUBSTITUTIONS:
-                    rep = mt.masked_prediction_metrics(model, sub, scores,
-                                                       frac, subst)
-                    for metric in ("accuracy", "cross_entropy",
-                                   "comprehensiveness", "sufficiency"):
-                        rows.append([method, metric, frac, subst,
-                                     getattr(rep, metric), fold])
-        T = sub.X.shape[1]
-        curve = mt.positive_rate_masking_curve(model, sub,
-                                               [0, T // 4, T // 2, T])
-        for i, k in enumerate(curve["k"]):
-            rows.append(["masking_curve", "positive_rate_mask_first",
-                         k / T, mt.ZEROS, curve["mask_first"][i], fold])
-            rows.append(["masking_curve", "positive_rate_mask_last",
-                         k / T, mt.ZEROS, curve["mask_last"][i], fold])
-    return rows, model
+    def masking_curve():
+        with _stage("metrics"):
+            T = sub.X.shape[1]
+            curve = mt.positive_rate_masking_curve(model, sub,
+                                                   [0, T // 4, T // 2, T])
+            out = []
+            for i, k in enumerate(curve["k"]):
+                out.append(["masking_curve", "positive_rate_mask_first",
+                            k / T, mt.ZEROS, curve["mask_first"][i], fold])
+                out.append(["masking_curve", "positive_rate_mask_last",
+                            k / T, mt.ZEROS, curve["mask_last"][i], fold])
+            return out
+
+    tasks = _explain_tasks(
+        [(name, partial(learned, kind)) for name, kind in generators]
+        + _baseline_stages(sub.X, model, X, fold_seed), rows)
+    tasks.append(("masking_curve", masking_curve))
+    methods = [name for name, _ in generators] + [*BASELINES,
+                                                  "masking_curve"]
+    return tasks, methods
 
 
 # ---------------------------------------------------------------------------
 # run orchestration
-
-
-def _fold_runner(args):
-    cfg, fold = args
-    fn = hmm_fold if cfg.experiment == HMM else icu_fold
-    rows, model = fn(cfg, fold)
-    return fold, rows, model
 
 
 def _fmt(v):
@@ -337,8 +328,15 @@ def _write_aggregated(path, agg):
 def run_experiment(cfg: ExperimentConfig):
     """Execute all folds and write results, aggregates and charts.
 
+    The tasks run on explainers._map_blocks with cfg.jobs processes, in
+    two phases: fold_data for every fold, then the tasks of hmm_fold or
+    icu_fold for every fold, in fold order. A fold's rows and classifier
+    are written as soon as its tasks are back.
+
     Returns the path of the per-fold results CSV. Raises StageError with
-    the failing stage name; rows from completed folds are already on disk.
+    the failing stage name. A generate or train failure stops the run
+    before any fold's rows are written; after a later failure, the rows of
+    the folds completed before it are on disk.
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {cfg.experiment!r}")
@@ -346,38 +344,29 @@ def run_experiment(cfg: ExperimentConfig):
     os.makedirs(os.path.join(cfg.out_dir, "models"), exist_ok=True)
     results_path = os.path.join(cfg.out_dir, f"{cfg.experiment}_results.csv")
 
+    # phase 1: every fold's data and classifier; phase 2: every fold's
+    # tasks, fold by fold. The tasks are closures, so they reach the
+    # workers by fork, and only their indices are pickled
+    folds = list(ex._map_blocks(partial(fold_data, cfg),
+                                [(f,) for f in range(cfg.folds)], cfg.jobs))
+    build = hmm_fold if cfg.experiment == HMM else icu_fold
+    plans = [build(cfg, f, *fd) for f, fd in enumerate(folds)]
+    fns = [fn for tasks, _ in plans for _, fn in tasks]
     all_rows = []
-
-    def flush(fold, rows, model):
-        # folds arrive in fold order; each is flushed as it arrives so a
-        # later failure keeps the earlier folds on disk
-        _write_rows(results_path, rows, append=fold > 0)
-        nets.save_classifier(model, os.path.join(
-            cfg.out_dir, "models", f"fold{fold}.json"))
-        all_rows.extend(rows)
-
-    # folds run in a fold pool, each running its explainer stages one after
-    # another: every fold when there are no more folds than jobs, else whole
-    # rounds of `jobs` folds. A fold left over runs here, with its stages on
-    # all the jobs, so no core waits for the last one
-    if cfg.jobs < 2 or cfg.folds < 2:
-        pooled = 0
-    elif cfg.folds <= cfg.jobs:
-        pooled = cfg.folds
-    else:
-        pooled = cfg.folds - cfg.folds % cfg.jobs
-    if pooled:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # forked, so the workers keep the caller's BLAS thread count
-        with ProcessPoolExecutor(
-                cfg.jobs,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            for result in pool.map(_fold_runner, [
-                    (replace(cfg, jobs=1), f) for f in range(pooled)]):
-                flush(*result)
-    for f in range(pooled, cfg.folds):
-        flush(*_fold_runner((cfg, f)))
+    # closing shuts the pool down as soon as the last fold is written
+    with contextlib.closing(ex._map_blocks(
+            lambda i: fns[i](), [(i,) for i in range(len(fns))],
+            cfg.jobs)) as results:
+        for fold, ((tasks, methods), (_, model, _)) in enumerate(
+                zip(plans, folds)):
+            by_method = {method: next(results) for method, _ in tasks}
+            rows = [row for method in methods for row in by_method[method]]
+            # each fold is written as soon as its tasks are back, so a
+            # later failure keeps the earlier folds on disk
+            _write_rows(results_path, rows, append=fold > 0)
+            nets.save_classifier(model, os.path.join(
+                cfg.out_dir, "models", f"fold{fold}.json"))
+            all_rows.extend(rows)
 
     with _stage("aggregate"):
         agg = aggregate(all_rows)

@@ -90,6 +90,8 @@ class DynamaskConfig:
     def __post_init__(self):
         if not 0 < self.area <= 1:
             raise ValueError("area must be in (0, 1]")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
 
 
 @dataclass
@@ -270,17 +272,20 @@ def _run_worker_block(args):
 
 
 def _map_blocks(block, tasks, workers, blas_threads=None):
-    """[block(*args) for args in tasks], in task order, on a fork pool of
-    min(len(tasks), workers) processes when both exceed 1 (workers None:
-    the usable CPUs), each running OpenBLAS on blas_threads threads (None:
-    the parent's count). The pool hands the tasks out in order, so list
-    the longest first. block reaches the workers by fork, not by
-    pickling, and a worker's exception is raised here as itself."""
+    """Yield block(*args) for args in tasks, lazily and in task order, so
+    the caller can use each result before the later tasks finish. With
+    min(len(tasks), workers) above 1 (workers None: the usable CPUs), the
+    tasks run on a fork pool of that many processes, each running OpenBLAS
+    on blas_threads threads (None: the parent's count); else they run here.
+    The pool hands the tasks out in order, so list the longest first. block
+    reaches the workers by fork, not by pickling, and a worker's exception
+    is raised here as itself. This is the package's only process pool."""
     if workers is None:
         workers = usable_cpus()
     procs = min(len(tasks), workers)
     if procs <= 1:
-        return [block(*args) for args in tasks]
+        yield from (block(*args) for args in tasks)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     # fork hands block (a closure over the batch and the classifier) to the
@@ -289,7 +294,7 @@ def _map_blocks(block, tasks, workers, blas_threads=None):
             procs, mp_context=multiprocessing.get_context("fork"),
             initializer=_set_worker_block,
             initargs=(block, blas_threads)) as pool:
-        return list(pool.map(_run_worker_block, tasks))
+        yield from pool.map(_run_worker_block, tasks)
 
 
 def _map_step_blocks(workers):

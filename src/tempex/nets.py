@@ -519,8 +519,8 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
 
     The steps of one step_blocks block are scored by block(lo, hi), which
     returns scores[lo:hi] and reads the cache, built before any block
-    runs. map_blocks(block, bounds) returns [block(lo, hi) for (lo, hi) in
-    bounds], possibly computed elsewhere (default: here, in order). Each
+    runs. map_blocks(block, bounds) gives block(lo, hi) for (lo, hi) in
+    bounds, in order, possibly computed elsewhere (default: here). Each
     step is independent of the others, so the blocks give the scores of
     one pass over all steps, bit for bit.
     """
@@ -643,7 +643,7 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
         return scores
 
     bounds = step_blocks(T, params)
-    parts = map_blocks(block, bounds) if map_blocks is not None \
+    parts = list(map_blocks(block, bounds)) if map_blocks is not None \
         else [block(*b) for b in bounds]
     return np.concatenate(parts)
 

@@ -1,4 +1,3 @@
-import collections
 import configparser
 import csv
 import os
@@ -8,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tempex import cli, data, experiment as xp
+from tempex import cli, data, experiment as xp, nets
 from tempex import explainers as ex
 
 ICU_FULL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -107,6 +106,20 @@ class TestGenerateTrainExplain:
                 str(sal))
         out = capsys.readouterr().out
         assert "aup" in out and "aur" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_explain_rejects_fewer_than_one_sample(self, tiny_dataset,
+                                                   tmp_path, samples):
+        model = tmp_path / "m.json"
+        run_cli("train", "--data", str(tiny_dataset), "--out", str(model),
+                "--hidden", "4", "--epochs", "1")
+        sal = tmp_path / "sal.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("explain", "--data", str(tiny_dataset), "--model",
+                    str(model), "--method", "occlusion", "--samples",
+                    samples, "--out", str(sal))
+        assert "--samples" in str(exc.value)
+        assert not sal.exists()
 
 
 class TestRun:
@@ -321,15 +334,14 @@ class TestRun:
             k: str(v) for k, v in xp.PROFILES[xp.HMM, xp.FAST].items()}
 
     def _fail_fold_one(self, tmp_path, monkeypatch, capsys, *extra):
-        orig = xp.hmm_fold
+        orig = ex.explain_learned
 
-        def boom(cfg, fold):
-            if fold == 1:
-                with xp._stage("explain:learned_preservation"):
-                    raise RuntimeError("synthetic failure")
-            return orig(cfg, fold)
+        def boom(X, model, config, **kw):
+            if config.seed == 1:  # fold 1 of seed 0
+                raise RuntimeError("synthetic failure")
+            return orig(X, model, config, **kw)
 
-        monkeypatch.setattr(xp, "hmm_fold", boom)
+        monkeypatch.setattr(ex, "explain_learned", boom)
         out = tmp_path / "run"
         code = run_cli("run", "--experiment", "hmm", "--profile", "fast",
                        "--out", str(out), "--folds", "2", *extra)
@@ -348,12 +360,33 @@ class TestRun:
 
     def test_failure_in_worker_names_stage_and_keeps_partials(
             self, tmp_path, small_profile, monkeypatch, capsys):
-        # workers are forked, so they inherit the patched fold function
+        # workers are forked, so they inherit the patched explainer
         self._fail_fold_one(tmp_path, monkeypatch, capsys, "--jobs", "2")
+
+    def test_train_failure_in_worker_names_stage(self, tmp_path,
+                                                 small_profile, monkeypatch,
+                                                 capsys):
+        parent, train = os.getpid(), nets.train_classifier
+
+        def boom(*args, **kw):
+            if os.getpid() != parent:
+                raise RuntimeError("synthetic failure")
+            return train(*args, **kw)
+
+        monkeypatch.setattr(nets, "train_classifier", boom)
+        out = tmp_path / "run"
+        code = run_cli("run", "--experiment", "hmm", "--out", str(out),
+                       "--folds", "2", "--jobs", "2")
+        assert code == 1
+        assert "error in stage 'train': synthetic failure" in \
+            capsys.readouterr().err
+        # no fold's rows are written before every fold is trained
+        assert not (out / "hmm_results.csv").exists()
+        assert not os.listdir(out / "models")
 
     def test_block_failure_names_stage_with_one_fold(
             self, tmp_path, small_profile, diverges_in_workers, capsys):
-        # one fold in-process, its explainer stages on 2 workers
+        # one fold trained in-process, its explainer tasks on 2 workers
         code = run_cli("run", "--experiment", "hmm", "--out",
                        str(tmp_path / "run"), "--folds", "1", "--jobs", "2")
         assert code == 1
@@ -363,7 +396,7 @@ class TestRun:
 
     def test_block_failure_in_occlusion_names_stage(
             self, tmp_path, small_profile, short_draws_in_workers, capsys):
-        # one fold in-process, its explainer stages on 2 workers
+        # one fold trained in-process, its explainer tasks on 2 workers
         code = run_cli("run", "--experiment", "hmm", "--out",
                        str(tmp_path / "run"), "--folds", "1", "--jobs", "2")
         assert code == 1
@@ -371,12 +404,13 @@ class TestRun:
         assert "error in stage 'explain:augmented_occlusion': " \
             "replacements(" in err
 
-    def _same_bytes_at_jobs_one_and_two(self, tmp_path, experiment,
-                                        explainer_calls, *argv):
-        """Run at --jobs 1 and 2, assert equal CSV bytes and that every
-        explainer got workers=1; returns each run's explainer calls."""
+    def _same_bytes_at_jobs(self, tmp_path, experiment, explainer_calls,
+                            job_counts, *argv):
+        """Run at each --jobs of job_counts, assert equal CSV bytes and that
+        every explainer got workers=1; returns each run's explainer
+        calls."""
         outs, calls = [], []
-        for jobs in ("1", "2"):
+        for jobs in job_counts:
             out = tmp_path / "_".join((experiment, *argv, "jobs", jobs))
             code = run_cli("run", "--experiment", experiment, "--profile",
                            "fast", "--out", str(out), *argv, "--jobs", jobs)
@@ -386,8 +420,9 @@ class TestRun:
             assert {workers for name, _, workers, _ in calls[-1]
                     if name != "integrated_gradients"} == {"1"}
         for name in ("results", "aggregated"):
-            a, b = (o / f"{experiment}_{name}.csv" for o in outs)
-            assert a.read_bytes() == b.read_bytes()
+            first, *others = (o / f"{experiment}_{name}.csv" for o in outs)
+            for other in others:
+                assert other.read_bytes() == first.read_bytes()
         return calls
 
     @pytest.mark.parametrize("experiment", [xp.HMM, xp.ICU])
@@ -395,56 +430,51 @@ class TestRun:
                                                  small_profile, monkeypatch,
                                                  explainer_calls,
                                                  experiment):
-        # several folds run in a pool; one fold runs its explainer stages
-        # on the jobs, each stage in one process, where the 8 rows make
-        # two row blocks of 4
-        self._same_bytes_at_jobs_one_and_two(tmp_path, experiment,
-                                             explainer_calls, "--folds", "3")
+        # every fold's tasks share the jobs, each explainer in one
+        # process, where the 8 rows make two row blocks of 4
+        self._same_bytes_at_jobs(tmp_path, experiment, explainer_calls,
+                                 ("1", "2", "3"), "--folds", "3")
         monkeypatch.setattr(ex, "BLOCK_ROWS", 4)
-        one, two = self._same_bytes_at_jobs_one_and_two(
-            tmp_path, experiment, explainer_calls, "--folds", "1")
+        one, two = self._same_bytes_at_jobs(
+            tmp_path, experiment, explainer_calls, ("1", "2"), "--folds", "1")
         assert {pid for _, pid, _, _ in one} == {str(os.getpid())}
         assert len({pid for _, pid, _, _ in two}) >= 2
         assert str(os.getpid()) not in {pid for _, pid, _, _ in two}
 
-    def test_leftover_fold_runs_its_stages_on_the_jobs(
-            self, tmp_path, small_profile, explainer_calls):
-        # folds 0 and 1 of 3 run in the fold pool at --jobs 2; fold 2 runs
-        # after the pool closes, with its stages on two fresh workers
-        code = run_cli("run", "--experiment", "hmm", "--out",
-                       str(tmp_path / "run"), "--folds", "3", "--jobs", "2")
+    def test_every_fold_shares_one_task_pool(self, tmp_path, small_profile,
+                                             explainer_calls):
+        # the 3 folds' 18 explainer tasks run on the 2 jobs, none here
+        out = tmp_path / "run"
+        code = run_cli("run", "--experiment", "hmm", "--out", str(out),
+                       "--folds", "3", "--jobs", "2")
         assert code == 0
         calls = explainer_calls()
         assert len(calls) == 18
-        pooled = {pid for _, pid, _, _ in calls[:12]}
-        last = {pid for _, pid, _, _ in calls[12:]}
-        assert len(last) >= 2
-        assert not last & (pooled | {str(os.getpid())})
-
-    def test_fewer_folds_than_jobs_all_run_in_the_fold_pool(
-            self, tmp_path, small_profile, explainer_calls):
-        # both folds of 2 run side by side at --jobs 3, each in its own
-        # fold-pool worker with its stages one after another
-        code = run_cli("run", "--experiment", "hmm", "--out",
-                       str(tmp_path / "run"), "--folds", "2", "--jobs", "3")
-        assert code == 0
-        pids = collections.Counter(pid for _, pid, _, _ in explainer_calls())
-        assert sorted(pids.values()) == [6, 6]
-        assert str(os.getpid()) not in pids
+        pids = {pid for _, pid, _, _ in calls}
+        assert len(pids) >= 2 and str(os.getpid()) not in pids
+        assert {workers for name, _, workers, _ in calls
+                if name != "integrated_gradients"} == {"1"}
+        # the rows come fold by fold, four per method, in the fixed method
+        # order, not in the tasks' heaviest-first order
+        methods = ["learned_preservation", "learned_deletion", "dynamask",
+                   *xp.BASELINES]
+        rows = xp.load_results(out / "hmm_results.csv")
+        assert [(r["fold"], r["method"]) for r in rows[::4]] == \
+            [(str(f), m) for f in range(3) for m in methods]
 
     def test_lambda_grid_jobs_two_writes_identical_csv_bytes(
             self, tmp_path, small_profile, monkeypatch, explainer_calls):
         monkeypatch.setattr(xp, "LAMBDAS", (0.1, 1.0))
-        _, two = self._same_bytes_at_jobs_one_and_two(
-            tmp_path, xp.HMM, explainer_calls, "--folds", "1", "--ablation",
-            "lambda")
+        _, two = self._same_bytes_at_jobs(
+            tmp_path, xp.HMM, explainer_calls, ("1", "2"), "--folds", "1",
+            "--ablation", "lambda")
         assert len(two) == 4 and len({pid for _, pid, _, _ in two}) >= 2
 
     @pytest.mark.parametrize("folds", ["1", "2"])
     def test_run_workers_use_one_blas_thread(self, tmp_path, small_profile,
                                              explainer_calls, folds):
-        # stage workers with one fold, fold-pool workers with two; the
-        # caller's own count comes back when the run returns
+        # the task workers of one fold and of two; the caller's own count
+        # comes back when the run returns
         get = ex._openblas_threads("get")
         set_threads = ex._openblas_threads("set")
         before = get()

@@ -494,10 +494,10 @@ class TestStepBlocks:
         assert get is not None and ex._openblas_threads("set") is not None
         before = get()
         blocks = [(0, 1), (1, 2)]
-        assert ex._map_step_blocks(2)(lambda lo, hi: get(), blocks) \
+        assert list(ex._map_step_blocks(2)(lambda lo, hi: get(), blocks)) \
             == [1, 1]
         # the row blocks' workers keep the parent's count
-        assert ex._map_blocks(lambda lo, hi: get(), blocks, 2) \
+        assert list(ex._map_blocks(lambda lo, hi: get(), blocks, 2)) \
             == [before] * 2
         assert get() == before
 
@@ -593,3 +593,10 @@ def test_saliency_csv_roundtrip(tmp_path, rng):
     ex.save_saliency_csv(sal, p)
     back = ex.load_saliency_csv(p)
     np.testing.assert_array_equal(back.scores, sal.scores)
+
+
+@pytest.mark.parametrize("config", [ex.ExplainerConfig, ex.DynamaskConfig])
+def test_config_rejects_negative_iterations(config):
+    config(iterations=0)
+    with pytest.raises(ValueError, match="iterations must be >= 0"):
+        config(iterations=-1)
