@@ -441,9 +441,10 @@ class TestRun:
         assert len({pid for _, pid, _, _ in two}) >= 2
         assert str(os.getpid()) not in {pid for _, pid, _, _ in two}
 
-    def test_every_fold_shares_one_task_pool(self, tmp_path, small_profile,
-                                             explainer_calls):
-        # the 3 folds' 18 explainer tasks run on the 2 jobs, none here
+    def test_leftover_fold_runs_its_stages_on_the_jobs(
+            self, tmp_path, small_profile, explainer_calls):
+        # the 3 folds' 18 explainer tasks run on the 2 jobs, none here: the
+        # fold that a round of 2 folds leaves over shares the one task pool
         out = tmp_path / "run"
         code = run_cli("run", "--experiment", "hmm", "--out", str(out),
                        "--folds", "3", "--jobs", "2")
@@ -461,6 +462,20 @@ class TestRun:
         rows = xp.load_results(out / "hmm_results.csv")
         assert [(r["fold"], r["method"]) for r in rows[::4]] == \
             [(str(f), m) for f in range(3) for m in methods]
+
+    def test_fewer_folds_than_jobs_all_run_in_the_fold_pool(
+            self, tmp_path, small_profile, explainer_calls):
+        # 2 folds at --jobs 3: their 12 explainer tasks spread over the 3
+        # jobs rather than one fold per worker, none here
+        code = run_cli("run", "--experiment", "hmm", "--out",
+                       str(tmp_path / "run"), "--folds", "2", "--jobs", "3")
+        assert code == 0
+        calls = explainer_calls()
+        assert len(calls) == 12
+        pids = {pid for _, pid, _, _ in calls}
+        assert 2 <= len(pids) <= 3 and str(os.getpid()) not in pids
+        assert {workers for name, _, workers, _ in calls
+                if name != "integrated_gradients"} == {"1"}
 
     def test_lambda_grid_jobs_two_writes_identical_csv_bytes(
             self, tmp_path, small_profile, monkeypatch, explainer_calls):
