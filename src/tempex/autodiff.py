@@ -35,7 +35,6 @@ __all__ = [
     "tabs",
     "clamp",
     "concatenate",
-    "take",
     "reshape",
     "sort_last_axis",
     "cross_entropy_with_logits",
@@ -509,9 +508,9 @@ def cross_entropy_with_logits(logits, targets):
 class Adam:
     """Standard Adam with bias correction.
 
-    Parameters may carry a leading batch axis shared with `active`: rows
-    whose flag is False are left untouched, moments included, so a batched
-    run with per-sample freezing matches independent per-sample runs.
+    Parameters may carry a leading batch axis: keep_rows drops rows of
+    every parameter and both moments, so the rows kept go on exactly as in
+    an optimizer that never held the others (their steps share one count).
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -522,41 +521,31 @@ class Adam:
         self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # per-row step counters let frozen rows keep their bias correction
-        self.t = [np.zeros(p.shape[0] if p.ndim > 0 else 1, dtype=np.int64)
-                  for p in self.params]
+        # a numpy integer: numpy's beta ** t differs from Python's float
+        # power in the last bit for some t
+        self.t = np.int64(0)
 
-    def step(self, active=None):
-        """Apply one update. `active` is an optional boolean (B,) array
-        gating rows along each parameter's leading axis. While every row
-        is active the update is the ungated one, without row copies."""
-        rows = None if active is None else np.asarray(active, dtype=bool)
-        if rows is not None and rows.all():
-            rows = None
+    def step(self):
+        """Apply one update to every parameter."""
+        self.t += 1
         for i, p in enumerate(self.params):
             if p.grad is None:
                 name = p.name or f"param[{i}]"
                 raise ValueError(f"Adam.step: missing gradient for {name}")
             g = p.grad
-            if rows is None:
-                self.t[i] += 1
-                t = self.t[i].reshape((-1,) + (1,) * (p.ndim - 1)) \
-                    if p.ndim > 0 else self.t[i]
-                self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-                self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g**2
-                mhat = self.m[i] / (1 - self.beta1**t)
-                vhat = self.v[i] / (1 - self.beta2**t)
-                p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            elif rows.any():
-                self.t[i][rows] += 1
-                t = self.t[i][rows].reshape((-1,) + (1,) * (p.ndim - 1))
-                gm = self.beta1 * self.m[i][rows] + (1 - self.beta1) * g[rows]
-                gv = self.beta2 * self.v[i][rows] + (1 - self.beta2) * g[rows] ** 2
-                self.m[i][rows] = gm
-                self.v[i][rows] = gv
-                mhat = gm / (1 - self.beta1**t)
-                vhat = gv / (1 - self.beta2**t)
-                p.data[rows] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g**2
+            mhat = self.m[i] / (1 - self.beta1**self.t)
+            vhat = self.v[i] / (1 - self.beta2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+    def keep_rows(self, rows):
+        """Keep only `rows` (an index or boolean array) along the leading
+        axis of every parameter and of its moments."""
+        for i, p in enumerate(self.params):
+            p.data = p.data[rows]
+            self.m[i] = self.m[i][rows]
+            self.v[i] = self.v[i][rows]
 
     def zero_grad(self):
         for p in self.params:

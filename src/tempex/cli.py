@@ -171,7 +171,17 @@ def _resolve_seed(args, file_conf):
 # verbs
 
 
+def _at_least(args, **minimums):
+    """Raise SystemExit naming the first flag below its minimum."""
+    for key, low in minimums.items():
+        value = getattr(args, key)
+        if value is not None and value < low:
+            raise SystemExit(f"--{key.replace('_', '-')} is {value}; it "
+                             f"must be >= {low}")
+
+
 def cmd_generate(args):
+    _at_least(args, n_series=1, n_steps=1)
     if args.experiment == xp.HMM:
         ds = data.generate_hmm(data.HmmConfig(
             n_series=args.n_series, n_steps=args.n_steps, seed=args.seed or 0))
@@ -183,6 +193,7 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
+    _at_least(args, epochs=1, hidden=1)
     ds = data.load_dataset(args.data)
     seed = args.seed or 0
     model = nets.init_classifier(np.random.default_rng(seed),
@@ -197,8 +208,7 @@ def cmd_train(args):
 
 
 def cmd_explain(args):
-    if args.samples is not None and args.samples < 1:
-        raise SystemExit(f"--samples is {args.samples}; it must be >= 1")
+    _at_least(args, samples=1, iterations=0, lambda1=0, lambda2=0, steps=1)
     ds = data.load_dataset(args.data)
     model = nets.load_classifier(args.model).freeze()
     X = ds.X if args.samples is None else ds.X[: args.samples]
@@ -266,6 +276,8 @@ def _run(args):
                          "pass --force to overwrite")
     cfg = xp.ExperimentConfig(seed=_resolve_seed(args, file_conf),
                               out_dir=out_dir, overrides=overrides, **run)
+    if args.force:
+        xp.remove_run_files(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     _echo_config(cfg, os.path.join(out_dir, "config.ini"))
     try:
@@ -430,7 +442,8 @@ def build_parser():
              "training, then one task per fold and method; every process "
              "runs OpenBLAS on one thread, and the count never changes a "
              f"byte (default: the usable CPUs, {ex.usable_cpus()} here)")
-    r.add_argument("--force", action="store_true")
+    r.add_argument("--force", action="store_true",
+                   help="first delete an earlier run's files in --out")
     r.add_argument("--ablation", choices=("lambda",), default=None)
     r.add_argument("--compare-generators", action="store_true",
                    default=None, dest="compare_generators")

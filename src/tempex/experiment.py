@@ -17,8 +17,10 @@ the paper's claims; evaluate_claims checks them against a run directory.
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import csv
+import glob
 import operator
 import os
 from collections import namedtuple
@@ -378,6 +380,16 @@ def run_experiment(cfg: ExperimentConfig):
     return results_path
 
 
+def remove_run_files(out_dir):
+    """Delete the results, aggregates, charts and classifiers that a run
+    writes to out_dir, and no other file."""
+    patterns = [f"{exp}_{kind}" for exp in EXPERIMENTS
+                for kind in ("results.csv", "aggregated.csv", "*.svg")]
+    for pattern in patterns + [os.path.join("models", "fold*.json")]:
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(path)
+
+
 # ---------------------------------------------------------------------------
 # paper claims, checked by `tempex report` and by the acceptance tests
 # (tests/test_acceptance.py) whose names they carry
@@ -393,12 +405,18 @@ def read_run(run_dir):
     """(experiment, aggregated, per_fold) of the run in run_dir: its
     aggregated rows (dicts) and per-fold {fold: value}, keyed by (method,
     metric), plus (fraction, substitution) for rows that have a fraction.
-    Raises FileNotFoundError if run_dir has no aggregated CSV."""
-    for exp in EXPERIMENTS:
+    The experiment is the one the run's config.ini names, else the first
+    with an aggregated CSV. Raises FileNotFoundError if run_dir has no
+    aggregated CSV of it."""
+    config = configparser.ConfigParser()
+    config.read(os.path.join(run_dir, "config.ini"))
+    named = config.get("run", "experiment", fallback=None)
+    candidates = (named,) if named else EXPERIMENTS
+    for exp in candidates:
         if os.path.exists(os.path.join(run_dir, f"{exp}_aggregated.csv")):
             break
     else:
-        expected = ", ".join(f"{e}_aggregated.csv" for e in EXPERIMENTS)
+        expected = ", ".join(f"{e}_aggregated.csv" for e in candidates)
         raise FileNotFoundError(f"no aggregated results in {run_dir!r}; "
                                 f"expected one of: {expected}")
     agg, folds = {}, {}

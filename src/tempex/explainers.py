@@ -34,6 +34,8 @@ from .perturbation import (
     PerturbationGenerator,
     apply_fixed,
     apply_learned,
+    blend,
+    fixed_surrogate,
 )
 
 PRESERVATION = "preservation"
@@ -142,34 +144,26 @@ def _minmax_per_sample(raw):
     return out
 
 
-def _row_view(rows, x, mask, ref, gen=None):
-    """The rows still being optimized: the input, the mask, the reference
-    probabilities and the generator. The mask and generator parameters
-    become taped row views (ad.take), so their gradients scatter back
-    into full-length arrays that Adam.step(active=...) can gate."""
-    if len(rows) == x.shape[0]:
-        return Tensor(x), mask.values, ref, gen
-    return (Tensor(x[rows]), ad.take(mask.values, rows), ref[rows],
-            gen.rows(rows) if gen is not None else None)
-
-
-def _optimize_mask(mask, optimizers, config, loss_rows):
+def _optimize_mask(mask, optimizers, config, loss, inputs):
     """The optimization loop of both mask explainers.
 
-    Each iteration tapes `loss_rows(rows)` for the active rows only; it
-    returns their per-row loss Tensor and a dict of per-row loss terms.
-    The updates are gated by the full-length active flag. A row freezes
-    once its loss has not dropped early_stop_tol below its best for
-    early_stop_patience iterations, and is not computed after that. So a
-    frozen row's loss history repeats its last computed loss, and its
-    terms are those of its last computed iteration.
+    Each iteration tapes `loss(*inputs)`, which returns the per-row loss
+    Tensor of the mask's rows and a dict of per-row loss terms, and steps
+    the optimizers, one of which holds the mask. A row freezes once its
+    loss has not dropped early_stop_tol below its best for
+    early_stop_patience iterations: its mask row goes into the scores, and
+    the row leaves the optimizers (Adam.keep_rows) and `inputs`, the
+    loss's row-led arrays, so the loss only ever sees live rows. A frozen
+    row's loss history repeats its last computed loss, and its terms are
+    those of its last computed iteration.
 
-    Returns (iterations_run, iterations_per_row, history, terms), where
-    iterations_per_row[b] is the iteration count at which row b froze (the
-    run's count for a row that never froze).
+    Returns (scores, iterations_run, iterations_per_row, history, terms),
+    where iterations_per_row[b] is the iteration count at which row b froze
+    (the run's count for a row that never froze).
     """
     B = mask.data.shape[0]
-    active = np.ones(B, dtype=bool)
+    scores = np.empty_like(mask.data)
+    live = np.arange(B)  # the block rows still optimized, in order
     best = np.full(B, np.inf)
     stall = np.zeros(B, dtype=np.int64)
     per_row = np.zeros(B, dtype=np.int64)
@@ -178,30 +172,36 @@ def _optimize_mask(mask, optimizers, config, loss_rows):
     terms = {}
     iterations_run = 0
     for it in range(config.iterations):
-        rows = np.flatnonzero(active)
         with ad.Tape():
-            loss_b, row_terms = loss_rows(rows)
+            loss_b, row_terms = loss(*inputs)
             vals = loss_b.data.copy()
             if not np.all(np.isfinite(vals)):
                 raise DivergenceError(f"non-finite loss at iteration {it}")
             ad.tsum(loss_b).backward()
-        last[rows] = vals
+        last[live] = vals
         history[it] = last
         for name, value in row_terms.items():
-            terms.setdefault(name, np.zeros(B))[rows] = value
+            terms.setdefault(name, np.zeros(B))[live] = value
         for opt in optimizers:
-            opt.step(active=active)
+            opt.step()
         mask.project()
         for opt in optimizers:
             opt.zero_grad()
-        iterations_run = per_row[rows] = it + 1
-        improved = vals < best[rows] - config.early_stop_tol
-        stall[rows] = np.where(improved, 0, stall[rows] + 1)
-        best[rows] = np.minimum(best[rows], vals)
-        active[rows] = stall[rows] < config.early_stop_patience
-        if not active.any():
+        iterations_run = per_row[live] = it + 1
+        improved = vals < best - config.early_stop_tol
+        stall = np.where(improved, 0, stall + 1)
+        best = np.minimum(best, vals)
+        keep = stall < config.early_stop_patience
+        if not keep.all():
+            scores[live[~keep]] = mask.data[~keep]
+            live, best, stall = live[keep], best[keep], stall[keep]
+            for opt in optimizers:
+                opt.keep_rows(keep)
+            inputs = [a[keep] for a in inputs]
+        if not live.size:
             break
-    return iterations_run, per_row, history[:iterations_run].copy(), terms
+    scores[live] = mask.data
+    return scores, iterations_run, per_row, history[:iterations_run], terms
 
 
 def _row_blocks(B):
@@ -345,20 +345,20 @@ def _learned_block(X, ref, classifier, config, seeds):
     if gen.parameters():
         optimizers.append(ad.Adam(gen.parameters(), lr=config.generator_lr))
 
-    def loss_rows(rows):
-        x_r, m, ref_r, gen_r = _row_view(rows, X, mask, ref, gen)
-        phi, nn_x = apply_learned(x_r, m, gen_r)
+    def loss(x, ref):
+        m = mask.values
+        phi, nn_x = apply_learned(x, m, gen)
         logits = classifier_forward(phi, classifier)
         if config.target == 0:
             logits = ad.neg(logits)
-        ce_b = _per_sample_ce(logits, ref_r)
-        m_flat = ad.reshape(m, (len(rows), T * n))
+        ce_b = _per_sample_ce(logits, ref)
+        m_flat = ad.reshape(m, (len(x), T * n))
         if config.mode == PRESERVATION:
             m_term = ad.tmean(m_flat, axis=1)
         else:
             m_term = ad.tmean(ad.sub(1.0, m_flat), axis=1)
         nn_term = ad.tmean(
-            ad.reshape(ad.tabs(nn_x), (len(rows), T * n)), axis=1)
+            ad.reshape(ad.tabs(nn_x), (len(x), T * n)), axis=1)
         loss_b = ad.add(
             ad.add(ad.mul(m_term, config.lambda1),
                    ad.mul(nn_term, config.lambda2)), ce_b)
@@ -366,9 +366,9 @@ def _learned_block(X, ref, classifier, config, seeds):
                         "generator_term": nn_term.data,
                         "ce_term": ce_b.data}
 
-    out = _optimize_mask(mask, optimizers, config, loss_rows)
+    out = _optimize_mask(mask, optimizers, config, loss, (X, ref))
     classifier.check_unchanged(snap)
-    return (mask.data, *out)
+    return out
 
 
 def explain_learned(x, classifier: ClassifierParams,
@@ -423,23 +423,27 @@ def _dynamask_block(X, ref, classifier, config):
     B, T, n = X.shape
     mask = Mask(B, T, n, init=0.5)
     r_a = Tensor(area_target(T * n, config.area))
+    # a window kind's surrogate does not depend on the mask: one per block
+    mu = fixed_surrogate(X, config.perturbation)
 
-    def loss_rows(rows):
-        x_r, m, ref_r, _ = _row_view(rows, X, mask, ref)
-        phi = apply_fixed(x_r, m, config.perturbation)
+    def loss(x, ref, mu=None):
+        m = mask.values
+        phi = apply_fixed(x, m, config.perturbation) if mu is None \
+            else blend(Tensor(x), m, Tensor(mu))
         logits = classifier_forward(phi, classifier)
         if config.target == 0:
             logits = ad.neg(logits)
-        ce_b = _per_sample_ce(logits, ref_r)
-        sorted_m = ad.sort_last_axis(ad.reshape(m, (len(rows), T * n)))
+        ce_b = _per_sample_ce(logits, ref)
+        sorted_m = ad.sort_last_axis(ad.reshape(m, (len(x), T * n)))
         d = ad.sub(sorted_m, r_a)
         reg_b = ad.tmean(ad.mul(d, d), axis=1)
         return ad.add(ad.mul(reg_b, config.reg_weight), ce_b), {}
 
+    inputs = (X, ref) if mu is None else (X, ref, mu)
     out = _optimize_mask(mask, [ad.Adam([mask.values], lr=config.lr)],
-                         config, loss_rows)
+                         config, loss, inputs)
     classifier.check_unchanged(snap)
-    return (mask.data, *out)
+    return out
 
 
 def explain_dynamask(x, classifier: ClassifierParams,

@@ -13,8 +13,7 @@ bidirectional GRU, each with a linear head back to the feature space.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,6 +122,21 @@ def _transpose_last2(x):
     return ad._record(out, (x,), backward)
 
 
+def blend(x, m, surrogate):
+    """m * x + (1 - m) * surrogate, per cell (Tensors)."""
+    return ad.add(ad.mul(m, x), ad.mul(ad.sub(1.0, m), surrogate))
+
+
+def fixed_surrogate(x, config: FixedPerturbationConfig):
+    """The surrogate mu of a window kind for the array x, which does not
+    depend on the mask; None for the blur kind, whose surrogate does."""
+    if config.kind == GAUSSIAN_BLUR:
+        return None
+    average = window_average if config.kind == WINDOW_AVERAGE \
+        else past_window_average
+    return average(x, config.window)
+
+
 def apply_fixed(x, m, config: FixedPerturbationConfig):
     """Fixed-surrogate perturbation. Window kinds blend per cell:
     m * x + (1 - m) * mu; the blur kind is the pure re-blur with
@@ -134,12 +148,8 @@ def apply_fixed(x, m, config: FixedPerturbationConfig):
         )
     if config.kind == GAUSSIAN_BLUR:
         return gaussian_blur(x, m, config.sigma_max)
-    if config.kind == WINDOW_AVERAGE:
-        mu = window_average(x_arr, config.window)
-    else:
-        mu = past_window_average(x_arr, config.window)
     x_t = x if isinstance(x, Tensor) else Tensor(x_arr)
-    return ad.add(ad.mul(m, x_t), ad.mul(ad.sub(1.0, m), Tensor(mu)))
+    return blend(x_t, m, Tensor(fixed_surrogate(x_arr, config)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +176,14 @@ class Mask:
 class PerturbationGenerator:
     """nn(x) of the learned operator. kind 'zero' has no parameters; the
     recurrent kinds hold one independent parameter set per batch row so a
-    joint batched optimization equals per-sample runs."""
+    joint batched optimization equals per-sample runs, and dropping rows
+    of every parameter (Adam.keep_rows) leaves a generator of the rest."""
 
     def __init__(self, kind, batch, n_features, hidden=32, seed=0,
                  row_seeds=None):
         if kind not in (ZERO, UNIDIRECTIONAL, BIDIRECTIONAL):
             raise ValueError(f"unknown generator kind {kind!r}")
         self.kind = kind
-        self.batch = batch
         self.n_features = n_features
         self.hidden = hidden
         if kind == ZERO:
@@ -220,31 +230,17 @@ class PerturbationGenerator:
 
     def forward(self, x):
         """x: Tensor (B, T, n) -> Tensor (B, T, n)."""
-        if x.shape[0] != self.batch or x.shape[2] != self.n_features:
+        rows = x.shape[0] if self.kind == ZERO else self.w_head.shape[0]
+        if x.shape[0] != rows or x.shape[2] != self.n_features:
             raise ad.ShapeError(
-                f"generator built for batch {self.batch} x features "
-                f"{self.n_features}, got input {x.shape}"
+                f"generator holds {rows} rows x {self.n_features} "
+                f"features, got input {x.shape}"
             )
         if self.kind == ZERO:
             return ad.zeros(x.shape)
         h = nets.gru_forward(x, self.gru)  # (B, T, D)
         out = ad.matmul(h, self.w_head)  # (B, T, n), batched
         return ad.add(out, self.b_head)
-
-    def rows(self, idx):
-        """This generator restricted to the batch rows `idx`. Its
-        parameters are taped row views (ad.take), so gradients scatter
-        back into the full parameters."""
-        view = copy.copy(self)
-        view.batch = len(idx)
-        if self.kind != ZERO:
-            p = [ad.take(t, idx) for t in self.parameters()]
-            view.gru = replace(
-                self.gru, fwd=nets.GruDirectionParams(*p[0:3]),
-                bwd=nets.GruDirectionParams(*p[3:6])
-                if self.gru.bwd is not None else None)
-            view.w_head, view.b_head = p[-2], p[-1]
-        return view
 
 
 def apply_learned(x, m, generator: PerturbationGenerator):
@@ -254,4 +250,4 @@ def apply_learned(x, m, generator: PerturbationGenerator):
     if m.shape != x.shape:
         raise ad.ShapeError(f"apply_learned: mask {m.shape} vs input {x.shape}")
     nn_x = generator.forward(x)
-    return ad.add(ad.mul(m, x), ad.mul(ad.sub(1.0, m), nn_x)), nn_x
+    return blend(x, m, nn_x), nn_x

@@ -122,6 +122,28 @@ class TestGenerateTrainExplain:
         assert not sal.exists()
 
 
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("generate", "--n-series", "0"), ("generate", "--n-steps", "0"),
+        ("train", "--epochs", "0"), ("train", "--hidden", "0"),
+        ("explain", "--steps", "0"), ("explain", "--iterations", "-1"),
+        ("explain", "--lambda1", "-1"), ("explain", "--lambda2", "-0.5"),
+    ])
+    def test_rejects_a_flag_below_its_minimum(self, tiny_dataset, tmp_path,
+                                              verb, flag, value):
+        model = tmp_path / "m.json"
+        inputs = {"generate": [], "train": ["--data", str(tiny_dataset)],
+                  "explain": ["--data", str(tiny_dataset), "--model",
+                              str(model), "--samples", "2"]}
+        if verb == "explain":
+            run_cli("train", "--data", str(tiny_dataset), "--out",
+                    str(model), "--hidden", "4", "--epochs", "1")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, *inputs[verb], "--out", str(out), flag, value)
+        assert str(exc.value).startswith(f"{flag} is ")
+        assert not out.exists()
+
+
 class TestRun:
     def _tiny_run(self, tmp_path, *extra):
         out = tmp_path / "run"
@@ -161,6 +183,24 @@ class TestRun:
             self._tiny_run(tmp_path)
         code, _ = self._tiny_run(tmp_path, "--force")
         assert code == 0
+
+    def test_force_replaces_only_an_earlier_runs_files(self, tmp_path,
+                                                       small_profile,
+                                                       capsys):
+        code, out = self._tiny_run(tmp_path, "--folds", "2")
+        assert code == 0 and (out / "models" / "fold1.json").exists()
+        (out / "notes.txt").write_text("kept")
+        code = run_cli("run", "--experiment", "icu_like", "--profile",
+                       "fast", "--out", str(out), "--folds", "1", "--jobs",
+                       "1", "--force")
+        assert code == 0
+        assert not list(out.glob("hmm_*"))
+        assert sorted(p.name for p in (out / "models").iterdir()) == \
+            ["fold0.json"]
+        assert (out / "notes.txt").read_text() == "kept"
+        capsys.readouterr()
+        assert run_cli("report", "--dir", str(out)) == 0
+        assert "substitution = " in capsys.readouterr().out
 
     def test_determinism_identical_csv_bytes(self, tmp_path, small_profile):
         _, out1 = self._tiny_run(tmp_path / "a")
@@ -513,6 +553,18 @@ class TestReport:
         with pytest.raises(SystemExit) as exc:
             run_cli("report", "--dir", str(tmp_path))
         assert "aggregated" in str(exc.value)
+
+    def test_report_reads_the_experiment_config_ini_names(self, tmp_path):
+        rows = [["occlusion", "aup", "", "", 0.5, 0]]
+        for exp in xp.EXPERIMENTS:
+            xp._write_aggregated(tmp_path / f"{exp}_aggregated.csv",
+                                 xp.aggregate(rows))
+        assert xp.read_run(tmp_path)[0] == xp.HMM
+        (tmp_path / "config.ini").write_text("[run]\nexperiment = icu_like\n")
+        assert xp.read_run(tmp_path)[0] == xp.ICU
+        (tmp_path / "icu_like_aggregated.csv").unlink()
+        with pytest.raises(FileNotFoundError, match="icu_like_aggregated"):
+            xp.read_run(tmp_path)
 
     def test_report_prints_tables(self, tmp_path, capsys):
         path = tmp_path / "hmm_aggregated.csv"
