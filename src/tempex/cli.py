@@ -234,6 +234,9 @@ def cmd_explain(args):
 
 
 def cmd_evaluate(args):
+    if not 0 < args.fraction < 1:
+        raise SystemExit(f"--fraction is {args.fraction}; it must be in "
+                         "(0, 1)")
     ds = data.load_dataset(args.data)
     sal = ex.load_saliency_csv(args.saliency)
     n = sal.scores.shape[0]

@@ -18,6 +18,7 @@ import contextlib
 import csv
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -231,21 +232,37 @@ def _openblas_threads(kind):
     return None
 
 
+_pin_lock = threading.Lock()
+_pins = 0  # single_blas_thread blocks running in this process
+_unpinned_threads = None  # the count before the first of them
+
+
 @contextlib.contextmanager
 def single_blas_thread():
     """Run OpenBLAS on one thread inside the block, and give the caller's
-    count back after it; where numpy's BLAS exports no thread functions
-    (see _openblas_threads), the block keeps the library's count."""
+    count back once the process's last such block returns, so blocks may
+    nest and run in several threads at once; where numpy's BLAS exports no
+    thread functions (see _openblas_threads), the block keeps the
+    library's count. Every public explainer runs under it, and the workers
+    it forks inherit the one thread, so an explainer's bytes depend
+    neither on `workers` nor on the caller's thread count."""
+    global _pins, _unpinned_threads
     get, set_threads = _openblas_threads("get"), _openblas_threads("set")
     if get is None or set_threads is None:
         yield
         return
-    before = get()
-    set_threads(1)
+    with _pin_lock:
+        if not _pins:
+            _unpinned_threads = get()
+            set_threads(1)
+        _pins += 1
     try:
         yield
     finally:
-        set_threads(before)
+        with _pin_lock:
+            _pins -= 1
+            if not _pins:
+                set_threads(_unpinned_threads)
 
 
 def usable_cpus():
@@ -257,29 +274,26 @@ def usable_cpus():
 _worker_block = None  # a forked worker's block function (_set_worker_block)
 
 
-def _set_worker_block(fn, blas_threads):
-    """A forked worker's initializer: keep the block function, and set
-    OpenBLAS's thread count (None: keep the parent's)."""
+def _set_worker_block(fn):
+    """A forked worker's initializer: keep the block function."""
     global _worker_block
     _worker_block = fn
-    set_threads = _openblas_threads("set") if blas_threads else None
-    if set_threads is not None:
-        set_threads(blas_threads)
 
 
 def _run_worker_block(args):
     return _worker_block(*args)
 
 
-def _map_blocks(block, tasks, workers, blas_threads=None):
+def _map_blocks(block, tasks, workers):
     """Yield block(*args) for args in tasks, lazily and in task order, so
     the caller can use each result before the later tasks finish. With
     min(len(tasks), workers) above 1 (workers None: the usable CPUs), the
-    tasks run on a fork pool of that many processes, each running OpenBLAS
-    on blas_threads threads (None: the parent's count); else they run here.
-    The pool hands the tasks out in order, so list the longest first. block
-    reaches the workers by fork, not by pickling, and a worker's exception
-    is raised here as itself. This is the package's only process pool."""
+    tasks run on a fork pool of that many processes, each with the
+    parent's OpenBLAS thread count (one inside an explainer or a run, see
+    single_blas_thread); else they run here. The pool hands the tasks out
+    in order, so list the longest first. block reaches the workers by
+    fork, not by pickling, and a worker's exception is raised here as
+    itself. This is the package's only process pool."""
     if workers is None:
         workers = usable_cpus()
     procs = min(len(tasks), workers)
@@ -292,33 +306,23 @@ def _map_blocks(block, tasks, workers, blas_threads=None):
     # workers without pickling it; the pool forks before it starts a thread
     with ProcessPoolExecutor(
             procs, mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_block,
-            initargs=(block, blas_threads)) as pool:
+            initializer=_set_worker_block, initargs=(block,)) as pool:
         yield from pool.map(_run_worker_block, tasks)
 
 
-def _map_step_blocks(workers):
-    """The map_blocks of perturbed_step_scores: its step blocks on
-    `workers` processes with one OpenBLAS thread each, since the workers
-    already use the cores. OpenBLAS's sums do not depend on its thread
-    count while a matrix product's inner size fits its K block (384 in
-    the scipy-openblas 0.3.31 build measured), and the step blocks'
-    inner sizes are n and H (their readout is a matrix-vector product,
-    which splits no sum), so up to H = 384 this moves no bit; the profiles
-    use H <= 200. The row blocks' backward multiplies over 3H, which at
-    H = 200 does not fit (a (24, 600) @ (600, 200) product gives other
-    last bits on one thread than on two), so the row blocks' workers keep
-    the parent's count."""
-    return partial(_map_blocks, workers=workers, blas_threads=1)
-
-
-def _optimize_blocks(B, block, workers):
-    """Run block(lo, hi) over the row blocks of a B-row batch and join
+def _optimize_blocks(shape, block, workers):
+    """Run block(lo, hi) over the row blocks of a batch of `shape` and join
     their (scores, iterations_run, iterations_per_row, history, terms) into
     one call's: the run's count is the longest block's, a block that
     stopped earlier repeats each row's last loss, and each term is the mean
-    over all rows. Returns (scores, metadata)."""
-    parts = _map_blocks(block, _row_blocks(B), workers)
+    over all rows. A batch of no rows runs no iteration and has no terms.
+    Returns (scores, metadata)."""
+    if not shape[0]:
+        return np.empty(shape), {
+            "iterations_run": 0,
+            "iterations_per_row": np.zeros(0, dtype=np.int64),
+            "loss_history": np.empty((0, 0))}
+    parts = _map_blocks(block, _row_blocks(shape[0]), workers)
     scores, counts, per_row, histories, terms = zip(*parts)
     its = max(counts)
     history = np.concatenate(
@@ -371,6 +375,7 @@ def _learned_block(X, ref, classifier, config, seeds):
     return out
 
 
+@single_blas_thread()
 def explain_learned(x, classifier: ClassifierParams,
                     config: ExplainerConfig = None,
                     sample_seeds=None, workers=None) -> SaliencyMap:
@@ -394,7 +399,7 @@ def explain_learned(x, classifier: ClassifierParams,
         sample_seeds = np.random.SeedSequence(config.seed).spawn(X.shape[0])
     ref = _reference_probs(X, classifier, config.mode, config.target)
     scores, meta = _optimize_blocks(
-        X.shape[0], lambda lo, hi: _learned_block(
+        X.shape, lambda lo, hi: _learned_block(
             X[lo:hi], ref[lo:hi], classifier, config, sample_seeds[lo:hi]),
         workers)
     meta.update(mode=config.mode, generator=config.generator)
@@ -446,6 +451,7 @@ def _dynamask_block(X, ref, classifier, config):
     return out
 
 
+@single_blas_thread()
 def explain_dynamask(x, classifier: ClassifierParams,
                      config: DynamaskConfig = None,
                      workers=None) -> SaliencyMap:
@@ -457,13 +463,14 @@ def explain_dynamask(x, classifier: ClassifierParams,
     _check_frozen(classifier)
     ref = _reference_probs(X, classifier, PRESERVATION, config.target)
     scores, meta = _optimize_blocks(
-        X.shape[0], lambda lo, hi: _dynamask_block(
+        X.shape, lambda lo, hi: _dynamask_block(
             X[lo:hi], ref[lo:hi], classifier, config),
         workers)
     meta.update(area=config.area, perturbation=config.perturbation.kind)
     return SaliencyMap(scores=scores, method="dynamask", metadata=meta)
 
 
+@single_blas_thread()
 def occlusion(x, classifier: ClassifierParams, baseline=0.0,
               target=1, workers=None) -> SaliencyMap:
     """Score of each cell: |f_c(x) - f_c(x with the cell set to baseline)|.
@@ -471,8 +478,8 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
     Copy i of the batch sets feature i to the baseline. All copies of one
     step go through perturbed_step_scores, which reuses the classifier's
     states on the unchanged side of that step. Its step blocks run on
-    `workers` processes (None: the usable CPUs); _map_step_blocks says
-    why that moves no bit.
+    `workers` processes (None: the usable CPUs), and like every explainer
+    on one OpenBLAS thread each, so the worker count moves no bit.
     """
     X = _as_batch(x)
     _check_frozen(classifier)
@@ -485,13 +492,15 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
         return rows
 
     base = target_score(X, classifier, target)
-    sc = perturbed_step_scores(X, classifier, replacements, target,
-                               map_blocks=_map_step_blocks(workers))
+    sc = perturbed_step_scores(
+        X, classifier, replacements, target,
+        map_blocks=partial(_map_blocks, workers=workers))
     raw = np.ascontiguousarray(np.abs(base - sc).transpose(2, 0, 1))
     return SaliencyMap(scores=_minmax_per_sample(raw), method="occlusion",
                        metadata={"raw": raw})
 
 
+@single_blas_thread()
 def augmented_occlusion(x, classifier: ClassifierParams,
                         reference: np.ndarray, draws=10, seed=0,
                         target=1, workers=None) -> SaliencyMap:
@@ -503,8 +512,9 @@ def augmented_occlusion(x, classifier: ClassifierParams,
     feature i, one draw per row. All draws are made up front, in the
     order t, then i, then row, and are the values rng.choice(pool[:, i],
     size=B * draws) gives for each t and i in turn. So the step blocks of
-    perturbed_step_scores can run in any order, on `workers` processes as
-    in occlusion.
+    perturbed_step_scores can run in any order, on `workers` processes and
+    one OpenBLAS thread each, as in occlusion. The reference's last axis
+    holds x's n features.
     """
     X = _as_batch(x)
     _check_frozen(classifier)
@@ -514,7 +524,10 @@ def augmented_occlusion(x, classifier: ClassifierParams,
     if draws < 1:
         raise ValueError("augmented_occlusion: draws must be >= 1")
     B, T, n = X.shape
-    pool = reference.reshape(-1, reference.shape[-1])  # (N*T, n)
+    if reference.shape[-1] != n:
+        raise ValueError(f"augmented_occlusion: reference {reference.shape} "
+                         f"has another feature count than x {X.shape}")
+    pool = reference.reshape(-1, n)  # (N*T, n)
     picks = np.random.default_rng(seed).integers(
         0, len(pool), size=(T, n, B * draws))  # pool rows
     cells = np.arange(n)
@@ -527,13 +540,15 @@ def augmented_occlusion(x, classifier: ClassifierParams,
     base = target_score(X, classifier, target)
     sc = perturbed_step_scores(
         X, classifier, replacements, target, repeats=draws,
-        map_blocks=_map_step_blocks(workers)).reshape(T, n, B, draws)
+        map_blocks=partial(_map_blocks, workers=workers)
+    ).reshape(T, n, B, draws)
     raw = np.abs(base[:, None] - sc).mean(axis=-1).transpose(2, 0, 1)
     raw = np.ascontiguousarray(raw)
     return SaliencyMap(scores=_minmax_per_sample(raw),
                        method="augmented_occlusion", metadata={"raw": raw})
 
 
+@single_blas_thread()
 def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
                          steps=50, target=1) -> SaliencyMap:
     """Midpoint-rule path integral of gradients from baseline to x. Raw

@@ -51,9 +51,12 @@ def aup_aur(scores, truth, grid=100):
     AUR of Dynamask (the integral of R(tau) over tau in (0, 1)), and scores
     (0, 0). Any other constant map degenerates to the single all-predicted
     point (base rate, 1); the docs do not settle constant maps strictly
-    between 0 and 1, which keep that convention.
+    between 0 and 1, which keep that convention. Non-finite scores raise
+    ValueError.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
+    if not np.isfinite(s).all():  # NaN would make every threshold NaN
+        raise ValueError("aup_aur: scores must be finite")
     a = np.asarray(truth, dtype=bool).ravel()
     if s.shape != a.shape:
         raise ValueError(f"scores {s.shape} vs truth {a.shape}")
@@ -113,8 +116,11 @@ def ground_truth_report(scores, truth, grid=100):
 
 def top_cells_mask(scores, fraction):
     """Boolean (N, T, n): the top `fraction` of cells per sample by score.
-    Ties break deterministically by flattened (t, feature) index."""
+    Ties break deterministically by flattened (t, feature) index;
+    non-finite scores raise ValueError."""
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("top_cells_mask: scores must be finite")
     N, T, n = scores.shape
     k = int(round(fraction * T * n))
     if k < 1:

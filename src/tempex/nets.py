@@ -59,30 +59,23 @@ class GruParams:
         return out
 
 
-def _init_direction(rng, n, hidden, batch, requires_grad):
+def _init_direction(rng, n, hidden):
     # uniform in [-k, k], k = 1/sqrt(H)
     k = 1.0 / np.sqrt(hidden)
     def u(shape):
-        full = shape if batch is None else (batch,) + shape
-        return Tensor(rng.uniform(-k, k, size=full), requires_grad=requires_grad)
-    return GruDirectionParams(
-        w_x=u((n, 3 * hidden)),
-        w_h=u((hidden, 3 * hidden)),
-        b=u((3 * hidden,)) if batch is None
-        else Tensor(rng.uniform(-k, k, size=(batch, 1, 3 * hidden)),
-                    requires_grad=requires_grad),
-    )
+        return Tensor(rng.uniform(-k, k, size=shape), requires_grad=True)
+    return GruDirectionParams(w_x=u((n, 3 * hidden)),
+                              w_h=u((hidden, 3 * hidden)),
+                              b=u((3 * hidden,)))
 
 
-def init_gru(rng, input_size, hidden_size, direction=FORWARD, batch=None,
-             requires_grad=True):
+def init_gru(rng, input_size, hidden_size, direction=FORWARD):
     if direction not in (FORWARD, BACKWARD, BIDIRECTIONAL):
         raise ValueError(f"unknown direction {direction!r}")
     p = GruParams(input_size, hidden_size, direction)
-    p.fwd = _init_direction(rng, input_size, hidden_size, batch, requires_grad)
+    p.fwd = _init_direction(rng, input_size, hidden_size)
     if direction == BIDIRECTIONAL:
-        p.bwd = _init_direction(rng, input_size, hidden_size, batch,
-                                requires_grad)
+        p.bwd = _init_direction(rng, input_size, hidden_size)
     return p
 
 

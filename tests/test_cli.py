@@ -143,6 +143,19 @@ class TestGenerateTrainExplain:
         assert str(exc.value).startswith(f"{flag} is ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1"])
+    def test_evaluate_rejects_a_fraction_outside_0_1(self, tmp_path,
+                                                     fraction):
+        # rejected before any of the (missing) files is read
+        missing = [str(tmp_path / name) for name in ("d.zip", "s.csv",
+                                                     "m.json")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--data", missing[0], "--saliency",
+                    missing[1], "--model", missing[2], "--fraction",
+                    fraction)
+        assert str(exc.value) == (f"--fraction is {float(fraction)}; it "
+                                  "must be in (0, 1)")
+
 
 class TestRun:
     def _tiny_run(self, tmp_path, *extra):

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from tempex import autodiff as ad
+from tempex import data
 from tempex import explainers as ex
 from tempex import nets
 from tempex import perturbation as pert
@@ -238,6 +240,21 @@ class TestRowBlocks:
         for (lo, hi), part in zip(ex._row_blocks(5), parts):
             self._assert_block(two, part, lo, hi)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("generator", [pert.ZERO, pert.UNIDIRECTIONAL,
+                                           pert.BIDIRECTIONAL, "dynamask"])
+    def test_empty_batch(self, toy_model, generator):
+        X = np.zeros((0, 8, 2))
+        if generator == "dynamask":
+            out = ex.explain_dynamask(X, toy_model)
+        else:
+            out = ex.explain_learned(
+                X, toy_model, ex.ExplainerConfig(generator=generator))
+        assert out.scores.shape == (0, 8, 2)
+        assert out.metadata["iterations_run"] == 0
+        assert out.metadata["iterations_per_row"].shape == (0,)
+        assert out.metadata["loss_history"].shape == (0, 0)
+
     @pytest.mark.parametrize("explain", [ex.explain_learned,
                                          ex.explain_dynamask])
     def test_worker_error_keeps_type_and_message(self, toy_model, rng,
@@ -305,6 +322,14 @@ class TestOcclusion:
         with pytest.raises(ValueError):
             ex.augmented_occlusion(_sample(rng), toy_model,
                                    np.zeros((0, 8, 2)))
+
+    @pytest.mark.parametrize("features", [1, 3])
+    def test_augmented_reference_has_the_feature_count(self, toy_model, rng,
+                                                       features):
+        with pytest.raises(ValueError, match=rf"reference \(4, 8, "
+                           rf"{features}\) .* x \(1, 8, 2\)"):
+            ex.augmented_occlusion(_sample(rng), toy_model,
+                                   rng.uniform(-1, 1, (4, 8, features)))
 
     def test_augmented_requires_a_draw(self, toy_model, rng):
         with pytest.raises(ValueError, match="draws"):
@@ -412,7 +437,8 @@ class TestOcclusionMatchesPerCellLoops:
 
     def test_icu_full_hidden_size(self, rng):
         # at H = 200 the step products are large enough for OpenBLAS to
-        # split them over threads, here and not in the one-thread workers
+        # split them over threads in the loops, which run on the caller's
+        # count, and not in the explainers, which run on one thread
         X = rng.uniform(-1, 1, (8, 6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
         self._check(X, self._model(nets.FORWARD, nets.FINAL_STEP,
@@ -451,8 +477,8 @@ class TestOcclusionMatchesPerCellLoops:
 
 class TestStepBlocks:
     """perturbed_step_scores runs its steps in step_blocks blocks, through
-    the explainers' worker pool, whose workers run OpenBLAS on one
-    thread."""
+    the explainers' worker pool, whose workers, like every process of an
+    explainer, run OpenBLAS on one thread."""
 
     @staticmethod
     def _model(direction, readout, n=3, hidden=5, seed=0):
@@ -489,17 +515,47 @@ class TestStepBlocks:
         assert fwd[0][1] < 12 < bwd[0][1]
         assert bi == [(0, 12), (12, 24), (24, 36), (36, 48)]
 
-    def test_step_workers_run_one_blas_thread(self):
+    def test_step_workers_run_one_blas_thread(self, toy_model, rng,
+                                              monkeypatch):
+        # an explainer's own process and the workers it forks, the
+        # occlusions' step blocks and the mask explainers' row blocks, all
+        # run on one thread; the caller's count comes back afterwards
         get = ex._openblas_threads("get")
-        assert get is not None and ex._openblas_threads("set") is not None
+        set_threads = ex._openblas_threads("set")
+        assert get is not None and set_threads is not None
+        seen = []  # (map_blocks call, pid, OpenBLAS threads)
+        map_blocks = ex._map_blocks
+
+        def spy(block, tasks, workers):
+            call = len({c for c, _, _ in seen})
+            seen.append((call, os.getpid(), get()))
+            for pid, threads, out in map_blocks(
+                    lambda *a: (os.getpid(), get(), block(*a)), tasks,
+                    workers):
+                seen.append((call, pid, threads))
+                yield out
+
+        monkeypatch.setattr(ex, "_map_blocks", spy)
+        monkeypatch.setattr(ex, "BLOCK_ROWS", 2)
+        X = rng.uniform(-1, 1, (4, 8, 2))
         before = get()
-        blocks = [(0, 1), (1, 2)]
-        assert list(ex._map_step_blocks(2)(lambda lo, hi: get(), blocks)) \
-            == [1, 1]
-        # the row blocks' workers keep the parent's count
-        assert list(ex._map_blocks(lambda lo, hi: get(), blocks, 2)) \
-            == [before] * 2
-        assert get() == before
+        set_threads(2)
+        try:
+            ex.occlusion(X, toy_model, workers=2)
+            ex.augmented_occlusion(X, toy_model, X, draws=2, workers=2)
+            ex.explain_learned(X, toy_model, ex.ExplainerConfig(
+                iterations=3), workers=2)
+            ex.explain_dynamask(X, toy_model, ex.DynamaskConfig(
+                iterations=3), workers=2)
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert {threads for _, _, threads in seen} == {1}
+        for call in range(4):
+            pids = {pid for c, pid, _ in seen if c == call}
+            # this process and its workers (a fast worker may take every
+            # task, so only one may show)
+            assert os.getpid() in pids and len(pids) >= 2
 
     def test_worker_shape_error_keeps_type(self, toy_model, rng,
                                            short_draws_in_workers):
@@ -511,6 +567,69 @@ class TestStepBlocks:
                            match=r"replacements\(\d+\): \(2, 5, 2\), "
                                  r"expected \(m, 6, 2\)"):
             ex.augmented_occlusion(X, toy_model, ref, draws=3, workers=2)
+
+
+def test_bytes_depend_on_neither_blas_threads_nor_workers():
+    # at H = 200 the classifier's backward multiplies over 3H = 600, where
+    # OpenBLAS gives other last bits on two threads than on one; 48 rows
+    # make two row blocks
+    ds = data.generate_icu_like(48, n_steps=12, seed=0)
+    model = nets.init_classifier(np.random.default_rng(0), ds.X.shape[2],
+                                 200, readout=nets.FINAL_STEP).freeze()
+    cfg = ex.ExplainerConfig(iterations=15, generator=pert.ZERO)
+    get = ex._openblas_threads("get")
+    set_threads = ex._openblas_threads("set")
+    before = get()
+    runs = {}  # (caller's threads, workers): arrays
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            ig = ex.integrated_gradients(ds.X[:24], model, steps=4)
+            for workers in (1, 2):
+                learned = ex.explain_learned(ds.X, model, cfg,
+                                             workers=workers)
+                runs[threads, workers] = (learned.scores,
+                                          learned.metadata["loss_history"],
+                                          ig.metadata["raw"])
+    finally:
+        set_threads(before)
+    for key, arrays in runs.items():
+        for got, want in zip(arrays, runs[1, 1]):
+            np.testing.assert_array_equal(got, want, err_msg=str(key))
+
+
+def test_threads_give_the_callers_blas_count_back():
+    # a block that returns while another thread's block still runs leaves
+    # that one on one thread, and the last one out restores the count
+    get = ex._openblas_threads("get")
+    set_threads = ex._openblas_threads("set")
+    before = get()
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    inside = []
+
+    def first():
+        with ex.single_blas_thread():
+            first_in.set()
+            second_in.wait(timeout=30)
+        first_out.set()
+
+    def second():
+        first_in.wait(timeout=30)
+        with ex.single_blas_thread():
+            second_in.set()
+            first_out.wait(timeout=30)
+            inside.append(get())
+
+    set_threads(2)
+    try:
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert inside == [1] and get() == 2
+    finally:
+        set_threads(before)
 
 
 def test_tapes_of_threads_stay_apart(toy_model, rng):

@@ -117,6 +117,21 @@ class TestTopCells:
         with pytest.raises(ValueError):
             mt.top_cells_mask(np.zeros((1, 10, 10)), 0.001)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, rng, bad):
+        # a NaN makes every quantile threshold NaN, so AUP/AUR would fall
+        # back to the constant-map result; a sort would rank it
+        scores = rng.uniform(0, 1, (2, 5, 3))
+        truth = scores > 0.5
+        truth[0, 0, 0], truth[-1, -1, -1] = True, False
+        scores[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="aup_aur: scores must be "
+                                             "finite"):
+            mt.aup_aur(scores, truth)
+        with pytest.raises(ValueError, match="top_cells_mask: scores must "
+                                             "be finite"):
+            mt.top_cells_mask(scores, 0.2)
+
     def test_comp_suff_partition(self, rng):
         scores = rng.uniform(0, 1, (2, 5, 3))
         top = mt.top_cells_mask(scores, 0.4)
