@@ -162,34 +162,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -508,9 +480,10 @@ def cross_entropy_with_logits(logits, targets):
 class Adam:
     """Standard Adam with bias correction.
 
-    Parameters may carry a leading batch axis: keep_rows drops rows of
-    every parameter and both moments, so the rows kept go on exactly as in
-    an optimizer that never held the others (their steps share one count).
+    For an optimizer whose parameters all carry a leading row axis (the
+    mask explainers' masks), keep_rows drops rows of every parameter and
+    both moments, so the rows kept go on exactly as in an optimizer that
+    never held the others (their steps share one count).
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -238,7 +238,10 @@ def cmd_evaluate(args):
         raise SystemExit(f"--fraction is {args.fraction}; it must be in "
                          "(0, 1)")
     ds = data.load_dataset(args.data)
-    sal = ex.load_saliency_csv(args.saliency)
+    try:
+        sal = ex.load_saliency_csv(args.saliency)
+    except ValueError as e:
+        raise SystemExit(f"{args.saliency}: {e}") from None
     n = sal.scores.shape[0]
     if ds.true_saliency is not None:
         rep = mt.ground_truth_report(sal.scores, ds.true_saliency[:n])

@@ -1,7 +1,7 @@
 """Attribution methods.
 
 The learned-perturbation explainer jointly optimizes a per-sample mask and
-a per-sample perturbation generator against a frozen classifier:
+one perturbation generator per row block against a frozen classifier:
 
     preservation:  l1 * mean(m) + l2 * mean(|nn(x)|) + CE(f(x), f(phi))
     deletion:      l1 * mean(1 - m) + l2 * mean(|nn(x)|) + CE(f(0), f(phi))
@@ -145,24 +145,27 @@ def _minmax_per_sample(raw):
     return out
 
 
-def _optimize_mask(mask, optimizers, config, loss, inputs):
+def _optimize_mask(mask, lr, config, loss, inputs, shared=()):
     """The optimization loop of both mask explainers.
 
     Each iteration tapes `loss(*inputs)`, which returns the per-row loss
     Tensor of the mask's rows and a dict of per-row loss terms, and steps
-    the optimizers, one of which holds the mask. A row freezes once its
-    loss has not dropped early_stop_tol below its best for
-    early_stop_patience iterations: its mask row goes into the scores, and
-    the row leaves the optimizers (Adam.keep_rows) and `inputs`, the
-    loss's row-led arrays, so the loss only ever sees live rows. A frozen
-    row's loss history repeats its last computed loss, and its terms are
-    those of its last computed iteration.
+    the mask's Adam (learning rate lr) and the `shared` optimizers, whose
+    parameters carry no row axis. A row freezes once its loss
+    has not dropped early_stop_tol below its best for early_stop_patience
+    iterations: its mask row goes into the scores, and the row leaves the
+    mask, its Adam moments (Adam.keep_rows) and `inputs`, the loss's
+    row-led arrays, so the loss only ever sees live rows; `shared` goes on
+    training on them. A frozen row's loss history repeats its last
+    computed loss, and its terms are those of its last computed iteration.
 
     Returns (scores, iterations_run, iterations_per_row, history, terms),
     where iterations_per_row[b] is the iteration count at which row b froze
     (the run's count for a row that never froze).
     """
     B = mask.data.shape[0]
+    mask_opt = ad.Adam([mask.values], lr=lr)
+    optimizers = [mask_opt, *shared]
     scores = np.empty_like(mask.data)
     live = np.arange(B)  # the block rows still optimized, in order
     best = np.full(B, np.inf)
@@ -196,8 +199,7 @@ def _optimize_mask(mask, optimizers, config, loss, inputs):
         if not keep.all():
             scores[live[~keep]] = mask.data[~keep]
             live, best, stall = live[keep], best[keep], stall[keep]
-            for opt in optimizers:
-                opt.keep_rows(keep)
+            mask_opt.keep_rows(keep)
             inputs = [a[keep] for a in inputs]
         if not live.size:
             break
@@ -336,18 +338,16 @@ def _optimize_blocks(shape, block, workers):
     return np.concatenate(scores), meta
 
 
-def _learned_block(X, ref, classifier, config, seeds):
-    """_optimize_mask for the rows of X, with their own mask, generator
-    (seeded by `seeds`) and Adam; returns _optimize_blocks' block tuple."""
+def _learned_block(X, ref, classifier, config):
+    """_optimize_mask for the rows of X, with their own mask and one
+    generator (seeded by config.seed) shared by the rows; returns
+    _optimize_blocks' block tuple."""
     snap = classifier.snapshot()
     B, T, n = X.shape
     mask = Mask(B, T, n, init=0.5)
-    gen = PerturbationGenerator(config.generator, B, n,
+    gen = PerturbationGenerator(config.generator, n,
                                 hidden=config.generator_hidden,
-                                seed=config.seed, row_seeds=seeds)
-    optimizers = [ad.Adam([mask.values], lr=config.mask_lr)]
-    if gen.parameters():
-        optimizers.append(ad.Adam(gen.parameters(), lr=config.generator_lr))
+                                seed=config.seed)
 
     def loss(x, ref):
         m = mask.values
@@ -370,7 +370,9 @@ def _learned_block(X, ref, classifier, config, seeds):
                         "generator_term": nn_term.data,
                         "ce_term": ce_b.data}
 
-    out = _optimize_mask(mask, optimizers, config, loss, (X, ref))
+    out = _optimize_mask(
+        mask, config.mask_lr, config, loss, (X, ref),
+        shared=[ad.Adam(gen.parameters(), lr=config.generator_lr)])
     classifier.check_unchanged(snap)
     return out
 
@@ -378,14 +380,15 @@ def _learned_block(X, ref, classifier, config, seeds):
 @single_blas_thread()
 def explain_learned(x, classifier: ClassifierParams,
                     config: ExplainerConfig = None,
-                    sample_seeds=None, workers=None) -> SaliencyMap:
-    """Optimize mask + generator for each sample (rows are independent,
-    and a sample freezes once its loss stops improving).
+                    workers=None) -> SaliencyMap:
+    """Optimize a mask per sample and a generator per row block (a sample
+    freezes once its loss stops improving, and the block's generator goes
+    on training on the rest).
 
     The rows are optimized in the blocks of _row_blocks, on `workers`
     processes (None: the usable CPUs); the worker count never changes a
-    bit. sample_seeds optionally pins the per-row generator init streams
-    so a single-sample run can reproduce one row of a batched run. The
+    bit. Every block's generator starts from config.seed, so a call on
+    the rows of one block reproduces that block of a larger call. The
     metadata holds iterations_run, iterations_per_row (the iteration count
     at which each row froze), the (iterations_run, B) loss_history, in
     which a frozen row repeats its last computed loss, and mask_term,
@@ -395,12 +398,10 @@ def explain_learned(x, classifier: ClassifierParams,
     config = config or ExplainerConfig()
     X = _as_batch(x)
     _check_frozen(classifier)
-    if sample_seeds is None:
-        sample_seeds = np.random.SeedSequence(config.seed).spawn(X.shape[0])
     ref = _reference_probs(X, classifier, config.mode, config.target)
     scores, meta = _optimize_blocks(
         X.shape, lambda lo, hi: _learned_block(
-            X[lo:hi], ref[lo:hi], classifier, config, sample_seeds[lo:hi]),
+            X[lo:hi], ref[lo:hi], classifier, config),
         workers)
     meta.update(mode=config.mode, generator=config.generator)
     return SaliencyMap(scores=scores, method=f"learned_{config.generator}",
@@ -445,8 +446,7 @@ def _dynamask_block(X, ref, classifier, config):
         return ad.add(ad.mul(reg_b, config.reg_weight), ce_b), {}
 
     inputs = (X, ref) if mu is None else (X, ref, mu)
-    out = _optimize_mask(mask, [ad.Adam([mask.values], lr=config.lr)],
-                         config, loss, inputs)
+    out = _optimize_mask(mask, config.lr, config, loss, inputs)
     classifier.check_unchanged(snap)
     return out
 
@@ -598,11 +598,19 @@ def save_saliency_csv(saliency: SaliencyMap, path):
 
 
 def load_saliency_csv(path, method="loaded"):
+    """The map save_saliency_csv wrote; ValueError if the file has no rows
+    or a score that is not finite."""
     rows = []
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
             rows.append((int(rec["sample_id"]), int(rec["t"]),
                          int(rec["feature"]), float(rec["score"])))
+    if not rows:
+        raise ValueError("no saliency rows")
+    for b, t, i, s in rows:
+        if not np.isfinite(s):
+            raise ValueError(f"sample {b}, t {t}, feature {i} has the "
+                             f"non-finite score {s}")
     N = max(r[0] for r in rows) + 1
     T = max(r[1] for r in rows) + 1
     n = max(r[2] for r in rows) + 1

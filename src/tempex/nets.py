@@ -1,10 +1,8 @@
 """GRU sequence models: the classifier under explanation and the recurrent
 perturbation generators both build on the same cell.
 
-All forward passes take a batched input [B, T, n]. Parameters are either
-shared across the batch (2-d weights, the normal case) or carry a leading
-batch axis (3-d weights, one independent parameter set per sample; used
-when many explanation instances are optimized jointly).
+All forward passes take a batched input [B, T, n], and every row of the
+batch runs through the same 2-d weights.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class GruDirectionParams:
-    w_x: Tensor  # (n, 3H) or (B, n, 3H)
-    w_h: Tensor  # (H, 3H) or (B, H, 3H)
-    b: Tensor  # (3H,) or (B, 1, 3H)
+    w_x: Tensor  # (n, 3H)
+    w_h: Tensor  # (H, 3H)
+    b: Tensor  # (3H,)
 
     def tensors(self):
         return [self.w_x, self.w_h, self.b]
@@ -79,18 +77,12 @@ def init_gru(rng, input_size, hidden_size, direction=FORWARD):
     return p
 
 
-# per-sample mat-vec products, one per batch row (numpy >= 2.2 has ufuncs)
-_vecmat = getattr(np, "vecmat", lambda v, m: (v[..., None, :] @ m)[..., 0, :])
-_matvec = getattr(np, "matvec", lambda m, v: (m @ v[..., None])[..., 0])
-
-
 def _gru_cell(xg, h, Wh, H):
     """One GRU step from the input projection xg = x_t @ W_x + b and the
     previous state h (B, H): returns (h_new, r, z, c, hc), where
-    hc = h @ W_hc. With per-sample weights (3-d W_h) each row uses its own
-    matrix.
+    hc = h @ W_hc.
     """
-    hg = _vecmat(h, Wh) if Wh.ndim == 3 else h @ Wh
+    hg = h @ Wh
     # xg may be cached, so only fresh arrays are written in place: the gate
     # sum, c and the new state. The gate sum is a new contiguous array, not
     # hg's strided gate columns, because numpy's exp and reciprocal run
@@ -114,37 +106,26 @@ def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
     x: Tensor (B, T, n) -> Tensor (B, T, H). The cell is the usual r/z/c
     gating, h_t = (1-z)*c + z*h_{t-1} from h = 0; reverse=True runs from
     t = T-1 down to 0. Forward steps through time, and backward steps
-    only the dh recurrence. With per-sample weights the input projection,
-    dx and the weight gradients are one batched matmul each over all T
-    steps (the cuDNN recipe, Appleyard et al., arXiv:1604.01946). Shared
-    weights keep small per-step buffers, because whole-sequence
-    temporaries cost more in page faults than they save. Nothing is saved
-    for backward when the op is not recorded.
+    only the dh recurrence. Both keep small per-step buffers, because
+    whole-sequence temporaries cost more in page faults than they save.
+    Nothing is saved for backward when the op is not recorded.
     """
     H = hidden
     w_x, w_h, b = dp.w_x, dp.w_h, dp.b
     X, Wx, Wh, bias = x.data, w_x.data, w_h.data, b.data
     B, T, _ = X.shape
-    per_sample = Wx.ndim == 3
     record = ad._recording((x, w_x, w_h, b))
     steps = range(T - 1, -1, -1) if reverse else range(T)
-    if per_sample:  # time-major, so that each step reads a contiguous slab
-        xg_seq = np.empty((T, B, 3 * H))
-        np.matmul(X, Wx, out=xg_seq.transpose(1, 0, 2))
-        xg_seq += bias.transpose(1, 0, 2)
     out = np.empty((B, T, H))
     saved = [None] * T
     h = np.zeros((B, H))
     with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
         for t in steps:
-            if per_sample:
-                xg = xg_seq[t]
-            else:
-                x_t = np.array(X[:, t])
-                xg = x_t @ Wx + bias
+            x_t = np.array(X[:, t])
+            xg = x_t @ Wx + bias
             h_new, r, z, c, hc = _gru_cell(xg, h, Wh, H)
             if record:
-                saved[t] = (None if per_sample else x_t, h, r, z, c, hc)
+                saved[t] = (x_t, h, r, z, c, hc)
             out[:, t] = h_new
             h = h_new
     result = Tensor(out)
@@ -154,10 +135,7 @@ def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
     def backward(g):
         wanted = [t._tracked() for t in (x, w_x, w_h, b)]
         grads = [None] * 4  # x, w_x, w_h, b
-        if per_sample:
-            dxg_seq = np.empty((T, B, 3 * H))
-            dhg_seq = np.empty((T, B, 3 * H)) if wanted[2] else None
-        elif wanted[0]:
+        if wanted[0]:
             grads[0] = np.zeros_like(X)
         dh = None
         for k, t in enumerate(reversed(steps)):
@@ -169,13 +147,7 @@ def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
             d_xg = np.concatenate([d_ar, d_az, du], axis=-1)
             d_hg = np.concatenate([d_ar, d_az, du * r], axis=-1)
             if k < T - 1:  # h before the first step is a constant zero
-                dh = gt * z + (_matvec(Wh, d_hg) if per_sample
-                               else d_hg @ Wh.T)
-            if per_sample:
-                dxg_seq[t] = d_xg
-                if dhg_seq is not None:
-                    dhg_seq[t] = d_hg
-                continue
+                dh = gt * z + d_hg @ Wh.T
             if wanted[0]:
                 grads[0][:, t] = d_xg @ Wx.T
             parts = (x_t.T @ d_xg if wanted[1] else None,
@@ -184,22 +156,6 @@ def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
             for i, gi in enumerate(parts, 1):
                 if gi is not None:
                     grads[i] = gi if grads[i] is None else grads[i] + gi
-        if per_sample:
-            dxg = dxg_seq.transpose(1, 0, 2)  # (B, T, 3H) view
-            if wanted[0]:
-                grads[0] = dxg @ Wx.swapaxes(1, 2)
-            if wanted[1]:
-                grads[1] = X.swapaxes(1, 2) @ dxg
-            if wanted[2]:
-                # h_{t-1} pairs with step t; the zero initial state adds 0
-                if reverse:
-                    grads[2] = out[:, 1:].swapaxes(1, 2) \
-                        @ dhg_seq[:-1].transpose(1, 0, 2)
-                else:
-                    grads[2] = out[:, :-1].swapaxes(1, 2) \
-                        @ dhg_seq[1:].transpose(1, 0, 2)
-            if wanted[3]:
-                grads[3] = dxg.sum(axis=1, keepdims=True)
         for tensor, grad in zip((x, w_x, w_h, b), grads):
             if grad is not None:
                 tensor._accumulate(grad, owned=True)

@@ -8,7 +8,9 @@ operator blends with the output of a trainable generator:
 
 so m = 1 keeps the input exactly and m = 0 hands the cell to the
 generator. Generators: all-zeros, a unidirectional GRU, or a
-bidirectional GRU, each with a linear head back to the feature space.
+bidirectional GRU, each with a linear head back to the feature space. As
+in the paper's phi, one generator serves every row it perturbs: its
+parameters carry no row axis.
 """
 
 from __future__ import annotations
@@ -175,53 +177,30 @@ class Mask:
 
 class PerturbationGenerator:
     """nn(x) of the learned operator. kind 'zero' has no parameters; the
-    recurrent kinds hold one independent parameter set per batch row so a
-    joint batched optimization equals per-sample runs, and dropping rows
-    of every parameter (Adam.keep_rows) leaves a generator of the rest."""
+    recurrent kinds hold one GRU (nets.init_gru) and a linear head back to
+    the feature space, shared by every row they perturb and drawn from
+    `seed` alone."""
 
-    def __init__(self, kind, batch, n_features, hidden=32, seed=0,
-                 row_seeds=None):
+    def __init__(self, kind, n_features, hidden=32, seed=0):
         if kind not in (ZERO, UNIDIRECTIONAL, BIDIRECTIONAL):
             raise ValueError(f"unknown generator kind {kind!r}")
         self.kind = kind
         self.n_features = n_features
-        self.hidden = hidden
         if kind == ZERO:
             self.gru = None
             self.w_head = None
             self.b_head = None
             return
-        if row_seeds is None:
-            row_seeds = np.random.SeedSequence(seed).spawn(batch)
+        rng = np.random.default_rng(seed)
         direction = nets.FORWARD if kind == UNIDIRECTIONAL \
             else nets.BIDIRECTIONAL
-        ndir = 2 if direction == nets.BIDIRECTIONAL else 1
-        D = ndir * hidden
-        kg = 1.0 / np.sqrt(hidden)
-        kh = 1.0 / np.sqrt(D)
-        # each batch row gets its own seeded stream, so row b of a batched
-        # init is identical to a batch-of-one init seeded the same way
-        rows = []
-        for rs in row_seeds:
-            rng = np.random.default_rng(rs)
-            row = []
-            for _ in range(ndir):
-                row.append(rng.uniform(-kg, kg, (n_features, 3 * hidden)))
-                row.append(rng.uniform(-kg, kg, (hidden, 3 * hidden)))
-                row.append(rng.uniform(-kg, kg, (1, 3 * hidden)))
-            row.append(rng.uniform(-kh, kh, (D, n_features)))
-            row.append(rng.uniform(-kh, kh, (1, n_features)))
-            rows.append(row)
-        stacked = [Tensor(np.stack([r[j] for r in rows]), requires_grad=True)
-                   for j in range(len(rows[0]))]
-        self.gru = nets.GruParams(n_features, hidden, direction)
-        self.gru.fwd = nets.GruDirectionParams(*stacked[0:3])
-        if ndir == 2:
-            self.gru.bwd = nets.GruDirectionParams(*stacked[3:6])
-        self.w_head = stacked[-2]
-        self.b_head = stacked[-1]
-        self.w_head.name = "gen_head_w"
-        self.b_head.name = "gen_head_b"
+        self.gru = nets.init_gru(rng, n_features, hidden, direction)
+        D = self.gru.output_size
+        k = 1.0 / np.sqrt(D)
+        self.w_head = Tensor(rng.uniform(-k, k, (D, n_features)),
+                             requires_grad=True, name="gen_head_w")
+        self.b_head = Tensor(rng.uniform(-k, k, n_features),
+                             requires_grad=True, name="gen_head_b")
 
     def parameters(self):
         if self.kind == ZERO:
@@ -230,17 +209,18 @@ class PerturbationGenerator:
 
     def forward(self, x):
         """x: Tensor (B, T, n) -> Tensor (B, T, n)."""
-        rows = x.shape[0] if self.kind == ZERO else self.w_head.shape[0]
-        if x.shape[0] != rows or x.shape[2] != self.n_features:
+        if x.ndim != 3 or x.shape[2] != self.n_features:
             raise ad.ShapeError(
-                f"generator holds {rows} rows x {self.n_features} "
-                f"features, got input {x.shape}"
+                f"generator holds {self.n_features} features, got input "
+                f"{x.shape}"
             )
         if self.kind == ZERO:
             return ad.zeros(x.shape)
+        B, T, n = x.shape
         h = nets.gru_forward(x, self.gru)  # (B, T, D)
-        out = ad.matmul(h, self.w_head)  # (B, T, n), batched
-        return ad.add(out, self.b_head)
+        flat = ad.reshape(h, (B * T, h.shape[2]))
+        out = ad.add(ad.matmul(flat, self.w_head), self.b_head)
+        return ad.reshape(out, (B, T, n))
 
 
 def apply_learned(x, m, generator: PerturbationGenerator):

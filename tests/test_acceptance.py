@@ -18,9 +18,10 @@ checked in under runs/ at the repo root. Reproduce them with:
 
 By default they run as many folds at a time as there are usable CPUs,
 each process on one OpenBLAS thread; `--jobs` never changes a byte. On a
-2-core machine the icu_full command took 25 min 41 s of wall time (85 min
-with two BLAS threads per fold worker, and 2 h 57 min before the fused
-GRU op, batched occlusion and the numpy sigmoid); the two hmm commands
+2-core machine the icu_full command took 10 min 48 s of wall time with
+one perturbation generator per row block (25 min 41 s with one per row,
+85 min with two BLAS threads per fold worker, and 2 h 57 min before the
+fused GRU op, batched occlusion and the numpy sigmoid); the two hmm commands
 have not been run to completion. Only the CSVs, config.ini and charts are
 committed; models/ is regenerated by the same command. Compare the
 [environment] section of config.ini before comparing bytes: the BLAS
@@ -182,7 +183,7 @@ class TestProperties:
     def test_gradcheck_learned_loss_wrt_mask(self, rng, tiny_model):
         ds, model = tiny_model
         x = ds.X[:2]
-        gen = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 2, 3,
+        gen = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 3,
                                          hidden=4, seed=0)
         ref = nets.predict_proba(x, model)
 
@@ -198,7 +199,7 @@ class TestProperties:
 
     def test_phi_limits_exact(self, rng):
         x = rng.normal(0, 1, (3, 10, 4))
-        gen = pert.PerturbationGenerator(pert.UNIDIRECTIONAL, 3, 4,
+        gen = pert.PerturbationGenerator(pert.UNIDIRECTIONAL, 4,
                                          hidden=5, seed=1)
         nn_x = gen.forward(Tensor(x)).data
         ones, _ = pert.apply_learned(Tensor(x), Tensor(np.ones_like(x)), gen)

@@ -82,17 +82,6 @@ class TestLearned:
         b = ex.explain_learned(x, toy_model, cfg)
         np.testing.assert_array_equal(a.scores, b.scores)
 
-    def test_batched_equals_per_sample(self, toy_model, rng):
-        X = rng.uniform(-1, 1, (3, 8, 2))
-        cfg = ex.ExplainerConfig(iterations=40, seed=11)
-        seeds = np.random.SeedSequence(11).spawn(3)
-        batched = ex.explain_learned(X, toy_model, cfg, sample_seeds=seeds)
-        for b in range(3):
-            single = ex.explain_learned(X[b], toy_model, cfg,
-                                        sample_seeds=[seeds[b]])
-            np.testing.assert_allclose(batched.scores[b], single.scores[0],
-                                       atol=1e-9)
-
     def test_preservation_loss_mostly_decreasing(self, toy_model, rng):
         X = rng.uniform(-1, 1, (2, 8, 2))
         cfg = ex.ExplainerConfig(iterations=500, seed=3)
@@ -119,35 +108,38 @@ class TestLearned:
 
 class TestRowFreezing:
     """Rows freeze at different iterations and are no longer computed once
-    frozen; the batch must still match one run per row."""
+    frozen. Dynamask's batch must still match one run per row; the learned
+    generator is shared by the rows and goes on training on the live ones."""
 
     LEARNED = ex.ExplainerConfig(iterations=200, seed=11,
                                  early_stop_tol=1e-2, early_stop_patience=3)
     DYNAMASK = ex.DynamaskConfig(iterations=200, early_stop_tol=3e-3,
                                  early_stop_patience=3)
 
-    def test_learned_batched_equals_per_sample(self, toy_model, rng):
+    def test_generator_trains_on_after_a_row_freezes(self, toy_model, rng,
+                                                     monkeypatch):
+        seen = []  # (mask rows, generator parameters) at each iteration
+
+        def spy(x, m, gen):
+            seen.append((m.shape[0], [p.data.copy()
+                                      for p in gen.parameters()]))
+            return pert.apply_learned(x, m, gen)
+
+        monkeypatch.setattr(ex, "apply_learned", spy)
         X = rng.uniform(-1, 1, (4, 8, 2))
-        seeds = np.random.SeedSequence(11).spawn(4)
-        batched = ex.explain_learned(X, toy_model, self.LEARNED,
-                                     sample_seeds=seeds)
-        per_row = batched.metadata["iterations_per_row"]
+        out = ex.explain_learned(X, toy_model, self.LEARNED, workers=1)
+        per_row = out.metadata["iterations_per_row"]
         assert len(set(per_row)) >= 3
-        singles = [ex.explain_learned(X[b], toy_model, self.LEARNED,
-                                      sample_seeds=[seeds[b]])
-                   for b in range(4)]
-        for b, single in enumerate(singles):
-            np.testing.assert_allclose(batched.scores[b], single.scores[0],
-                                       atol=1e-9)
-            assert single.metadata["iterations_run"] == per_row[b]
-            np.testing.assert_allclose(
-                batched.metadata["loss_history"][:per_row[b], b],
-                single.metadata["loss_history"][:, 0], atol=1e-9)
-        # the loss terms are means over all rows, each row's terms taken
-        # from its last computed iteration
-        for name in ("mask_term", "generator_term", "ce_term"):
-            want = np.mean([s.metadata[name] for s in singles])
-            assert batched.metadata[name] == pytest.approx(want, abs=1e-9)
+        # the mask loses each row after its last iteration
+        assert [rows for rows, _ in seen] == \
+            [int(np.sum(per_row > it)) for it in range(len(seen))]
+        # the generator keeps its row-free shapes and changes every step
+        H = self.LEARNED.generator_hidden
+        want = [(2, 3 * H), (H, 3 * H), (3 * H,)] * 2 + [(2 * H, 2), (2,)]
+        for (_, before), (_, after) in zip(seen, seen[1:]):
+            assert [p.shape for p in after] == want
+            assert all(not np.array_equal(a, b)
+                       for a, b in zip(before, after))
 
     def test_frozen_row_history_repeats_its_last_loss(self, toy_model, rng):
         X = rng.uniform(-1, 1, (4, 8, 2))
@@ -159,6 +151,11 @@ class TestRowFreezing:
         assert per_row.min() < per_row.max()
         for b, k in enumerate(per_row):
             assert np.all(hist[k:, b] == hist[k - 1, b])
+        # the loss terms are means over all rows, each row's terms taken
+        # from its last computed iteration (here both lambdas are 1)
+        terms = sum(out.metadata[name] for name in
+                    ("mask_term", "generator_term", "ce_term"))
+        assert terms == pytest.approx(hist[-1].mean(), abs=1e-12)
 
     def test_dynamask_batched_equals_per_sample(self, toy_model, rng):
         X = rng.uniform(-1, 1, (4, 8, 2))
@@ -214,9 +211,7 @@ class TestRowBlocks:
         one = ex.explain_learned(X, toy_model, cfg, workers=1)
         two = ex.explain_learned(X, toy_model, cfg, workers=2)
         self._assert_same(one, two)
-        seeds = np.random.SeedSequence(cfg.seed).spawn(5)
-        parts = [ex.explain_learned(X[lo:hi], toy_model, cfg,
-                                    sample_seeds=seeds[lo:hi], workers=1)
+        parts = [ex.explain_learned(X[lo:hi], toy_model, cfg, workers=1)
                  for lo, hi in ex._row_blocks(5)]
         # the blocks stop at different iterations, so one is padded
         assert len({p.metadata["iterations_run"] for p in parts}) == 2

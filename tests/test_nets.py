@@ -64,23 +64,15 @@ def test_cell_matches_scalar_recomputation(rng):
         np.testing.assert_allclose(got.data[0], want, atol=1e-12)
 
 
-def _direction_params(rng, n, H, batch):
-    lead = () if batch is None else (batch,)
-    return {"w_x": rng.normal(0, 0.4, lead + (n, 3 * H)),
-            "w_h": rng.normal(0, 0.4, lead + (H, 3 * H)),
-            "b": rng.normal(0, 0.1, (3 * H,) if batch is None
-                            else (batch, 1, 3 * H))}
-
-
 @pytest.mark.parametrize("reverse", [False, True],
-                         ids=["forward", "reverse"])
-@pytest.mark.parametrize("per_sample", [False, True],
-                         ids=["shared", "per_sample"])
+                         ids=["shared-forward", "shared-reverse"])
 @pytest.mark.parametrize("wrt", ["x", "w_x", "w_h", "b"])
-def test_gradcheck_gru_direction(rng, wrt, per_sample, reverse):
+def test_gradcheck_gru_direction(rng, wrt, reverse):
     B, T, n, H = 3, 4, 2, 3
-    arrays = _direction_params(rng, n, H, B if per_sample else None)
-    arrays["x"] = rng.normal(0, 1, (B, T, n))
+    arrays = {"w_x": rng.normal(0, 0.4, (n, 3 * H)),
+              "w_h": rng.normal(0, 0.4, (H, 3 * H)),
+              "b": rng.normal(0, 0.1, 3 * H),
+              "x": rng.normal(0, 1, (B, T, n))}
     weight = Tensor(rng.normal(0, 1, (B, T, H)))
 
     def build(leaf):
@@ -91,20 +83,6 @@ def test_gradcheck_gru_direction(rng, wrt, per_sample, reverse):
         return ad.tsum(ad.mul(out, weight))
 
     assert_gradcheck(build, arrays[wrt], rtol=1e-4)
-
-
-def test_per_sample_rows_match_shared_runs(rng):
-    B, T, n, H = 3, 5, 2, 4
-    x = rng.normal(0, 1, (B, T, n))
-    arrays = _direction_params(rng, n, H, B)
-    stacked = nets.GruDirectionParams(
-        *(Tensor(arrays[k]) for k in ("w_x", "w_h", "b")))
-    out = nets.gru_direction(Tensor(x), stacked, H, reverse=True).data
-    for row in range(B):
-        dp = nets.GruDirectionParams(
-            *(Tensor(arrays[k][row]) for k in ("w_x", "w_h", "b")))
-        one = nets.gru_direction(Tensor(x[row:row + 1]), dp, H, reverse=True)
-        np.testing.assert_allclose(out[row], one.data[0], atol=1e-14)
 
 
 def test_bidirectional_single_step_uses_same_input(rng):

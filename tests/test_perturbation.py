@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tempex import autodiff as ad
+from tempex import nets
 from tempex import perturbation as pert
 from tempex.autodiff import Tensor
 
@@ -126,27 +127,27 @@ class TestLearned:
 
     def test_full_mask_exact_input(self, rng):
         x = self._xm(rng)
-        gen = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 2, 3, hidden=4)
+        gen = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 3, hidden=4)
         m = Tensor(np.ones(x.shape))
         phi, _ = pert.apply_learned(x, m, gen)
         np.testing.assert_array_equal(phi.data, x)
 
     def test_zero_mask_exact_generator_output(self, rng):
         x = self._xm(rng)
-        gen = pert.PerturbationGenerator(pert.UNIDIRECTIONAL, 2, 3, hidden=4)
+        gen = pert.PerturbationGenerator(pert.UNIDIRECTIONAL, 3, hidden=4)
         m = Tensor(np.zeros(x.shape))
         phi, nn_x = pert.apply_learned(x, m, gen)
         np.testing.assert_array_equal(phi.data, nn_x.data)
 
     def test_zero_generator_half_mask(self):
         x = np.full((1, 4, 2), 2.0)
-        gen = pert.PerturbationGenerator(pert.ZERO, 1, 2)
+        gen = pert.PerturbationGenerator(pert.ZERO, 2)
         phi, _ = pert.apply_learned(x, Tensor(np.full(x.shape, 0.5)), gen)
         np.testing.assert_array_equal(phi.data, np.full(x.shape, 1.0))
 
     def test_interpolation_property(self, rng):
         x = self._xm(rng)
-        gen = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 2, 3, hidden=4,
+        gen = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 3, hidden=4,
                                          seed=5)
         m = Tensor(rng.uniform(0, 1, x.shape))
         phi, nn_x = pert.apply_learned(x, m, gen)
@@ -157,12 +158,12 @@ class TestLearned:
     def test_generator_output_shape(self, rng):
         x = self._xm(rng, B=3, T=6, n=2)
         for kind in (pert.ZERO, pert.UNIDIRECTIONAL, pert.BIDIRECTIONAL):
-            gen = pert.PerturbationGenerator(kind, 3, 2, hidden=4)
+            gen = pert.PerturbationGenerator(kind, 2, hidden=4)
             assert gen.forward(Tensor(x)).shape == x.shape
 
     def test_phi_gradcheck_wrt_mask_and_generator(self, rng):
         x = self._xm(rng, B=1, T=4, n=2)
-        gen = pert.PerturbationGenerator(pert.UNIDIRECTIONAL, 1, 2, hidden=3,
+        gen = pert.PerturbationGenerator(pert.UNIDIRECTIONAL, 2, hidden=3,
                                          seed=2)
 
         def build_mask(m):
@@ -192,14 +193,24 @@ class TestLearned:
         err = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
         assert err < 1e-4
 
-    def test_row_seeded_init_matches_batch_of_one(self):
-        seeds = np.random.SeedSequence(0).spawn(3)
-        full = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 3, 2, hidden=4,
-                                          row_seeds=seeds)
-        one = pert.PerturbationGenerator(pert.BIDIRECTIONAL, 1, 2, hidden=4,
-                                         row_seeds=[seeds[1]])
-        for a, b in zip(full.parameters(), one.parameters()):
-            np.testing.assert_array_equal(a.data[1:2], b.data)
+    @pytest.mark.parametrize("kind, direction", [
+        (pert.UNIDIRECTIONAL, nets.FORWARD),
+        (pert.BIDIRECTIONAL, nets.BIDIRECTIONAL)])
+    def test_one_parameter_set_for_every_row(self, rng, kind, direction):
+        gen = pert.PerturbationGenerator(kind, 3, hidden=4, seed=6)
+        gru = nets.init_gru(np.random.default_rng(6), 3, 4, direction)
+        D = gru.output_size
+        assert [p.shape for p in gen.parameters()] == \
+            [t.shape for t in gru.tensors()] + [(D, 3), (3,)]
+        for got, want in zip(gen.parameters(), gru.tensors()):
+            np.testing.assert_array_equal(got.data, want.data)
+        # batches of any size run through the same network, row by row
+        x = rng.uniform(-1, 1, (5, 6, 3))
+        out = gen.forward(Tensor(x)).data
+        for b in range(5):
+            np.testing.assert_allclose(
+                gen.forward(Tensor(x[b:b + 1])).data[0], out[b],
+                rtol=0, atol=1e-14)
 
     def test_mask_projection(self):
         m = pert.Mask(1, 3, 2)
