@@ -34,7 +34,6 @@ __all__ = [
     "tmean",
     "tabs",
     "clamp",
-    "concatenate",
     "reshape",
     "sort_last_axis",
     "cross_entropy_with_logits",
@@ -393,22 +392,6 @@ def tsum(a, axis=None, keepdims=False):
 def tmean(a, axis=None, keepdims=False):
     count = a.size if axis is None else a.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def concatenate(parts, axis=0):
-    parts = [_lift(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p._tracked():
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                p._accumulate(g[tuple(idx)])
-
-    return _record(out, tuple(parts), backward)
 
 
 def take(a, idx):

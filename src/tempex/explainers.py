@@ -598,8 +598,9 @@ def save_saliency_csv(saliency: SaliencyMap, path):
 
 
 def load_saliency_csv(path, method="loaded"):
-    """The map save_saliency_csv wrote; ValueError if the file has no rows
-    or a score that is not finite."""
+    """The map save_saliency_csv wrote; ValueError if the file has no rows,
+    a negative index, a score that is not finite, or other than one row
+    for each (sample, t, feature) cell of its grid."""
     rows = []
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
@@ -608,6 +609,9 @@ def load_saliency_csv(path, method="loaded"):
     if not rows:
         raise ValueError("no saliency rows")
     for b, t, i, s in rows:
+        if min(b, t, i) < 0:
+            raise ValueError(f"sample {b}, t {t}, feature {i} has a "
+                             "negative index")
         if not np.isfinite(s):
             raise ValueError(f"sample {b}, t {t}, feature {i} has the "
                              f"non-finite score {s}")
@@ -615,6 +619,13 @@ def load_saliency_csv(path, method="loaded"):
     T = max(r[1] for r in rows) + 1
     n = max(r[2] for r in rows) + 1
     scores = np.zeros((N, T, n))
+    counts = np.zeros((N, T, n), dtype=np.int64)
     for b, t, i, s in rows:
         scores[b, t, i] = s
+        counts[b, t, i] += 1
+    if (counts != 1).any():
+        b, t, i = np.argwhere(counts != 1)[0]
+        k = counts[b, t, i]
+        raise ValueError(f"sample {b}, t {t}, feature {i} has "
+                         + ("no row" if k == 0 else f"{k} rows"))
     return SaliencyMap(scores=scores, method=method)

@@ -2,7 +2,8 @@
 perturbation generators both build on the same cell.
 
 All forward passes take a batched input [B, T, n], and every row of the
-batch runs through the same 2-d weights.
+batch runs through the same 2-d weights. gru_forward is one taped op that
+steps every pass of a GRU, forward and reverse, in one time loop.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ def init_gru(rng, input_size, hidden_size, direction=FORWARD):
 def _gru_cell(xg, h, Wh, H):
     """One GRU step from the input projection xg = x_t @ W_x + b and the
     previous state h (B, H): returns (h_new, r, z, c, hc), where
-    hc = h @ W_hc.
+    hc = h @ W_hc. Leading axes step together: gru_forward passes (P, B, .)
+    stacks of its passes with W_h (P, H, 3H), so that h @ W_h is one
+    stacked matmul.
     """
     hg = h @ Wh
     # xg may be cached, so only fresh arrays are written in place: the gate
@@ -100,74 +103,21 @@ def _gru_cell(xg, h, Wh, H):
     return h_new, r, z, c, hc
 
 
-def gru_direction(x, dp: GruDirectionParams, hidden, reverse=False):
-    """One GRU direction over the whole sequence, as a single taped op.
-
-    x: Tensor (B, T, n) -> Tensor (B, T, H). The cell is the usual r/z/c
-    gating, h_t = (1-z)*c + z*h_{t-1} from h = 0; reverse=True runs from
-    t = T-1 down to 0. Forward steps through time, and backward steps
-    only the dh recurrence. Both keep small per-step buffers, because
-    whole-sequence temporaries cost more in page faults than they save.
-    Nothing is saved for backward when the op is not recorded.
-    """
-    H = hidden
-    w_x, w_h, b = dp.w_x, dp.w_h, dp.b
-    X, Wx, Wh, bias = x.data, w_x.data, w_h.data, b.data
-    B, T, _ = X.shape
-    record = ad._recording((x, w_x, w_h, b))
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    out = np.empty((B, T, H))
-    saved = [None] * T
-    h = np.zeros((B, H))
-    with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
-        for t in steps:
-            x_t = np.array(X[:, t])
-            xg = x_t @ Wx + bias
-            h_new, r, z, c, hc = _gru_cell(xg, h, Wh, H)
-            if record:
-                saved[t] = (x_t, h, r, z, c, hc)
-            out[:, t] = h_new
-            h = h_new
-    result = Tensor(out)
-    if not record:
-        return result
-
-    def backward(g):
-        wanted = [t._tracked() for t in (x, w_x, w_h, b)]
-        grads = [None] * 4  # x, w_x, w_h, b
-        if wanted[0]:
-            grads[0] = np.zeros_like(X)
-        dh = None
-        for k, t in enumerate(reversed(steps)):
-            x_t, h_prev, r, z, c, hc = saved[t]
-            gt = g[:, t] if dh is None else g[:, t] + dh
-            du = gt * (1.0 - z) * (1.0 - c * c)
-            d_ar = du * hc * r * (1.0 - r)
-            d_az = gt * (h_prev - c) * z * (1.0 - z)
-            d_xg = np.concatenate([d_ar, d_az, du], axis=-1)
-            d_hg = np.concatenate([d_ar, d_az, du * r], axis=-1)
-            if k < T - 1:  # h before the first step is a constant zero
-                dh = gt * z + d_hg @ Wh.T
-            if wanted[0]:
-                grads[0][:, t] = d_xg @ Wx.T
-            parts = (x_t.T @ d_xg if wanted[1] else None,
-                     h_prev.T @ d_hg if wanted[2] else None,
-                     ad._unbroadcast(d_xg, b.shape) if wanted[3] else None)
-            for i, gi in enumerate(parts, 1):
-                if gi is not None:
-                    grads[i] = gi if grads[i] is None else grads[i] + gi
-        for tensor, grad in zip((x, w_x, w_h, b), grads):
-            if grad is not None:
-                tensor._accumulate(grad, owned=True)
-
-    return ad._record(result, (x, w_x, w_h, b), backward)
-
-
 def gru_forward(x, params: GruParams):
-    """x: Tensor (B, T, n) -> (B, T, H) or (B, T, 2H) for bidirectional.
+    """x: Tensor (B, T, n) -> (B, T, H), or (B, T, 2H) for bidirectional:
+    every pass of params (_passes) as one taped op.
 
-    A bidirectional pass concatenates the forward states with the states of
-    an independent time-reversed pass.
+    The cell is the usual r/z/c gating, h_t = (1-z)*c + z*h_{t-1} from
+    h = 0. All P passes step in one time loop: at loop step k the forward
+    pass reads position k and a reverse pass position T-1-k. Their
+    weights are stacked per call into (P, ., .) arrays, so _gru_cell steps
+    them together and each product is one stacked matmul, which runs the
+    gemm or gemv of the 2-d product on every pass. Pass p's states fill
+    columns p*H .. (p+1)*H of the output. Backward steps the dh recurrence
+    of all passes together and gives each pass's tensors their own
+    gradients. Both keep small per-step buffers, because whole-sequence
+    temporaries cost more in page faults than they save. Nothing is saved
+    for backward when the op is not recorded.
     """
     if x.ndim != 3:
         raise ad.ShapeError(f"gru_forward expects (B, T, n), got {x.shape}")
@@ -178,9 +128,82 @@ def gru_forward(x, params: GruParams):
         raise ad.ShapeError(
             f"gru_forward: {n} features vs params.input_size {params.input_size}"
         )
-    outs = [gru_direction(x, dp, params.hidden_size, reverse=reverse)
-            for dp, reverse in _passes(params)]
-    return outs[0] if len(outs) == 1 else ad.concatenate(outs, axis=2)
+    H = params.hidden_size
+    dps, reverses = zip(*_passes(params))
+    P = len(dps)
+    weights = [t for dp in dps for t in dp.tensors()]
+    Wx = np.stack([dp.w_x.data for dp in dps])
+    Wh = np.stack([dp.w_h.data for dp in dps])
+    bias = np.stack([dp.b.data.reshape(1, 3 * H) for dp in dps])
+    record = ad._recording((x, *weights))
+    # the position each pass reads at each loop step, as a list for the
+    # per-pass loops and an index array for the gathers
+    pos = [[T - 1 - k if reverse else k for reverse in reverses]
+           for k in range(T)]
+    at = np.array(pos)
+    X = x.data
+    Xt = X.swapaxes(0, 1)
+    out = np.empty((B, T, P, H))
+    saved = [None] * T
+    h = np.zeros((P, B, H))
+    with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
+        for k in range(T):
+            x_t = Xt[at[k]]  # a fresh (P, B, n) array
+            xg = x_t @ Wx + bias
+            h_new, r, z, c, hc = _gru_cell(xg, h, Wh, H)
+            if record:
+                saved[k] = (x_t, h, r, z, c, hc)
+            for p, t in enumerate(pos[k]):
+                out[:, t, p] = h_new[p]
+            h = h_new
+    result = Tensor(out.reshape(B, T, P * H))
+    if not record:
+        return result
+
+    def backward(g):
+        wanted = [t._tracked() for t in (x, *weights)]
+        # which of w_x, w_h and b some pass wants
+        stacked = [any(wanted[1 + i::3]) for i in range(3)]
+        G = g.reshape(B, T, P, H).transpose(2, 1, 0, 3)  # (P, T, B, H)
+        passes = np.arange(P)
+        WxT, WhT = Wx.swapaxes(1, 2), Wh.swapaxes(1, 2)
+        gx = [np.empty_like(X) for _ in dps] if wanted[0] else None
+        gw = [None] * 3  # w_x, w_h, b of every pass, stacked
+        dh = None
+        for k in range(T - 1, -1, -1):
+            x_t, h_prev, r, z, c, hc = saved[k]
+            gt = G[passes, at[k]]
+            if dh is not None:
+                gt += dh
+            omz = 1.0 - z
+            du = gt * omz * (1.0 - c * c)
+            d_ar = du * hc * r * (1.0 - r)
+            d_az = gt * (h_prev - c) * z * omz
+            d_xg = np.concatenate([d_ar, d_az, du], axis=-1)
+            d_hg = np.concatenate([d_ar, d_az, du * r], axis=-1)
+            if k > 0:  # h before the first step is a constant zero
+                dh = gt * z + d_hg @ WhT
+            if gx is not None:
+                gx_t = d_xg @ WxT
+                for p, t in enumerate(pos[k]):
+                    gx[p][:, t] = gx_t[p]
+            parts = (x_t.swapaxes(1, 2) @ d_xg if stacked[0] else None,
+                     h_prev.swapaxes(1, 2) @ d_hg if stacked[1] else None,
+                     d_xg.sum(axis=1) if stacked[2] else None)
+            for i, gi in enumerate(parts):
+                if gi is not None:
+                    gw[i] = gi if gw[i] is None else gw[i] + gi
+        # the last pass first, so that x's gradient sums the passes in the
+        # order one op per pass on the tape would
+        for p in range(P - 1, -1, -1):
+            if gx is not None:
+                x._accumulate(gx[p], owned=True)
+            for i, tensor in enumerate(dps[p].tensors()):
+                if wanted[1 + 3 * p + i]:
+                    tensor._accumulate(gw[i][p].reshape(tensor.shape),
+                                       owned=True)
+
+    return ad._record(result, (x, *weights), backward)
 
 
 def _passes(params: GruParams):

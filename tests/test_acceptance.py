@@ -174,8 +174,8 @@ class TestProperties:
         b = Tensor(rng.normal(0, 0.1, (1, 9)), requires_grad=True)
 
         def build(x):
-            h = nets.gru_direction(x, nets.GruDirectionParams(w_x, w_h, b),
-                                   3)
+            dp = nets.GruDirectionParams(w_x, w_h, b)
+            h = nets.gru_forward(x, nets.GruParams(2, 3, fwd=dp))
             return ad.tsum(ad.mul(h, h))
 
         assert_gradcheck(build, rng.normal(0, 1, (4, 3, 2)), rtol=1e-4)

@@ -160,14 +160,29 @@ class TestGenerateTrainExplain:
         (None, "no saliency rows"),
         (np.nan, "sample 1, t 4, feature 2 has the non-finite score nan"),
         (-np.inf, "sample 1, t 4, feature 2 has the non-finite score -inf"),
-    ], ids=["no_rows", "nan", "-inf"])
+        ("missing_row", "sample 1, t 4, feature 2 has no row"),
+        ("duplicate_row", "sample 1, t 4, feature 2 has 2 rows"),
+        ("negative_index", "sample -1, t 4, feature 2 has a negative index"),
+    ], ids=["no_rows", "nan", "-inf", "missing_row", "duplicate_row",
+            "negative_index"])
     def test_evaluate_rejects_an_unusable_saliency_csv(self, tiny_dataset,
                                                        tmp_path, bad, error):
+        # bad is a score for cell (1, 4, 2), or an edit of that cell's row
         sal = tmp_path / "sal.csv"
         scores = np.full((0 if bad is None else 2, 16, 3), 0.5)
-        if bad is not None:
+        if isinstance(bad, float):
             scores[1, 4, 2] = bad
         ex.save_saliency_csv(ex.SaliencyMap(scores, "occlusion"), sal)
+        if isinstance(bad, str):
+            lines = sal.read_text().splitlines()
+            k = lines.index("1,4,2,0.5")
+            if bad == "missing_row":
+                del lines[k]
+            elif bad == "duplicate_row":
+                lines.insert(k, lines[k])
+            else:
+                lines[k] = "-" + lines[k]
+            sal.write_text("\n".join(lines) + "\n")
         with pytest.raises(SystemExit) as exc:
             run_cli("evaluate", "--data", str(tiny_dataset), "--saliency",
                     str(sal))

@@ -20,16 +20,22 @@ def _zero_direction(n, H):
     )
 
 
+def _one_pass(dp, n, H, reverse=False):
+    """GruParams of the single pass dp, run in reverse if asked."""
+    return nets.GruParams(n, H, nets.BACKWARD if reverse else nets.FORWARD,
+                          fwd=dp)
+
+
 def test_zero_weights_fixed_point():
     dp = _zero_direction(3, 4)
-    h = nets.gru_direction(Tensor(np.ones((1, 3, 3))), dp, 4)
+    h = nets.gru_forward(Tensor(np.ones((1, 3, 3))), _one_pass(dp, 3, 4))
     np.testing.assert_array_equal(h.data, np.zeros((1, 3, 4)))
 
 
 def test_saturated_candidate_stays_in_tanh_range():
     dp = _zero_direction(2, 3)
     dp.b = Tensor(np.concatenate([np.zeros(6), np.full(3, 50.0)]))
-    h = nets.gru_direction(Tensor(np.ones((1, 3, 2))), dp, 3)
+    h = nets.gru_forward(Tensor(np.ones((1, 3, 2))), _one_pass(dp, 2, 3))
     assert np.all(np.abs(h.data) < 1.0)
 
 
@@ -44,7 +50,7 @@ def test_cell_matches_scalar_recomputation(rng):
 
     wx, wh, b = p.fwd.w_x.data, p.fwd.w_h.data, p.fwd.b.data
     for reverse in (False, True):
-        got = nets.gru_direction(Tensor(x), p.fwd, H, reverse=reverse)
+        got = nets.gru_forward(Tensor(x), _one_pass(p.fwd, n, H, reverse))
         want = np.empty((T, H))
         h_prev = np.zeros(H)
         for t in (range(T - 1, -1, -1) if reverse else range(T)):
@@ -79,10 +85,78 @@ def test_gradcheck_gru_direction(rng, wrt, reverse):
         given = {k: leaf if k == wrt else Tensor(v)
                  for k, v in arrays.items()}
         dp = nets.GruDirectionParams(given["w_x"], given["w_h"], given["b"])
-        out = nets.gru_direction(given["x"], dp, H, reverse=reverse)
+        out = nets.gru_forward(given["x"], _one_pass(dp, n, H, reverse))
         return ad.tsum(ad.mul(out, weight))
 
     assert_gradcheck(build, arrays[wrt], rtol=1e-4)
+
+
+@pytest.mark.parametrize("wrt", ["x", "fwd.w_x", "fwd.w_h", "fwd.b",
+                                 "bwd.w_x", "bwd.w_h", "bwd.b"])
+def test_gradcheck_bidirectional_gru(rng, wrt):
+    B, T, n, H = 3, 4, 2, 3
+    arrays = {"x": rng.normal(0, 1, (B, T, n))}
+    for d in ("fwd", "bwd"):
+        arrays.update({f"{d}.w_x": rng.normal(0, 0.4, (n, 3 * H)),
+                       f"{d}.w_h": rng.normal(0, 0.4, (H, 3 * H)),
+                       f"{d}.b": rng.normal(0, 0.1, 3 * H)})
+    weight = Tensor(rng.normal(0, 1, (B, T, 2 * H)))
+
+    def build(leaf):
+        given = {k: leaf if k == wrt else Tensor(v)
+                 for k, v in arrays.items()}
+        fwd, bwd = (nets.GruDirectionParams(given[f"{d}.w_x"],
+                                            given[f"{d}.w_h"],
+                                            given[f"{d}.b"])
+                    for d in ("fwd", "bwd"))
+        p = nets.GruParams(n, H, nets.BIDIRECTIONAL, fwd=fwd, bwd=bwd)
+        return ad.tsum(ad.mul(nets.gru_forward(given["x"], p), weight))
+
+    assert_gradcheck(build, arrays[wrt], rtol=1e-4)
+
+
+@pytest.mark.parametrize("B", [1, 5])
+def test_bidirectional_pass_matches_its_two_directions(rng, B):
+    # one op over both passes gives the bits of a FORWARD and a BACKWARD
+    # op over the same direction tensors, output and every gradient
+    T, n, H = 6, 3, 4
+    p = nets.init_gru(rng, n, H, nets.BIDIRECTIONAL)
+    X = rng.normal(0, 1, (B, T, n))
+    weight = rng.normal(0, 1, (B, T, 2 * H))
+
+    def run(split):
+        x = Tensor(X, requires_grad=True)
+        for t in p.tensors():
+            t.grad = None
+        with ad.Tape():
+            if split:
+                halves = [nets.gru_forward(x, nets.GruParams(n, H, d, fwd=dp))
+                          for d, dp in ((nets.FORWARD, p.fwd),
+                                        (nets.BACKWARD, p.bwd))]
+                out = np.concatenate([h.data for h in halves], axis=2)
+                loss = ad.add(*(ad.tsum(ad.mul(h, Tensor(w)))
+                                for h, w in zip(halves, (weight[..., :H],
+                                                         weight[..., H:]))))
+            else:
+                whole = nets.gru_forward(x, p)
+                out = whole.data
+                loss = ad.tsum(ad.mul(whole, Tensor(weight)))
+            loss.backward()
+        return [out, x.grad] + [t.grad for t in p.tensors()]
+
+    for got, want in zip(run(split=False), run(split=True)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
+def test_taped_output_matches_untaped(rng, direction):
+    p = nets.init_gru(rng, 3, 4, direction)
+    x = Tensor(rng.normal(0, 1, (5, 7, 3)))
+    untaped = nets.gru_forward(x, p).data
+    with ad.Tape():
+        taped = nets.gru_forward(x, p)
+    assert taped._tape is not None  # the weights are tracked
+    np.testing.assert_array_equal(taped.data, untaped)
 
 
 def test_bidirectional_single_step_uses_same_input(rng):
@@ -245,7 +319,7 @@ class TestRestepMatchesGruCell:
         xg = rng.uniform(-2, 2, (B, 3 * H) if cached else h.shape[:-1]
                          + (3 * H,)) + bias
         rows = np.broadcast_to(xg, (c, r, B, 3 * H))
-        with np.errstate(over="ignore"):  # as gru_direction's loop does
+        with np.errstate(over="ignore"):  # as gru_forward's loop does
             want = np.stack([
                 nets._gru_cell(rows[k].reshape(-1, 3 * H),
                                h[k].reshape(-1, H), Wh, H)[0].reshape(r, B, H)
