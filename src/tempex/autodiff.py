@@ -20,20 +20,16 @@ __all__ = [
     "Tape",
     "Adam",
     "ShapeError",
-    "DomainError",
     "zeros",
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
     "sigmoid",
-    "exp",
     "tsum",
     "tmean",
     "tabs",
-    "clamp",
     "reshape",
     "sort_last_axis",
     "cross_entropy_with_logits",
@@ -41,10 +37,6 @@ __all__ = [
 
 
 class ShapeError(ValueError):
-    pass
-
-
-class DomainError(ValueError):
     pass
 
 
@@ -266,22 +258,6 @@ def mul(a, b):
     return _record(out, (a, b), backward)
 
 
-def div(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_elementwise(a, b, "div")
-    if np.any(b.data == 0.0):
-        raise DomainError("div: division by zero")
-    out = Tensor(a.data / b.data)
-
-    def backward(g):
-        if a._tracked():
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b._tracked():
-            b._accumulate(_unbroadcast(-g * a.data / (b.data**2), b.shape))
-
-    return _record(out, (a, b), backward)
-
-
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -338,17 +314,6 @@ def sigmoid(a):
     return _record(out, (a,), backward)
 
 
-def exp(a):
-    out_data = np.exp(a.data)
-    out = Tensor(out_data)
-
-    def backward(g):
-        if a._tracked():
-            a._accumulate(g * out_data)
-
-    return _record(out, (a,), backward)
-
-
 def tabs(a):
     out = Tensor(np.abs(a.data))
     sign = np.sign(a.data)
@@ -356,17 +321,6 @@ def tabs(a):
     def backward(g):
         if a._tracked():
             a._accumulate(g * sign)
-
-    return _record(out, (a,), backward)
-
-
-def clamp(a, lo, hi):
-    out = Tensor(np.clip(a.data, lo, hi))
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        if a._tracked():
-            a._accumulate(g * inside)
 
     return _record(out, (a,), backward)
 

@@ -207,28 +207,51 @@ def cmd_train(args):
     print(f"wrote {args.out}: final loss {history[-1]:.4f}")
 
 
+# the method-specific flags of `explain`, by the methods that read them;
+# a flag left out takes the default of the method's config or function
+_EXPLAIN_FLAGS = {
+    "learned": ("iterations", "lambda1", "lambda2", "mode", "generator",
+                "seed"),
+    "dynamask": ("iterations",),
+    "occlusion": (),
+    "augmented_occlusion": ("seed",),
+    "integrated_gradients": ("steps",),
+}
+
+
+def _explain_inputs(args):
+    """The method-specific flags given, as keyword arguments; raise
+    SystemExit naming the first one that args.method does not read."""
+    given = {}
+    for key in sorted({k for keys in _EXPLAIN_FLAGS.values() for k in keys}):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in _EXPLAIN_FLAGS[args.method]:
+            readers = ", ".join(m for m, keys in _EXPLAIN_FLAGS.items()
+                                if key in keys)
+            raise SystemExit(f"--{key} is read only by --method {readers}, "
+                             f"not by --method {args.method}")
+        given[key] = value
+    return given
+
+
 def cmd_explain(args):
     _at_least(args, samples=1, iterations=0, lambda1=0, lambda2=0, steps=1)
+    given = _explain_inputs(args)
     ds = data.load_dataset(args.data)
     model = nets.load_classifier(args.model).freeze()
     X = ds.X if args.samples is None else ds.X[: args.samples]
-    seed = args.seed or 0
     if args.method == "learned":
-        cfg = ex.ExplainerConfig(lambda1=args.lambda1, lambda2=args.lambda2,
-                                 mode=args.mode, generator=args.generator,
-                                 iterations=args.iterations, seed=seed)
-        sal = ex.explain_learned(X, model, cfg)
+        sal = ex.explain_learned(X, model, ex.ExplainerConfig(**given))
     elif args.method == "dynamask":
-        sal = ex.explain_dynamask(
-            X, model, ex.DynamaskConfig(iterations=args.iterations))
+        sal = ex.explain_dynamask(X, model, ex.DynamaskConfig(**given))
     elif args.method == "occlusion":
         sal = ex.occlusion(X, model)
     elif args.method == "augmented_occlusion":
-        sal = ex.augmented_occlusion(X, model, ds.X, seed=seed)
-    elif args.method == "integrated_gradients":
-        sal = ex.integrated_gradients(X, model, steps=args.steps)
+        sal = ex.augmented_occlusion(X, model, ds.X, **given)
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        sal = ex.integrated_gradients(X, model, **given)
     ex.save_saliency_csv(sal, args.out)
     print(f"wrote {args.out}: scores for {X.shape[0]} samples")
 
@@ -334,6 +357,18 @@ def _environment():
     return env
 
 
+def _print_table(rows, first_width, width=18):
+    """Print rows of cells: the first column left-aligned in at least
+    first_width characters, each other column right-aligned in at least
+    `width`, and widened so that two spaces precede its widest cell."""
+    first = max([first_width] + [len(row[0]) for row in rows])
+    widths = [max([width] + [len(row[k]) + 2 for row in rows])
+              for k in range(1, len(rows[0]))]
+    for row in rows:
+        print(f"{row[0]:<{first}}" + "".join(
+            f"{c:>{w}}" for c, w in zip(row[1:], widths)))
+
+
 def cmd_report(args):
     try:
         exp, agg, _ = xp.read_run(args.dir)
@@ -347,10 +382,9 @@ def cmd_report(args):
     methods = sorted({key[0] for key in agg} - {"masking_curve"})
     if exp == xp.HMM:
         metrics_ = ("aup", "aur", "information", "entropy")
-        print(f"{'method':<34}" + "".join(f"{m:>18}" for m in metrics_))
-        for method in methods:
-            print(f"{method:<34}" + "".join(
-                f"{cell(method, m):>18}" for m in metrics_))
+        _print_table([("method", *metrics_)] + [
+            (method, *(cell(method, m) for m in metrics_))
+            for method in methods], 34)
         if {"learned_preservation", "learned_deletion"} <= set(methods):
             print("\ndeletion vs preservation:")
             for method in ("learned_preservation", "learned_deletion"):
@@ -362,11 +396,9 @@ def cmd_report(args):
                     "sufficiency")
         for subst in (mt.TIME_AVERAGE, mt.ZEROS):
             print(f"\nsubstitution = {subst}, mask fraction = 0.2")
-            print(f"{'method':<26}" + "".join(f"{m:>18}" for m in metrics_))
-            for method in methods:
-                print(f"{method:<26}" + "".join(
-                    f"{cell(method, m, 0.2, subst):>18}"
-                    for m in metrics_))
+            _print_table([("method", *metrics_)] + [
+                (method, *(cell(method, m, 0.2, subst) for m in metrics_))
+                for method in methods], 26)
     failed = [f"violation: {v.message}"
               for v in xp.evaluate_claims(args.dir) if v.verdict == xp.FAIL]
     if failed:
@@ -414,14 +446,15 @@ def build_parser():
     e.add_argument("--out", required=True)
     e.add_argument("--samples", type=int, default=None,
                    help="explain only the first N samples")
-    e.add_argument("--iterations", type=int, default=500)
-    e.add_argument("--lambda1", type=float, default=1.0)
-    e.add_argument("--lambda2", type=float, default=1.0)
-    e.add_argument("--mode", default=ex.PRESERVATION,
+    # read only by some methods (_EXPLAIN_FLAGS); None: the method's default
+    e.add_argument("--iterations", type=int, default=None)
+    e.add_argument("--lambda1", type=float, default=None)
+    e.add_argument("--lambda2", type=float, default=None)
+    e.add_argument("--mode", default=None,
                    choices=(ex.PRESERVATION, ex.DELETION))
-    e.add_argument("--generator", default="bidirectional",
+    e.add_argument("--generator", default=None,
                    choices=("zero", "unidirectional", "bidirectional"))
-    e.add_argument("--steps", type=int, default=128,
+    e.add_argument("--steps", type=int, default=None,
                    help="integration steps (integrated_gradients)")
     e.add_argument("--seed", type=int, default=None)
     e.set_defaults(func=cmd_explain)

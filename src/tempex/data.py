@@ -1,12 +1,10 @@
 """Benchmark data: the 2-state hidden-Markov benchmark with known salient
-cells, a synthetic ICU-like stand-in with a planted late-time signal, CSV
-ingestion with forward-fill imputation, and a simple archive format.
+cells, a synthetic ICU-like stand-in with a planted late-time signal, and a
+simple archive format.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -191,79 +189,6 @@ def generate_icu_like(n_samples, n_steps=48, n_features=8, seed=0,
              "spo2", "glucose", "lactate", "wbc"][:n]
     names += [f"ch{i}" for i in range(len(names), n)]
     return TimeSeriesDataset(X=X, y=y, true_saliency=sal, feature_names=names)
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion + imputation
-
-
-class RaggedDataError(ValueError):
-    pass
-
-
-def load_csv(path, feature_columns, label_column="label",
-             sample_column="sample_id", time_column="time_index"):
-    """Long-format CSV -> dataset. Missing cells must be empty strings; they
-    come back as NaN for impute_forward_fill. Labels constant per sample
-    give a sequence label, otherwise per-timestep labels.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(rec)
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    by_sample = {}
-    for rec in rows:
-        by_sample.setdefault(rec[sample_column], []).append(rec)
-    sample_ids = sorted(by_sample)
-    lengths = {sid: len(recs) for sid, recs in by_sample.items()}
-    T = max(lengths.values())
-    ragged = []
-    for sid, recs in by_sample.items():
-        times = sorted(int(r[time_column]) for r in recs)
-        if times != list(range(T)):
-            ragged.append(sid)
-    if ragged:
-        raise RaggedDataError(
-            f"samples with ragged/missing time indices: {sorted(ragged)}"
-        )
-    N, n = len(sample_ids), len(feature_columns)
-    X = np.full((N, T, n), np.nan)
-    labels = np.empty((N, T))
-    for i, sid in enumerate(sample_ids):
-        for rec in by_sample[sid]:
-            t = int(rec[time_column])
-            for j, col in enumerate(feature_columns):
-                cell = rec[col].strip()
-                if cell:
-                    X[i, t, j] = float(cell)
-            labels[i, t] = float(rec[label_column])
-    per_sequence = np.all(labels == labels[:, :1], axis=None)
-    y = labels[:, 0].astype(np.int64) if per_sequence \
-        else labels.astype(np.int64)
-    return TimeSeriesDataset(X=X, y=y, feature_names=list(feature_columns))
-
-
-def impute_forward_fill(dataset: TimeSeriesDataset, defaults=None):
-    """Replace each NaN with the most recent prior value of that feature in
-    the same sample; leading NaNs take the configured standard value
-    (default 0 per feature). Fully observed data passes through unchanged.
-    """
-    X = dataset.X.copy()
-    N, T, n = X.shape
-    if defaults is None:
-        defaults = np.zeros(n)
-    defaults = np.asarray(defaults, dtype=np.float64)
-    for t in range(T):
-        missing = np.isnan(X[:, t, :])
-        if not missing.any():
-            continue
-        prev = X[:, t - 1, :] if t > 0 else np.broadcast_to(defaults, (N, n))
-        X[:, t, :] = np.where(missing, prev, X[:, t, :])
-    return TimeSeriesDataset(X=X, y=dataset.y,
-                             true_saliency=dataset.true_saliency,
-                             feature_names=list(dataset.feature_names))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,11 @@ from .nets import ClassifierParams, classifier_forward, \
     perturbed_step_scores, predict_proba, target_score
 from .perturbation import (
     BIDIRECTIONAL,
-    FixedPerturbationConfig,
     Mask,
     PerturbationGenerator,
     apply_fixed,
     apply_learned,
-    blend,
-    fixed_surrogate,
+    window_average,
 )
 
 PRESERVATION = "preservation"
@@ -80,8 +78,7 @@ class ExplainerConfig:
 
 @dataclass
 class DynamaskConfig:
-    perturbation: FixedPerturbationConfig = field(
-        default_factory=FixedPerturbationConfig)
+    window: int = 2  # half-width of the window_average surrogate
     area: float = 0.1
     reg_weight: float = 1.0
     lr: float = 0.01
@@ -91,6 +88,8 @@ class DynamaskConfig:
     target: int = 1
 
     def __post_init__(self):
+        if self.window < 0:
+            raise ValueError("window must be >= 0")
         if not 0 < self.area <= 1:
             raise ValueError("area must be in (0, 1]")
         if self.iterations < 0:
@@ -429,13 +428,12 @@ def _dynamask_block(X, ref, classifier, config):
     B, T, n = X.shape
     mask = Mask(B, T, n, init=0.5)
     r_a = Tensor(area_target(T * n, config.area))
-    # a window kind's surrogate does not depend on the mask: one per block
-    mu = fixed_surrogate(X, config.perturbation)
+    # the surrogate does not depend on the mask: one per block
+    mu = window_average(X, config.window)
 
-    def loss(x, ref, mu=None):
+    def loss(x, ref, mu):
         m = mask.values
-        phi = apply_fixed(x, m, config.perturbation) if mu is None \
-            else blend(Tensor(x), m, Tensor(mu))
+        phi = apply_fixed(x, m, mu)
         logits = classifier_forward(phi, classifier)
         if config.target == 0:
             logits = ad.neg(logits)
@@ -445,8 +443,7 @@ def _dynamask_block(X, ref, classifier, config):
         reg_b = ad.tmean(ad.mul(d, d), axis=1)
         return ad.add(ad.mul(reg_b, config.reg_weight), ce_b), {}
 
-    inputs = (X, ref) if mu is None else (X, ref, mu)
-    out = _optimize_mask(mask, config.lr, config, loss, inputs)
+    out = _optimize_mask(mask, config.lr, config, loss, (X, ref, mu))
     classifier.check_unchanged(snap)
     return out
 
@@ -466,7 +463,7 @@ def explain_dynamask(x, classifier: ClassifierParams,
         X.shape, lambda lo, hi: _dynamask_block(
             X[lo:hi], ref[lo:hi], classifier, config),
         workers)
-    meta.update(area=config.area, perturbation=config.perturbation.kind)
+    meta.update(area=config.area, window=config.window)
     return SaliencyMap(scores=scores, method="dynamask", metadata=meta)
 
 
@@ -550,7 +547,7 @@ def augmented_occlusion(x, classifier: ClassifierParams,
 
 @single_blas_thread()
 def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
-                         steps=50, target=1) -> SaliencyMap:
+                         steps=128, target=1) -> SaliencyMap:
     """Midpoint-rule path integral of gradients from baseline to x. Raw
     attributions live in metadata; scores are min-max normalized."""
     if steps < 1:
@@ -598,14 +595,24 @@ def save_saliency_csv(saliency: SaliencyMap, path):
 
 
 def load_saliency_csv(path, method="loaded"):
-    """The map save_saliency_csv wrote; ValueError if the file has no rows,
-    a negative index, a score that is not finite, or other than one row
-    for each (sample, t, feature) cell of its grid."""
+    """The map save_saliency_csv wrote; ValueError if the header lacks one
+    of its columns, a line does not parse, the file has no rows, a row
+    has a negative index or a score that is not finite, or there is other
+    than one row for each (sample, t, feature) cell of its grid."""
     rows = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((int(rec["sample_id"]), int(rec["t"]),
-                         int(rec["feature"]), float(rec["score"])))
+        reader = csv.DictReader(fh)
+        for name in ("sample_id", "t", "feature", "score"):
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"the header lacks the column {name!r}")
+        for rec in reader:
+            try:  # a short line leaves its last fields None
+                rows.append((int(rec["sample_id"]), int(rec["t"]),
+                             int(rec["feature"]), float(rec["score"])))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"line {reader.line_num} does not hold an integer "
+                    "sample_id, t and feature and a score") from None
     if not rows:
         raise ValueError("no saliency rows")
     for b, t, i, s in rows:

@@ -208,12 +208,6 @@ class TestProperties:
         assert np.array_equal(ones.data, x)
         assert np.array_equal(zeros.data, nn_x)
 
-    def test_blur_kernel_normalized(self, rng):
-        m = Tensor(rng.uniform(0, 1, (2, 12, 3)))
-        w = pert._blur_weights(m, sigma_max=2.0, T=12).data
-        sums = w.sum(axis=-1)
-        assert np.max(np.abs(sums - 1.0)) < 1e-12
-
     def test_occlusion_brute_force(self, tiny_model):
         ds, model = tiny_model
         x = ds.X[:2, :4, :]  # T*n = 12

@@ -9,6 +9,7 @@ import pytest
 
 from tempex import autodiff as ad
 from tempex import nets
+from tempex import perturbation as pert
 from tempex.autodiff import Tensor
 
 from conftest import assert_gradcheck
@@ -74,22 +75,23 @@ class TestSigmoidKernel:
         np.testing.assert_array_equal(logits.grad, [0.0, 0.0])
 
 
-def _autodiff_names_used_by_package():
-    """Names that package modules other than autodiff take from it, as
-    `ad.name` (any alias of the module) or `from .autodiff import name`."""
-    pkg = os.path.dirname(ad.__file__)
+def _names_used_by_package(module):
+    """Names that the package modules other than `module` take from it, as
+    `alias.name` (any alias of the module) or `from .module import name`."""
+    pkg = os.path.dirname(module.__file__)
+    short = module.__name__.split(".")[-1]
     used = set()
     for fname in sorted(os.listdir(pkg)):
-        if not fname.endswith(".py") or fname == "autodiff.py":
+        if not fname.endswith(".py") or fname == f"{short}.py":
             continue
         with open(os.path.join(pkg, fname)) as fh:
             tree = ast.parse(fh.read())
         aliases = {a.asname or a.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom)
-                   for a in node.names if a.name == "autodiff"}
+                   for a in node.names if a.name == short}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and \
-                    (node.module or "").split(".")[-1] == "autodiff":
+                    (node.module or "").split(".")[-1] == short:
                 used.update(a.name for a in node.names)
             elif isinstance(node, ast.Attribute) and \
                     isinstance(node.value, ast.Name) and \
@@ -98,14 +100,27 @@ def _autodiff_names_used_by_package():
     return used
 
 
+def _public_functions(module):
+    """The functions of `module`'s __all__, or, without one, the functions
+    it defines under a name without a leading underscore."""
+    names = getattr(module, "__all__", None) or [
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__]
+    return [name for name in names
+            if inspect.isfunction(getattr(module, name))]
+
+
 def test_exported_ops_exist_and_package_uses_them():
     namespace = {}
     exec("from tempex.autodiff import *", namespace)
     assert set(ad.__all__) <= set(namespace)
-    used = _autodiff_names_used_by_package()
-    unused = [name for name in ad.__all__
-              if inspect.isfunction(getattr(ad, name)) and name not in used]
-    assert not unused, f"no package module calls {unused}"
+    for module in (ad, pert):
+        used = _names_used_by_package(module)
+        unused = [name for name in _public_functions(module)
+                  if name not in used]
+        assert not unused, \
+            f"no other package module calls {module.__name__}.{unused}"
 
 
 def test_bce_uniform_prediction():
@@ -153,23 +168,15 @@ def test_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
 
-def test_div_by_zero_domain_error():
-    with pytest.raises(ad.DomainError):
-        ad.div(Tensor(1.0), Tensor(0.0))
-
-
 PRIMITIVES = {
     "add": lambda x: ad.tsum(ad.add(x, ad.mul(x, 0.5))),
     "sub": lambda x: ad.tsum(ad.sub(x, ad.mul(x, 2.0))),
     "mul": lambda x: ad.tsum(ad.mul(x, x)),
-    "div": lambda x: ad.tsum(ad.div(x, ad.add(ad.mul(x, x), 3.0))),
     "matmul": lambda x: ad.tsum(ad.matmul(x, _const_mat(x))),
     "sigmoid": lambda x: ad.tsum(ad.sigmoid(x)),
-    "exp": lambda x: ad.tsum(ad.exp(x)),
     "sum": lambda x: ad.tsum(ad.mul(ad.tsum(x, axis=0), 2.0)),
     "mean": lambda x: ad.tmean(ad.mul(x, x)),
     "abs": lambda x: ad.tsum(ad.tabs(x)),
-    "clamp": lambda x: ad.tsum(ad.clamp(x, -0.5, 0.5)),
     "slice": lambda x: ad.tsum(ad.mul(x[1:, :2], x[1:, :2])),
     "cross_entropy_with_logits": lambda x: ad.tsum(
         ad.cross_entropy_with_logits(x, Tensor(np.full(x.shape, 0.3)))),
@@ -190,10 +197,9 @@ def _ramp(shape):
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_gradcheck_primitives(name, rng):
-    # values away from abs/clamp/sort kinks so finite differences are clean
+    # values away from the abs kink at 0 so finite differences are clean
     x = rng.uniform(-2.0, 2.0, (3, 4))
     x[np.abs(x) < 0.05] += 0.1
-    x[np.abs(np.abs(x) - 0.5) < 0.05] += 0.08
     assert_gradcheck(PRIMITIVES[name], x)
 
 
@@ -237,13 +243,6 @@ def _scalar_grad(fn, x0):
     with ad.Tape():
         fn(leaf).backward()
     return float(leaf.grad)
-
-
-def test_clamp_grad_zero_outside_identity_inside():
-    x = Tensor([-2.0, 0.3, 2.0], requires_grad=True)
-    with ad.Tape():
-        ad.tsum(ad.clamp(x, -1.0, 1.0)).backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_forward_ops_finite_on_finite_inputs(rng):

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -163,8 +164,11 @@ class TestGenerateTrainExplain:
         ("missing_row", "sample 1, t 4, feature 2 has no row"),
         ("duplicate_row", "sample 1, t 4, feature 2 has 2 rows"),
         ("negative_index", "sample -1, t 4, feature 2 has a negative index"),
+        ("missing_column", "the header lacks the column 'score'"),
+        ("short_row", "line 64 does not hold an integer sample_id, t and "
+                      "feature and a score"),
     ], ids=["no_rows", "nan", "-inf", "missing_row", "duplicate_row",
-            "negative_index"])
+            "negative_index", "missing_column", "short_row"])
     def test_evaluate_rejects_an_unusable_saliency_csv(self, tiny_dataset,
                                                        tmp_path, bad, error):
         # bad is a score for cell (1, 4, 2), or an edit of that cell's row
@@ -180,6 +184,11 @@ class TestGenerateTrainExplain:
                 del lines[k]
             elif bad == "duplicate_row":
                 lines.insert(k, lines[k])
+            elif bad == "missing_column":
+                lines[0] = "sample_id,t,feature,value"
+            elif bad == "short_row":
+                assert k + 1 == 64  # the line number, counting the header
+                lines[k] = "1,4,2"
             else:
                 lines[k] = "-" + lines[k]
             sal.write_text("\n".join(lines) + "\n")
@@ -187,6 +196,47 @@ class TestGenerateTrainExplain:
             run_cli("evaluate", "--data", str(tiny_dataset), "--saliency",
                     str(sal))
         assert str(exc.value) == f"{sal}: {error}"
+
+
+    @pytest.fixture()
+    def tiny_model(self, tiny_dataset, tmp_path):
+        model = tmp_path / "m.json"
+        run_cli("train", "--data", str(tiny_dataset), "--out", str(model),
+                "--hidden", "4", "--epochs", "1")
+        return model
+
+    @pytest.mark.parametrize("method, flag, value, readers", [
+        ("occlusion", "--lambda1", "5", "learned"),
+        ("dynamask", "--generator", "zero", "learned"),
+        ("integrated_gradients", "--seed", "3",
+         "learned, augmented_occlusion"),
+        ("augmented_occlusion", "--steps", "4", "integrated_gradients"),
+    ])
+    def test_explain_rejects_a_flag_the_method_does_not_read(
+            self, tiny_dataset, tiny_model, tmp_path, method, flag, value,
+            readers):
+        sal = tmp_path / "sal.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("explain", "--data", str(tiny_dataset), "--model",
+                    str(tiny_model), "--method", method, "--samples", "2",
+                    flag, value, "--out", str(sal))
+        assert str(exc.value) == (f"{flag} is read only by --method "
+                                  f"{readers}, not by --method {method}")
+        assert not sal.exists()
+
+    def test_explain_defaults_are_the_learned_config(self, tiny_dataset,
+                                                     tiny_model, tmp_path):
+        # the values the flags defaulted to when argparse held them
+        sal = tmp_path / "sal.csv"
+        run_cli("explain", "--data", str(tiny_dataset), "--model",
+                str(tiny_model), "--samples", "2", "--out", str(sal))
+        X = data.load_dataset(tiny_dataset).X[:2]
+        model = nets.load_classifier(tiny_model).freeze()
+        want = tmp_path / "want.csv"
+        ex.save_saliency_csv(ex.explain_learned(X, model, ex.ExplainerConfig(
+            lambda1=1.0, lambda2=1.0, mode=ex.PRESERVATION,
+            generator="bidirectional", iterations=500, seed=0)), want)
+        assert sal.read_bytes() == want.read_bytes()
 
 
 class TestRun:
@@ -628,6 +678,32 @@ class TestReport:
         assert "learned_preservation" in out
         assert "deletion vs preservation" in out
         assert "0.800 (0.010)" in out
+
+    def test_report_separates_five_digit_values(self, tmp_path, capsys):
+        values = {  # (mean, std) of aup, aur, information and entropy
+            "dynamask": ((0.573, 0.01), (0.722, 0.02), (57424.25, 12.5),
+                         (10653.0, 0.25)),
+            "learned_preservation": ((0.962, 0.003), (0.428, 0.04),
+                                     (16002.123, 1234.567),
+                                     (11945.5, 2345.678)),
+        }
+        with open(tmp_path / "hmm_aggregated.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(xp.CSV_HEADER)
+            for method, stats in values.items():
+                for metric, (mean, std) in zip(
+                        ("aup", "aur", "information", "entropy"), stats):
+                    w.writerow([method, metric, "", "", repr(mean),
+                                repr(std), "all"])
+        assert run_cli("report", "--dir", str(tmp_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [re.split(r"\s{2,}", line.strip()) for line in lines[:3]] == [
+            ["method", "aup", "aur", "information", "entropy"],
+            ["dynamask", "0.573 (0.010)", "0.722 (0.020)",
+             "57424.250 (12.500)", "10653.000 (0.250)"],
+            ["learned_preservation", "0.962 (0.003)", "0.428 (0.040)",
+             "16002.123 (1234.567)", "11945.500 (2345.678)"],
+        ]
 
     def test_report_checks_lambda_grid(self, tmp_path, capsys):
         path = tmp_path / "hmm_aggregated.csv"

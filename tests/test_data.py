@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tempex import data
-from tempex.data import HmmConfig, TimeSeriesDataset
+from tempex.data import HmmConfig
 
 
 class TestHmm:
@@ -140,53 +140,6 @@ class TestIcuLike:
         a = data.generate_icu_like(5, seed=3)
         b = data.generate_icu_like(5, seed=3)
         np.testing.assert_array_equal(a.X, b.X)
-
-
-CSV_TEXT = """sample_id,time_index,hr,bp,label
-a,0,1.0,,1
-a,1,,2.0,1
-a,2,,,1
-a,3,2.0,3.0,1
-b,0,5.0,1.0,0
-b,1,6.0,,0
-b,2,7.0,1.5,0
-b,3,8.0,,0
-"""
-
-
-class TestCsv:
-    def _write(self, tmp_path, text=CSV_TEXT):
-        p = tmp_path / "data.csv"
-        p.write_text(text)
-        return p
-
-    def test_forward_fill_rule(self, tmp_path):
-        ds = data.load_csv(self._write(tmp_path), ["hr", "bp"])
-        filled = data.impute_forward_fill(ds)
-        np.testing.assert_array_equal(filled.X[0, :, 0],
-                                      [1.0, 1.0, 1.0, 2.0])
-
-    def test_leading_missing_takes_default(self, tmp_path):
-        ds = data.load_csv(self._write(tmp_path), ["hr", "bp"])
-        filled = data.impute_forward_fill(ds)
-        assert filled.X[0, 0, 1] == 0.0
-        filled9 = data.impute_forward_fill(ds, defaults=[0.0, 9.0])
-        assert filled9.X[0, 0, 1] == 9.0
-
-    def test_fully_observed_unchanged(self, tmp_path):
-        ds = data.load_csv(self._write(tmp_path), ["hr", "bp"])
-        full = TimeSeriesDataset(X=np.nan_to_num(ds.X, nan=1.23), y=ds.y)
-        out = data.impute_forward_fill(full)
-        np.testing.assert_array_equal(out.X, full.X)
-
-    def test_sequence_labels_detected(self, tmp_path):
-        ds = data.load_csv(self._write(tmp_path), ["hr", "bp"])
-        np.testing.assert_array_equal(ds.y, [1, 0])
-
-    def test_ragged_time_indices_rejected(self, tmp_path):
-        text = CSV_TEXT + "c,0,1.0,1.0,1\nc,2,2.0,2.0,1\n"
-        with pytest.raises(data.RaggedDataError, match="c"):
-            data.load_csv(self._write(tmp_path, text), ["hr", "bp"])
 
 
 class TestArchive:

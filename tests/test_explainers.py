@@ -289,6 +289,30 @@ class TestDynamask:
                             ex.DynamaskConfig(iterations=10))
         toy_model.check_unchanged(before)
 
+    def test_loss_blends_through_apply_fixed(self, toy_model, rng,
+                                             monkeypatch):
+        calls = []
+
+        def counted(x, m, surrogate):
+            calls.append(m.shape)
+            return pert.apply_fixed(x, m, surrogate)
+
+        monkeypatch.setattr(ex, "apply_fixed", counted)
+        out = ex.explain_dynamask(rng.uniform(-1, 1, (3, 8, 2)), toy_model,
+                                  ex.DynamaskConfig(iterations=5), workers=1)
+        assert len(calls) == out.metadata["iterations_run"] > 0
+        assert out.metadata["window"] == 2
+
+    def test_window_sets_the_surrogate(self, toy_model, rng):
+        # window 0 makes the surrogate x itself, so phi = x for every mask
+        x = _sample(rng)
+        a = ex.explain_dynamask(x, toy_model, ex.DynamaskConfig(iterations=5))
+        b = ex.explain_dynamask(x, toy_model, ex.DynamaskConfig(
+            iterations=5, window=0))
+        assert not np.array_equal(a.scores, b.scores)
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            ex.DynamaskConfig(window=-1)
+
 
 class TestOcclusion:
     def test_constant_model_all_zero(self, rng):

@@ -18,13 +18,6 @@ class TestWindowAverages:
     def test_zero_window_is_identity(self, rng):
         x = rng.uniform(-1, 1, (6, 2))
         np.testing.assert_array_equal(pert.window_average(x, 0), x)
-        np.testing.assert_array_equal(pert.past_window_average(x, 0), x)
-
-    def test_past_window_truncates_and_renormalizes(self):
-        x = np.array([[1.0], [2.0], [3.0]])
-        out = pert.past_window_average(x, 1)
-        assert out[2, 0] == 2.5
-        assert out[0, 0] == 1.0  # truncated to the single valid index
 
     def test_boundary_truncation_centered(self):
         x = np.array([[1.0], [2.0], [3.0]])
@@ -39,85 +32,34 @@ class TestWindowAverages:
             out, np.broadcast_to(x.mean(axis=0), x.shape), atol=1e-12)
 
 
-class TestGaussianBlur:
-    def test_constant_series_unchanged(self):
-        x = np.full((5, 2), 3.7)
-        m = Tensor(np.full((5, 2), 0.4))
-        out = pert.gaussian_blur(x, m, 2.0)
-        np.testing.assert_allclose(out.data, x, atol=1e-12)
-
-    def test_full_mask_is_exact_identity(self, rng):
-        x = rng.uniform(-1, 1, (6, 2))
-        m = Tensor(np.ones((6, 2)))
-        out = pert.gaussian_blur(x, m, 2.0)
-        np.testing.assert_array_equal(out.data, x)
-
-    def test_spike_matches_hand_computed_kernel(self):
-        T, sigma_max = 9, 2.0
-        x = np.zeros((T, 1))
-        spike_t = 4
-        x[spike_t, 0] = 1.0
-        m = Tensor(np.zeros((T, 1)))
-        out = pert.gaussian_blur(x, m, sigma_max)
-        # direct normalized-Gaussian weighted sum at the spike position
-        dts = np.arange(T) - spike_t
-        w = np.exp(-dts**2 / (2 * sigma_max**2))
-        w[np.abs(dts) > 4 * sigma_max] = 0.0
-        want = (w * x[:, 0]).sum() / w.sum()
-        assert out.data[spike_t, 0] == pytest.approx(want, abs=1e-12)
-
-    def test_kernel_mass_conservation(self, rng):
-        m = Tensor(rng.uniform(0.0, 1.0, (8, 2)))
-        w = pert._blur_weights(m, 2.0, 8)
-        np.testing.assert_allclose(w.data.sum(axis=-1),
-                                   np.ones((8, 2)), atol=1e-12)
-
-    def test_blur_gradcheck_wrt_mask(self, rng):
-        x = rng.uniform(-1, 1, (5, 2))
-
-        def build(m):
-            return ad.tsum(ad.mul(pert.gaussian_blur(x, m, 2.0), 0.5))
-
-        # interior mask values: the 4-sigma truncation makes the kernel
-        # support piecewise-constant, so stay away from support boundaries
-        m0 = rng.uniform(0.2, 0.6, (5, 2))
-        assert_gradcheck(build, m0, rtol=1e-4)
-
-
 class TestApplyFixed:
     def test_full_mask_returns_input(self, rng):
         x = rng.uniform(-1, 1, (6, 2))
         m = Tensor(np.ones((6, 2)))
-        out = pert.apply_fixed(x, m, pert.FixedPerturbationConfig())
+        out = pert.apply_fixed(x, m, pert.window_average(x, 2))
         np.testing.assert_array_equal(out.data, x)
 
     def test_zero_mask_returns_window_average(self, rng):
         x = rng.uniform(-1, 1, (6, 2))
         m = Tensor(np.zeros((6, 2)))
-        cfg = pert.FixedPerturbationConfig(kind=pert.WINDOW_AVERAGE, window=2)
-        out = pert.apply_fixed(x, m, cfg)
-        np.testing.assert_allclose(out.data, pert.window_average(x, 2),
-                                   atol=1e-15)
+        mu = pert.window_average(x, 2)
+        out = pert.apply_fixed(x, m, mu)
+        np.testing.assert_allclose(out.data, mu, atol=1e-15)
 
     def test_half_mask_blend(self):
-        x = np.full((4, 1), 2.0)
-        m = Tensor(np.full((4, 1), 0.5))
-        cfg = pert.FixedPerturbationConfig(kind=pert.WINDOW_AVERAGE,
-                                           window=0)
         # window 0 makes mu = x, so the blend is x again; force mu = 0 via
         # an antisymmetric series instead
-        x2 = np.array([[2.0], [-2.0], [2.0], [-2.0]])
-        out = pert.apply_fixed(x2, Tensor(np.full((4, 1), 0.5)),
-                               pert.FixedPerturbationConfig(window=1))
-        mu = pert.window_average(x2, 1)
-        np.testing.assert_allclose(out.data, 0.5 * x2 + 0.5 * mu, atol=1e-15)
-        del x, m, cfg
+        x = np.array([[2.0], [-2.0], [2.0], [-2.0]])
+        mu = pert.window_average(x, 1)
+        out = pert.apply_fixed(x, Tensor(np.full((4, 1), 0.5)), mu)
+        np.testing.assert_allclose(out.data, 0.5 * x + 0.5 * mu, atol=1e-15)
 
     def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ad.ShapeError):
-            pert.apply_fixed(rng.uniform(size=(4, 2)),
-                             Tensor(np.ones((5, 2))),
-                             pert.FixedPerturbationConfig())
+        x = rng.uniform(size=(4, 2))
+        with pytest.raises(ad.ShapeError, match="mask"):
+            pert.apply_fixed(x, Tensor(np.ones((5, 2))), np.zeros((4, 2)))
+        with pytest.raises(ad.ShapeError, match=r"surrogate \(5, 2\)"):
+            pert.apply_fixed(x, Tensor(np.ones((4, 2))), np.zeros((5, 2)))
 
 
 class TestLearned:
