@@ -265,13 +265,24 @@ def cmd_evaluate(args):
         sal = ex.load_saliency_csv(args.saliency)
     except ValueError as e:
         raise SystemExit(f"{args.saliency}: {e}") from None
-    n = sal.scores.shape[0]
+    n, T, n_features = sal.scores.shape
+    if n > ds.n_samples or (T, n_features) != ds.X.shape[1:]:
+        raise SystemExit(f"{args.saliency}: saliency grid {sal.scores.shape} "
+                         f"does not fit the dataset {args.data} of shape "
+                         f"{ds.X.shape}")
     if ds.true_saliency is not None:
         rep = mt.ground_truth_report(sal.scores, ds.true_saliency[:n])
         print(f"aup {rep.aup:.4f}  aur {rep.aur:.4f}  "
               f"information {rep.information:.2f}  entropy {rep.entropy:.2f}")
     if args.model:
-        model = nets.load_classifier(args.model).freeze()
+        try:
+            model = nets.load_classifier(args.model).freeze()
+        except (OSError, ValueError, KeyError) as e:
+            raise SystemExit(f"{args.model}: {e}") from None
+        if model.gru.input_size != n_features:
+            raise SystemExit(f"{args.model}: the classifier reads "
+                             f"{model.gru.input_size} features, the dataset "
+                             f"has {n_features}")
         sub = ds.subset(np.arange(n))
         rep = mt.masked_prediction_metrics(model, sub, sal.scores,
                                            args.fraction, args.substitution)

@@ -124,10 +124,9 @@ def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
     feature 1 is never salient.
     """
     N, T = config.n_series, config.n_steps
-    chol = [np.linalg.cholesky(config.sigma[s]) for s in range(2)]
-    X = np.empty((N, T, 3))
-    y = np.empty((N, T), dtype=np.int64)
     states = np.empty((N, T), dtype=np.int64)
+    normals = np.empty((N, T, 3))
+    uniforms = np.empty((N, T))
     # one independent stream per series so generation order is irrelevant
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(config.seed).spawn(N)]
@@ -137,15 +136,20 @@ def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
     first_cut, *cuts = (_first_cdf(p) for p in
                         (hmm_stationary_distribution(config.transition),
                          *config.transition))
+    # the loop only draws, in each cell's order: state, emission normals,
+    # label uniform; the arithmetic runs over all cells after it
     for i, rng in enumerate(streams):
         s = int(rng.random() >= first_cut)
         for t in range(T):
             if t > 0:
                 s = int(rng.random() >= cuts[s])
             states[i, t] = s
-            X[i, t] = config.mu[s] + chol[s] @ rng.standard_normal(3)
-            driver = X[i, t, 1] if s == 0 else X[i, t, 2]
-            y[i, t] = rng.random() < _sigmoid(driver)
+            rng.standard_normal(out=normals[i, t])
+            uniforms[i, t] = rng.random()
+    chol = np.stack([np.linalg.cholesky(config.sigma[s]) for s in range(2)])
+    X = config.mu[states] + (chol[states] @ normals[..., None])[..., 0]
+    driver = np.where(states == 0, X[..., 1], X[..., 2])
+    y = (uniforms < _sigmoid(driver)).astype(np.int64)
     sal = np.zeros((N, T, 3), dtype=bool)
     sal[:, :, 1] = states == 0
     sal[:, :, 2] = states == 1

@@ -3,7 +3,11 @@ perturbation generators both build on the same cell.
 
 All forward passes take a batched input [B, T, n], and every row of the
 batch runs through the same 2-d weights. gru_forward is one taped op that
-steps every pass of a GRU, forward and reverse, in one time loop.
+steps every pass of a GRU, forward and reverse, in one time loop. A
+recorded call keeps its whole-sequence state in one allocation (up to a
+size past which the allocator would keep it resident) and leaves its
+backward only the dh recurrence; the weight and input gradients are one
+product per pass over all steps.
 """
 
 from __future__ import annotations
@@ -78,29 +82,55 @@ def init_gru(rng, input_size, hidden_size, direction=FORWARD):
     return p
 
 
-def _gru_cell(xg, h, Wh, H):
-    """One GRU step from the input projection xg = x_t @ W_x + b and the
-    previous state h (B, H): returns (h_new, r, z, c, hc), where
-    hc = h @ W_hc. Leading axes step together: gru_forward passes (P, B, .)
-    stacks of its passes with W_h (P, H, 3H), so that h @ W_h is one
-    stacked matmul.
+def _gru_cell(xg, h, Wh, out, ws):
+    """One GRU step of P passes on rows (..., B, P, .): from the input
+    projection xg = x_t @ W_x + b and the previous states h, with the r
+    and z gate columns of xg and W_h (P, H, 3H) negated (_negate_rz), so
+    that the sigmoid needs no negation pass. Writes the new state into
+    out, which may be h.
+
+    ws = (hg, rz, c, r_hc, h_c) take h @ W_h (one stacked matmul over the
+    passes), the gates with the sigmoid applied, c, r * hc (hc = h @ W_hc)
+    and h - c. A recorded call keeps the last four; an unrecorded one
+    passes c as r_hc and out as h_c, so that every result lands in a
+    contiguous per-step buffer.
     """
-    hg = h @ Wh
-    # xg may be cached, so only fresh arrays are written in place: the gate
-    # sum, c and the new state. The gate sum is a new contiguous array, not
-    # hg's strided gate columns, because numpy's exp and reciprocal run
-    # about twice as fast on contiguous data
-    rz = xg[..., :2 * H] + hg[..., :2 * H]
-    ad._sigmoid_unguarded(rz, rz)  # callers ignore overflow around the loop
-    r, z = rz[..., :H], rz[..., H:]
-    hc = hg[..., 2 * H:]
-    c = r * hc
-    c += xg[..., 2 * H:]
+    hg, rz, c, r_hc, h_c = ws
+    H = c.shape[-1]
+    np.matmul(h.swapaxes(-3, -2), Wh, out=hg.swapaxes(-3, -2))
+    # the gate sum goes to rz, not to hg's strided gate columns, because
+    # numpy's exp and reciprocal run about twice as fast on contiguous data
+    np.add(xg[..., :2 * H], hg[..., :2 * H], out=rz)
+    np.exp(rz, out=rz)  # callers ignore overflow around the loop
+    rz += 1.0
+    np.reciprocal(rz, out=rz)
+    np.multiply(rz[..., :H], hg[..., 2 * H:], out=r_hc)
+    np.add(r_hc, xg[..., 2 * H:], out=c)
     np.tanh(c, out=c)
-    h_new = h - c
-    h_new *= z
-    h_new += c
-    return h_new, r, z, c, hc
+    np.subtract(h, c, out=h_c)
+    np.multiply(h_c, rz[..., H:], out=out)
+    out += c
+
+
+def _gate_factors(proj, gates, c):
+    """The factors of a recorded call's backward that do not depend on
+    the gradient, from the values its steps left: proj (..., 3H) holds
+    [r * hc, h - c, spent], gates (..., 2H) [r, z] and c (..., H) c. With
+    A = (1-z)(1-c^2), writes E = [A hc r(1-r), (h-c) z(1-z), A r] over
+    proj, A over c and 1 - r over r; z stays."""
+    H = c.shape[-1]
+    e_r, e_z, e_c = proj[..., :H], proj[..., H:2 * H], proj[..., 2 * H:]
+    r, z = gates[..., :H], gates[..., H:]
+    np.multiply(c, c, out=c)
+    np.subtract(1.0, c, out=c)
+    np.subtract(1.0, z, out=e_c)
+    e_z *= z
+    e_z *= e_c
+    c *= e_c
+    np.multiply(c, r, out=e_c)
+    np.subtract(1.0, r, out=r)
+    e_r *= r
+    e_r *= c
 
 
 def gru_forward(x, params: GruParams):
@@ -108,16 +138,27 @@ def gru_forward(x, params: GruParams):
     every pass of params (_passes) as one taped op.
 
     The cell is the usual r/z/c gating, h_t = (1-z)*c + z*h_{t-1} from
-    h = 0. All P passes step in one time loop: at loop step k the forward
-    pass reads position k and a reverse pass position T-1-k. Their
-    weights are stacked per call into (P, ., .) arrays, so _gru_cell steps
-    them together and each product is one stacked matmul, which runs the
-    gemm or gemv of the 2-d product on every pass. Pass p's states fill
-    columns p*H .. (p+1)*H of the output. Backward steps the dh recurrence
-    of all passes together and gives each pass's tensors their own
-    gradients. Both keep small per-step buffers, because whole-sequence
-    temporaries cost more in page faults than they save. Nothing is saved
-    for backward when the op is not recorded.
+    h = 0. All P passes step in one time loop (_gru_cell): at loop step k
+    the forward pass reads position k and a reverse pass position T-1-k.
+    Their weights are stacked per call into (P, ., .) arrays, r and z
+    negated, so each product is one stacked matmul, which runs the gemm
+    or gemv of the 2-d product on every pass. Pass p's states fill
+    columns p*H .. (p+1)*H of the output.
+
+    A recorded call takes every whole-sequence buffer from one allocation
+    (up to _BLOCK_BYTES, see _split): (T, B, P, .) arrays in step order, so
+    that a step's rows are contiguous and a pass's T*B rows are one strided
+    matrix. They hold the inputs, their projections x_t @ W_x + b (one
+    stacked matmul before the loop, whose (step, pass) slices are the
+    per-step products), the gates r | z, c and the states. After the
+    loop, _gate_factors turns
+    them into the factors of the backward that do not depend on the
+    gradient, so the backward loop runs only the dh recurrence,
+    gt = G_k + dh, D_k = E_k * gt, dh = D_k @ W_h^T + gt * z, with gt
+    written over the spent r gates and D_k over E_k. The W_h, W_x, b and
+    input gradients are then one product or sum per pass over all T*B
+    rows. An unrecorded call runs the same step loop on per-step buffers
+    and keeps nothing but its output.
     """
     if x.ndim != 3:
         raise ad.ShapeError(f"gru_forward expects (B, T, n), got {x.shape}")
@@ -132,78 +173,131 @@ def gru_forward(x, params: GruParams):
     dps, reverses = zip(*_passes(params))
     P = len(dps)
     weights = [t for dp in dps for t in dp.tensors()]
-    Wx = np.stack([dp.w_x.data for dp in dps])
-    Wh = np.stack([dp.w_h.data for dp in dps])
-    bias = np.stack([dp.b.data.reshape(1, 3 * H) for dp in dps])
+    Wx = np.stack([_negate_rz(dp.w_x.data, H) for dp in dps])
+    Wh = np.stack([_negate_rz(dp.w_h.data, H) for dp in dps])
+    bias = np.concatenate([_negate_rz(dp.b.data.reshape(1, 3 * H), H)
+                           for dp in dps])  # (P, 3H)
     record = ad._recording((x, *weights))
-    # the position each pass reads at each loop step, as a list for the
-    # per-pass loops and an index array for the gathers
-    pos = [[T - 1 - k if reverse else k for reverse in reverses]
-           for k in range(T)]
-    at = np.array(pos)
-    X = x.data
-    Xt = X.swapaxes(0, 1)
+    Xt = x.data.swapaxes(0, 1)
     out = np.empty((B, T, P, H))
-    saved = [None] * T
-    h = np.zeros((P, B, H))
+    hg = np.empty((B, P, 3 * H))
+    h = np.zeros((B, P, H))
+    if record:
+        xs, proj, gates, cs, states = _split(
+            (T, B, P), (n, 3 * H, 2 * H, H, H))
+        for p, reverse in enumerate(reverses):
+            np.copyto(xs[:, :, p], Xt[::-1] if reverse else Xt)
+        np.matmul(xs.transpose(2, 0, 1, 3), Wx[:, None],
+                  out=proj.transpose(2, 0, 1, 3))
+        proj += bias
+    else:
+        # the positions each pass reads at each loop step
+        pos = [[T - 1 - k if reverse else k for reverse in reverses]
+               for k in range(T)]
+        at = np.array(pos)
+        xg, rz, c = (np.empty((B, P, w)) for w in (3 * H, 2 * H, H))
+        ws = (hg, rz, c, c, h)
     with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
         for k in range(T):
-            x_t = Xt[at[k]]  # a fresh (P, B, n) array
-            xg = x_t @ Wx + bias
-            h_new, r, z, c, hc = _gru_cell(xg, h, Wh, H)
             if record:
-                saved[k] = (x_t, h, r, z, c, hc)
-            for p, t in enumerate(pos[k]):
-                out[:, t, p] = h_new[p]
+                xg, h_new = proj[k], states[k]
+                ws = (hg, gates[k], cs[k], xg[..., :H], xg[..., H:2 * H])
+            else:
+                np.matmul(Xt[at[k]], Wx, out=xg.swapaxes(0, 1))
+                xg += bias
+                h_new = h
+            _gru_cell(xg, h, Wh, h_new, ws)
+            if not record:
+                for p, t in enumerate(pos[k]):
+                    out[:, t, p] = h[:, p]
             h = h_new
-    result = Tensor(out.reshape(B, T, P * H))
     if not record:
-        return result
+        return Tensor(out.reshape(B, T, P * H))
+    for p, reverse in enumerate(reverses):
+        np.copyto(out[:, :, p], (states[::-1, :, p] if reverse
+                                 else states[:, :, p]).swapaxes(0, 1))
+    _gate_factors(proj, gates, cs)
 
     def backward(g):
         wanted = [t._tracked() for t in (x, *weights)]
         # which of w_x, w_h and b some pass wants
         stacked = [any(wanted[1 + i::3]) for i in range(3)]
-        G = g.reshape(B, T, P, H).transpose(2, 1, 0, 3)  # (P, T, B, H)
-        passes = np.arange(P)
-        WxT, WhT = Wx.swapaxes(1, 2), Wh.swapaxes(1, 2)
-        gx = [np.empty_like(X) for _ in dps] if wanted[0] else None
-        gw = [None] * 3  # w_x, w_h, b of every pass, stacked
-        dh = None
+        # gt in step order, over the spent 1 - r
+        gt, z = gates[..., :H], gates[..., H:]
+        G = g.reshape(B, T, P, H).swapaxes(0, 1)
+        for p, reverse in enumerate(reverses):
+            np.copyto(gt[:, :, p], G[::-1, :, p] if reverse else G[:, :, p])
+        E = proj.reshape(T, B, P, 3, H)
+        WhT = np.stack([dp.w_h.data.T for dp in dps])
+        dh, gz = np.empty((B, P, H)), np.empty((B, P, H))
         for k in range(T - 1, -1, -1):
-            x_t, h_prev, r, z, c, hc = saved[k]
-            gt = G[passes, at[k]]
-            if dh is not None:
-                gt += dh
-            omz = 1.0 - z
-            du = gt * omz * (1.0 - c * c)
-            d_ar = du * hc * r * (1.0 - r)
-            d_az = gt * (h_prev - c) * z * omz
-            d_xg = np.concatenate([d_ar, d_az, du], axis=-1)
-            d_hg = np.concatenate([d_ar, d_az, du * r], axis=-1)
+            if k < T - 1:
+                gt[k] += dh
+            E[k] *= gt[k, :, :, None]
             if k > 0:  # h before the first step is a constant zero
-                dh = gt * z + d_hg @ WhT
-            if gx is not None:
-                gx_t = d_xg @ WxT
-                for p, t in enumerate(pos[k]):
-                    gx[p][:, t] = gx_t[p]
-            parts = (x_t.swapaxes(1, 2) @ d_xg if stacked[0] else None,
-                     h_prev.swapaxes(1, 2) @ d_hg if stacked[1] else None,
-                     d_xg.sum(axis=1) if stacked[2] else None)
-            for i, gi in enumerate(parts):
-                if gi is not None:
-                    gw[i] = gi if gw[i] is None else gw[i] + gi
+                np.matmul(proj[k].swapaxes(0, 1), WhT,
+                          out=dh.swapaxes(0, 1))
+                np.multiply(gt[k], z[k], out=gz)
+                dh += gz
+
+        def rows(a, lo=0):
+            """a's steps from lo as (P, rows, width), one matrix a pass."""
+            return a[lo:].reshape(-1, P, a.shape[-1]).swapaxes(0, 1)
+
+        gw = [None] * 3  # w_x, w_h, b of every pass, stacked
+        if stacked[1]:
+            gw[1] = rows(states)[:, :(T - 1) * B].swapaxes(1, 2) \
+                @ rows(proj, 1)
+        # D's c gate, gt A r, becomes d_xg's, gt A
+        np.multiply(gt, cs, out=proj[..., 2 * H:])
+        d_xg = rows(proj)
+        if stacked[0]:
+            gw[0] = rows(xs).swapaxes(1, 2) @ d_xg
+        if stacked[2]:
+            gw[2] = d_xg.sum(axis=1)
+        if wanted[0]:
+            WxT = np.stack([dp.w_x.data.T for dp in dps])
+            gx = (d_xg @ WxT).reshape(P, T, B, n)
         # the last pass first, so that x's gradient sums the passes in the
         # order one op per pass on the tape would
         for p in range(P - 1, -1, -1):
-            if gx is not None:
-                x._accumulate(gx[p], owned=True)
+            if wanted[0]:
+                gxp = gx[p, ::-1] if reverses[p] else gx[p]
+                x._accumulate(np.ascontiguousarray(gxp.swapaxes(0, 1)),
+                              owned=True)
             for i, tensor in enumerate(dps[p].tensors()):
                 if wanted[1 + 3 * p + i]:
                     tensor._accumulate(gw[i][p].reshape(tensor.shape),
                                        owned=True)
 
-    return ad._record(result, (x, *weights), backward)
+    return ad._record(Tensor(out.reshape(B, T, P * H)), (x, *weights),
+                      backward)
+
+
+# the most bytes a recorded gru_forward call takes in one allocation. glibc
+# raises its mmap threshold to the size of an unmapped block and its heap
+# trim threshold to twice that, so from the second call on, blocks of one
+# size come from the heap, and up to twice their size stays resident after
+# the loop that made them. One block per call keeps such loops free of page
+# faults; past this size the memory it leaves behind outweighs that. On
+# 2 cores, one 10.7 MiB block per training batch raised the peak RSS of the
+# occlusion_icu benchmark by 8-11%, while an 8 MiB cap, which also splits
+# the fast HMM profile's 8.7 MiB generator blocks, slowed a 100-row learned
+# call at that profile from 3.64 to 4.19 s
+_BLOCK_BYTES = 10 * 2**20
+
+
+def _split(lead, widths):
+    """Arrays of shape lead + (w,) for w in widths: consecutive views of one
+    allocation, or one allocation each when they take more than
+    _BLOCK_BYTES in all."""
+    size = int(np.prod(lead))
+    if size * sum(widths) * 8 > _BLOCK_BYTES:
+        return [np.empty(lead + (w,)) for w in widths]
+    block = np.empty(size * sum(widths))
+    ends = np.cumsum(widths) * size
+    return [block[e - w * size:e].reshape(lead + (w,))
+            for w, e in zip(widths, ends)]
 
 
 def _passes(params: GruParams):
@@ -444,11 +538,11 @@ def _restep(x, h, W, ws, out):
     the new state of h into out, which may be h.
 
     x is the input projection as (3, ..., H) gate blocks that broadcast to
-    h's rows; x and W (_step_weights) have r and z negated. Negation is
-    exact, so the gate sums are exactly _gru_cell's negated ones and the
-    sigmoid skips its negation pass; ws (_restep_buffers) takes every
-    result, each ufunc runs on contiguous blocks, and nothing is
-    allocated. The step has _gru_cell's bits.
+    h's rows; x and W (_step_weights) have r and z negated, as in
+    _gru_cell. Negation is exact, so the gate sums are exactly the negated
+    ones of the plain cell and the sigmoid skips its negation pass; ws
+    (_restep_buffers) takes every result, each ufunc runs on contiguous
+    blocks, and nothing is allocated. The step has _gru_cell's bits.
     """
     _gate_products(h, W, ws)
     g = ws[0]

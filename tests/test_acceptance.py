@@ -18,11 +18,13 @@ checked in under runs/ at the repo root. Reproduce them with:
 
 By default they run as many folds at a time as there are usable CPUs,
 each process on one OpenBLAS thread; `--jobs` never changes a byte. On a
-2-core machine the icu_full command took 10 min 48 s of wall time with
-one perturbation generator per row block (25 min 41 s with one per row,
-85 min with two BLAS threads per fold worker, and 2 h 57 min before the
-fused GRU op, batched occlusion and the numpy sigmoid); the two hmm commands
-have not been run to completion. Only the CSVs, config.ini and charts are
+2-core machine, with the GRU backward cut down to the dh recurrence, the
+commands took 6 min 35 s (hmm_full), 5 min 50 s (hmm_grid) and 8 min 40 s
+(icu_full) of wall time, in single runs whose times varied by up to a
+third from run to run. icu_full took 10 min 48 s before that change,
+25 min 41 s with one perturbation generator per row, 85 min with two BLAS
+threads per fold worker, and 2 h 57 min before the fused GRU op, batched
+occlusion and the numpy sigmoid. Only the CSVs, config.ini and charts are
 committed; models/ is regenerated by the same command. Compare the
 [environment] section of config.ini before comparing bytes: the BLAS
 thread count moves last bits.

@@ -197,6 +197,48 @@ class TestGenerateTrainExplain:
                     str(sal))
         assert str(exc.value) == f"{sal}: {error}"
 
+    @pytest.mark.parametrize("shape", [(13, 16, 3), (2, 15, 3), (2, 17, 3),
+                                       (2, 16, 2)],
+                             ids=["samples", "shorter_T", "longer_T",
+                                  "features"])
+    def test_evaluate_rejects_a_grid_that_does_not_fit(self, tiny_dataset,
+                                                       tmp_path, shape):
+        # the dataset holds 12 series of 16 steps and 3 features
+        sal = tmp_path / "sal.csv"
+        ex.save_saliency_csv(ex.SaliencyMap(np.full(shape, 0.5), "occlusion"),
+                             sal)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--data", str(tiny_dataset), "--saliency",
+                    str(sal))
+        assert str(exc.value) == (f"{sal}: saliency grid {shape} does not "
+                                  f"fit the dataset {tiny_dataset} of shape "
+                                  "(12, 16, 3)")
+
+    def test_evaluate_rejects_a_model_of_other_features(self, tiny_dataset,
+                                                        tmp_path):
+        model = tmp_path / "m.json"
+        nets.save_classifier(nets.init_classifier(np.random.default_rng(0),
+                                                  5, 4), model)
+        sal = tmp_path / "sal.csv"
+        ex.save_saliency_csv(ex.SaliencyMap(np.full((2, 16, 3), 0.5),
+                                            "occlusion"), sal)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--data", str(tiny_dataset), "--saliency",
+                    str(sal), "--model", str(model))
+        assert str(exc.value) == (f"{model}: the classifier reads 5 "
+                                  "features, the dataset has 3")
+
+    def test_evaluate_names_a_model_it_cannot_load(self, tiny_dataset,
+                                                   tmp_path):
+        sal = tmp_path / "sal.csv"
+        ex.save_saliency_csv(ex.SaliencyMap(np.full((2, 16, 3), 0.5),
+                                            "occlusion"), sal)
+        model = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--data", str(tiny_dataset), "--saliency",
+                    str(sal), "--model", str(model))
+        assert str(exc.value).startswith(f"{model}: ")
+
 
     @pytest.fixture()
     def tiny_model(self, tiny_dataset, tmp_path):

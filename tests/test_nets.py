@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -205,6 +206,148 @@ def test_gru_gradcheck(rng):
     assert_gradcheck(build, rng.uniform(-1, 1, (2, 4, 2)))
 
 
+def _reference_gradients(X, params, G):
+    """The gradients of sum(G * gru_forward(X, params)) by the per-step
+    backward gru_forward had before its gate factors moved into the
+    forward: [x, then w_x, w_h, b of each pass]. Each pass runs on its
+    own, from the plain cell equations; each step of the backward forms
+    every gate derivative from the saved r, z, c, hc and h, and adds its
+    own products to the weight gradients."""
+    B, T, n = X.shape
+    H = params.hidden_size
+    grads = [np.zeros_like(X)]
+    for p, (dp, reverse) in enumerate(nets._passes(params)):
+        Wx, Wh, b = dp.w_x.data, dp.w_h.data, dp.b.data.reshape(3 * H)
+        order = range(T - 1, -1, -1) if reverse else range(T)
+        h, saved = np.zeros((B, H)), []
+        for t in order:
+            xg, hg = X[:, t] @ Wx + b, h @ Wh
+            r, z = (1.0 / (1.0 + np.exp(-(xg[:, i * H:(i + 1) * H]
+                                          + hg[:, i * H:(i + 1) * H])))
+                    for i in range(2))
+            hc = hg[:, 2 * H:]
+            c = np.tanh(r * hc + xg[:, 2 * H:])
+            saved.append((t, h, r, z, c, hc))
+            h = (h - c) * z + c
+        gw = [np.zeros_like(Wx), np.zeros_like(Wh), np.zeros(3 * H)]
+        dh = np.zeros((B, H))
+        for t, h_prev, r, z, c, hc in reversed(saved):
+            gt = G[:, t, p * H:(p + 1) * H] + dh
+            du = gt * (1.0 - z) * (1.0 - c * c)
+            d_ar = du * hc * r * (1.0 - r)
+            d_az = gt * (h_prev - c) * z * (1.0 - z)
+            d_xg = np.concatenate([d_ar, d_az, du], axis=1)
+            d_hg = np.concatenate([d_ar, d_az, du * r], axis=1)
+            dh = gt * z + d_hg @ Wh.T
+            grads[0][:, t] += d_xg @ Wx.T
+            gw[0] += X[:, t].T @ d_xg
+            gw[1] += h_prev.T @ d_hg
+            gw[2] += d_xg.sum(axis=0)
+        grads += [g.reshape(t.shape) for g, t in zip(gw, dp.tensors())]
+    return grads
+
+
+def _op_gradients(X, params, G, wrt_x, wrt_weights):
+    """The gradients gru_forward gives sum(G * out), as _reference_gradients
+    lists them; None for an input that is not tracked."""
+    x = Tensor(X, requires_grad=wrt_x)
+    for t in params.tensors():
+        t.requires_grad, t.grad = wrt_weights, None
+    with ad.Tape():
+        ad.tsum(ad.mul(nets.gru_forward(x, params), Tensor(G))).backward()
+    return [x.grad] + [t.grad for t in params.tensors()]
+
+
+def _worst_deviation(got, want):
+    """The largest of max |got - want| / max |want| over the arrays, or of
+    max |got| where want is all zero (w_h's gradient at T = 1)."""
+    return max(np.abs(a - b).max() / (np.abs(b).max() or 1.0)
+               for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("B, T, n, H, direction, wrt_x, wrt_weights", [
+    (24, 50, 3, 32, nets.BIDIRECTIONAL, False, True),
+    (24, 50, 3, 32, nets.FORWARD, True, False),
+    (64, 48, 8, 64, nets.FORWARD, False, True),
+    (1, 9, 3, 5, nets.BIDIRECTIONAL, True, True),
+    (4, 1, 3, 5, nets.BIDIRECTIONAL, True, True),
+    (5, 9, 2, 20, nets.BACKWARD, True, True),
+], ids=["generator", "classifier", "training", "B1", "T1", "reverse"])
+def test_gradients_match_the_per_step_backward(B, T, n, H, direction,
+                                               wrt_x, wrt_weights):
+    # the generator, the frozen classifier (input only) and a training
+    # batch, at the shapes the package runs; the gradients move only by
+    # reassociated products
+    rng = np.random.default_rng(B * T + H)
+    p = nets.init_gru(rng, n, H, direction)
+    X = rng.normal(0, 1, (B, T, n))
+    G = rng.normal(0, 1, (B, T, p.output_size))
+    got = _op_gradients(X, p, G, wrt_x, wrt_weights)
+    want = _reference_gradients(X, p, G)
+    kept = [(a, b) for a, b in zip(got, want) if a is not None]
+    assert len(kept) == wrt_x + wrt_weights * len(p.tensors())
+    worst = _worst_deviation(*zip(*kept))
+    print(f"worst relative deviation from the per-step backward: "
+          f"{worst:.2e}")
+    assert worst <= 1e-12
+
+
+def test_two_calls_on_one_tape_give_the_gradient_of_their_sum(rng):
+    p = nets.init_gru(rng, 3, 6, nets.BIDIRECTIONAL)
+    X1, X2 = rng.normal(0, 1, (4, 7, 3)), rng.normal(0, 1, (2, 5, 3))
+    G1, G2 = rng.normal(0, 1, (4, 7, 12)), rng.normal(0, 1, (2, 5, 12))
+    x1, x2 = Tensor(X1, requires_grad=True), Tensor(X2, requires_grad=True)
+    with ad.Tape():
+        ad.add(ad.tsum(ad.mul(nets.gru_forward(x1, p), Tensor(G1))),
+               ad.tsum(ad.mul(nets.gru_forward(x2, p), Tensor(G2)))
+               ).backward()
+    want1, want2 = (_reference_gradients(X, p, G)
+                    for X, G in ((X1, G1), (X2, G2)))
+    got = [x1.grad, x2.grad] + [t.grad for t in p.tensors()]
+    want = [want1[0], want2[0]] + [a + b for a, b in zip(want1[1:],
+                                                         want2[1:])]
+    assert _worst_deviation(got, want) <= 1e-12
+
+
+def test_buffers_past_the_block_size_give_the_same_bytes(rng, monkeypatch):
+    # a call whose buffers exceed _BLOCK_BYTES allocates them one by one;
+    # the arithmetic, and so every byte, stays that of the one block
+    p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
+    X = rng.normal(0, 1, (4, 6, 3))
+    G = rng.normal(0, 1, (4, 6, 10))
+    one_block = _op_gradients(X, p, G, True, True)
+    monkeypatch.setattr(nets, "_BLOCK_BYTES", 0)
+    for got, want in zip(_op_gradients(X, p, G, True, True), one_block):
+        np.testing.assert_array_equal(got, want)
+
+
+# tracemalloc peak of a recorded forward and backward at (64, 48, 8), H 64,
+# weights only, loss = sum of the output, with the per-step backward that
+# saved each step's arrays: 16.10 MB
+_PARENT_RECORDED_PEAK = 16.10e6
+
+
+def test_memory_of_recorded_and_unrecorded_calls(rng):
+    p = nets.init_gru(rng, 8, 64)
+    X = rng.normal(0, 1, (200, 48, 8))
+    tracemalloc.start()
+    try:
+        # unrecorded: nothing but the output is whole-sequence
+        out = nets.gru_forward(Tensor(X), p).data
+        unrecorded = tracemalloc.get_traced_memory()[1]
+        del out
+        X = X[:64].copy()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with ad.Tape():
+            ad.tsum(nets.gru_forward(Tensor(X), p)).backward()
+        recorded = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert unrecorded < 1.5 * 200 * 48 * 64 * 8
+    assert recorded <= _PARENT_RECORDED_PEAK
+
+
 def test_zero_readout_gives_half_probability(rng):
     c = nets.init_classifier(rng, 2, 4)
     c.w_out.data[:] = 0.0
@@ -304,6 +447,19 @@ def test_checkpoint_roundtrip(tmp_path, rng):
 
 
 
+def _cell(xg, h, Wh):
+    """The new state of nets._gru_cell from the projection xg and W_h, as
+    gru_forward's step loop gives them to it: one pass, r and z negated."""
+    H = h.shape[-1]
+    xg = nets._negate_rz(xg, H)[:, None]
+    out = np.empty_like(h)[:, None]
+    c = np.empty_like(out)
+    nets._gru_cell(xg, h[:, None], nets._negate_rz(Wh, H)[None], out,
+                   (np.empty_like(xg), np.empty(out.shape[:-1] + (2 * H,)),
+                    c, c, out))
+    return out[:, 0]
+
+
 class TestRestepMatchesGruCell:
     """nets._restep, the step of perturbed_step_scores, gives _gru_cell's
     bits on every copy of a batch: h stacks c copies of r draws of B rows,
@@ -321,8 +477,8 @@ class TestRestepMatchesGruCell:
         rows = np.broadcast_to(xg, (c, r, B, 3 * H))
         with np.errstate(over="ignore"):  # as gru_forward's loop does
             want = np.stack([
-                nets._gru_cell(rows[k].reshape(-1, 3 * H),
-                               h[k].reshape(-1, H), Wh, H)[0].reshape(r, B, H)
+                _cell(rows[k].reshape(-1, 3 * H), h[k].reshape(-1, H),
+                      Wh).reshape(r, B, H)
                 for k in range(c)])
         x = nets._gates(nets._negate_rz(xg, H), H)
         return Wh, x[:, None, None] if cached else x, want
