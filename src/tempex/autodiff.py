@@ -24,7 +24,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "matmul",
     "sigmoid",
     "tsum",
@@ -232,16 +231,6 @@ def sub(a, b):
             b._accumulate(_unbroadcast(-g, b.shape))
 
     return _record(out, (a, b), backward)
-
-
-def neg(a):
-    out = Tensor(-a.data)
-
-    def backward(g):
-        if a._tracked():
-            a._accumulate(-g)
-
-    return _record(out, (a,), backward)
 
 
 def mul(a, b):

@@ -7,11 +7,10 @@ expose the individual pipeline stages for one-off work.
 Configuration comes from an INI file (sections [dataset], [model],
 [explainers.learned], [metrics], [run]); a key that the run would not read,
 or a value it cannot use, is rejected before any stage starts. Command line
-flags override file keys, and the TEMPEX_SEED environment variable
-overrides the file seed (an explicit --seed flag still wins). `run` echoes
-its inputs, the resolved sizes ([resolved]) and the BLAS set-up
-([environment]) into config.ini, which feeds back through --config: the
-sizes take effect, and a different BLAS set-up is refused.
+flags override file keys. `run` echoes its inputs, the resolved sizes
+([resolved]) and the BLAS library and kernel ([environment]) into
+config.ini, which feeds back through --config: the sizes take effect, and
+another BLAS library or kernel is refused.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ import sys
 import numpy as np
 
 from . import data, experiment as xp, explainers as ex, metrics as mt, nets
-
-SEED_ENV = "TEMPEX_SEED"
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +42,7 @@ _SECTION_KEYS = {
     # written by _echo_config
     "resolved": {"n_series", "n_steps", "eval_samples", "epochs", "hidden",
                  "iterations", "fractions"},
-    "environment": {"blas", "blas_threads", "openblas_num_threads",
-                    "omp_num_threads", "cpu_count"},
+    "environment": {"blas", "blas_core"},
 }
 # the [run] inputs that are also flags; ExperimentConfig holds the defaults
 _RUN_FLAGS = ("experiment", "profile", "folds", "jobs", "ablation",
@@ -148,7 +144,8 @@ def _overrides(file_conf):
 
 def _check_environment(recorded):
     """Raise SystemExit if a recorded [environment] key differs from this
-    process's: a run repeats bitwise only under the same BLAS set-up."""
+    process's: a run repeats bitwise only under the same BLAS library and
+    kernel (_environment)."""
     current = _environment()
     for key, value in recorded.items():
         if current[key] != value:
@@ -156,15 +153,6 @@ def _check_environment(recorded):
                 f"config key {key!r} in section [environment] is {value!r}, "
                 f"but this process has {current[key]!r}, so the run would "
                 "not repeat bitwise; remove the key to run anyway")
-
-
-def _resolve_seed(args, file_conf):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return file_conf.get("run", {}).get("seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +182,8 @@ def cmd_generate(args):
 
 def cmd_train(args):
     _at_least(args, epochs=1, hidden=1)
+    if not args.lr > 0:
+        raise SystemExit(f"--lr is {args.lr}; it must be > 0")
     ds = data.load_dataset(args.data)
     seed = args.seed or 0
     model = nets.init_classifier(np.random.default_rng(seed),
@@ -314,8 +304,9 @@ def _run(args):
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not args.force:
         raise SystemExit(f"output dir {out_dir!r} is not empty; "
                          "pass --force to overwrite")
-    cfg = xp.ExperimentConfig(seed=_resolve_seed(args, file_conf),
-                              out_dir=out_dir, overrides=overrides, **run)
+    seed = args.seed if args.seed is not None else run_conf.get("seed", 0)
+    cfg = xp.ExperimentConfig(seed=seed, out_dir=out_dir,
+                              overrides=overrides, **run)
     if args.force:
         xp.remove_run_files(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -351,21 +342,16 @@ def _echo_config(cfg: xp.ExperimentConfig, path):
 
 
 def _environment():
-    """The BLAS set-up of the run. Results are bitwise reproducible only
-    under the same one: the last bits of a large float64 matmul can depend
-    on the BLAS thread count, which blas_threads reads from OpenBLAS."""
+    """The BLAS library and kernel of the run, which decide the last bits
+    of its products, so results repeat bitwise only under the same ones.
+    The thread count and the CPU count move no bit: a run and every worker
+    it forks use one BLAS thread (cmd_run), and --jobs moves no byte."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):  # numpy < 1.26 only prints its config
         name = "unknown"
-    get_threads = ex._openblas_threads("get")
-    env = {"blas": name,
-           "blas_threads": str(get_threads()) if get_threads else "unknown"}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        env[var.lower()] = os.environ.get(var, "unset")
-    env["cpu_count"] = str(os.cpu_count())
-    return env
+    return {"blas": name, "blas_core": ex.blas_core()}
 
 
 def _print_table(rows, first_width, width=18):

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import _sigmoid
+
 
 @dataclass
 class TimeSeriesDataset:
@@ -96,11 +98,6 @@ class HmmConfig:
                 raise ValueError(
                     f"covariance for state {s} is not positive-definite"
                 ) from None
-
-
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
-                    np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))))
 
 
 def hmm_stationary_distribution(transition):
@@ -199,14 +196,13 @@ def generate_icu_like(n_samples, n_steps=48, n_features=8, seed=0,
 # archive format: zip with a JSON header + raw little-endian f64 payloads
 
 
-def save_dataset(dataset: TimeSeriesDataset, path, seed=None):
+def save_dataset(dataset: TimeSeriesDataset, path):
     header = {
         "version": 1,
         "shape": list(dataset.X.shape),
         "feature_names": dataset.feature_names,
         "label_shape": list(dataset.y.shape),
         "has_saliency": dataset.true_saliency is not None,
-        "seed": seed,
     }
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
         zf.writestr("header.json", json.dumps(header))

@@ -558,8 +558,9 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def write_svg_chart(path, title, series, xlabel="mask fraction"):
-    """series: {label: (xs, ys)}; writes a self-contained SVG line chart."""
+def write_svg_chart(path, title, series):
+    """series: {label: (xs, ys)}; writes a self-contained SVG line chart
+    over the mask fraction."""
     W, H = 640, 400
     ml, mr, mt_, mb = 60, 160, 40, 50
     pw, ph = W - ml - mr, H - mt_ - mb
@@ -588,7 +589,7 @@ def write_svg_chart(path, title, series, xlabel="mask fraction"):
         f'<line x1="{ml}" y1="{mt_}" x2="{ml}" y2="{mt_ + ph}" '
         'stroke="black"/>',
         f'<text x="{ml + pw / 2:.0f}" y="{H - 12}" font-size="12" '
-        f'font-family="sans-serif" text-anchor="middle">{xlabel}</text>',
+        f'font-family="sans-serif" text-anchor="middle">mask fraction</text>',
     ]
     for frac_pos in (0.0, 0.5, 1.0):
         xv = x0 + frac_pos * (x1 - x0)

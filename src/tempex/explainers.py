@@ -10,12 +10,17 @@ Baselines: a fixed-perturbation mask explainer with the sorted-mask area
 regularizer, Occlusion, Augmented Occlusion, and Integrated Gradients.
 Mask methods emit the mask itself as the saliency map; gradient and
 occlusion scores are min-max normalized into [0, 1] per sample.
+
+Every classifier has one logit, so every method explains the positive
+class: the mask losses, the occlusion scores and the normalized gradient
+scores do not change under p -> 1 - p, which would explain the other one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import os
 import sys
 import threading
@@ -64,7 +69,6 @@ class ExplainerConfig:
     iterations: int = 500
     early_stop_tol: float = 1e-6
     early_stop_patience: int = 10
-    target: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -72,8 +76,10 @@ class ExplainerConfig:
             raise ValueError("lambda weights must be >= 0")
         if self.mode not in (PRESERVATION, DELETION):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        if self.generator_hidden < 1:
+            raise ValueError("generator_hidden must be >= 1")
+        _check_steps(self, mask_lr=self.mask_lr,
+                     generator_lr=self.generator_lr)
 
 
 @dataclass
@@ -85,15 +91,28 @@ class DynamaskConfig:
     iterations: int = 500
     early_stop_tol: float = 1e-6
     early_stop_patience: int = 10
-    target: int = 1
 
     def __post_init__(self):
         if self.window < 0:
             raise ValueError("window must be >= 0")
         if not 0 < self.area <= 1:
             raise ValueError("area must be in (0, 1]")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        _check_steps(self, lr=self.lr)
+
+
+def _check_steps(config, **rates):
+    """Raise ValueError unless each learning rate in `rates` is > 0 (else
+    the mask steps uphill or not at all) and config's stopping rule can
+    run."""
+    for name, rate in rates.items():
+        if not rate > 0:
+            raise ValueError(f"{name} must be > 0, got {rate}")
+    if config.iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    if config.early_stop_tol < 0:
+        raise ValueError("early_stop_tol must be >= 0")
+    if config.early_stop_patience < 1:
+        raise ValueError("early_stop_patience must be >= 1")
 
 
 @dataclass
@@ -117,14 +136,12 @@ def _check_frozen(classifier: ClassifierParams):
         )
 
 
-def _reference_probs(X, classifier, mode, target):
+def _reference_probs(X, classifier, mode):
     if mode == PRESERVATION:
-        p = predict_proba(X, classifier)
-    else:
-        zero = np.zeros((1,) + X.shape[1:])
-        p0 = predict_proba(zero, classifier)
-        p = np.broadcast_to(p0, (X.shape[0],) + p0.shape[1:]).copy()
-    return p if target == 1 else 1.0 - p
+        return predict_proba(X, classifier)
+    zero = np.zeros((1,) + X.shape[1:])
+    p0 = predict_proba(zero, classifier)
+    return np.broadcast_to(p0, (X.shape[0],) + p0.shape[1:]).copy()
 
 
 def _per_sample_ce(logits, ref_probs):
@@ -216,9 +233,26 @@ def _row_blocks(B):
 
 def _openblas_threads(kind):
     """OpenBLAS's `kind`_num_threads function ("get" or "set") of the BLAS
-    numpy loaded, through ctypes, or None where it exports none of the
-    names below (another BLAS, or an unknown build)."""
-    import ctypes
+    numpy loaded, or None (see _openblas)."""
+    return _openblas(f"{kind}_num_threads")
+
+
+def blas_core():
+    """The name of the kernel the OpenBLAS of numpy runs (OPENBLAS_CORETYPE,
+    or else the one it detected), or "unknown" (see _openblas). The kernel
+    decides the last bits of some products, so results repeat bitwise only
+    under the same one."""
+    fn = _openblas("get_corename")
+    if fn is None:
+        return "unknown"
+    fn.argtypes, fn.restype = [], ctypes.c_char_p
+    return fn().decode()
+
+
+def _openblas(name):
+    """OpenBLAS's function `name` of the BLAS numpy loaded, through ctypes,
+    or None where it exports it under none of the names below (another
+    BLAS, or an unknown build)."""
     umath = sys.modules.get("numpy._core._multiarray_umath") \
         or sys.modules.get("numpy.core._multiarray_umath")
     try:
@@ -227,7 +261,7 @@ def _openblas_threads(kind):
         return None
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
-            fn = getattr(lib, f"{prefix}_{kind}_num_threads{suffix}", None)
+            fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
             if fn is not None:
                 return fn
     return None
@@ -343,7 +377,7 @@ def _learned_block(X, ref, classifier, config):
     _optimize_blocks' block tuple."""
     snap = classifier.snapshot()
     B, T, n = X.shape
-    mask = Mask(B, T, n, init=0.5)
+    mask = Mask(B, T, n)
     gen = PerturbationGenerator(config.generator, n,
                                 hidden=config.generator_hidden,
                                 seed=config.seed)
@@ -352,8 +386,6 @@ def _learned_block(X, ref, classifier, config):
         m = mask.values
         phi, nn_x = apply_learned(x, m, gen)
         logits = classifier_forward(phi, classifier)
-        if config.target == 0:
-            logits = ad.neg(logits)
         ce_b = _per_sample_ce(logits, ref)
         m_flat = ad.reshape(m, (len(x), T * n))
         if config.mode == PRESERVATION:
@@ -397,7 +429,7 @@ def explain_learned(x, classifier: ClassifierParams,
     config = config or ExplainerConfig()
     X = _as_batch(x)
     _check_frozen(classifier)
-    ref = _reference_probs(X, classifier, config.mode, config.target)
+    ref = _reference_probs(X, classifier, config.mode)
     scores, meta = _optimize_blocks(
         X.shape, lambda lo, hi: _learned_block(
             X[lo:hi], ref[lo:hi], classifier, config),
@@ -426,7 +458,7 @@ def _dynamask_block(X, ref, classifier, config):
     returns _optimize_blocks' block tuple."""
     snap = classifier.snapshot()
     B, T, n = X.shape
-    mask = Mask(B, T, n, init=0.5)
+    mask = Mask(B, T, n)
     r_a = Tensor(area_target(T * n, config.area))
     # the surrogate does not depend on the mask: one per block
     mu = window_average(X, config.window)
@@ -435,8 +467,6 @@ def _dynamask_block(X, ref, classifier, config):
         m = mask.values
         phi = apply_fixed(x, m, mu)
         logits = classifier_forward(phi, classifier)
-        if config.target == 0:
-            logits = ad.neg(logits)
         ce_b = _per_sample_ce(logits, ref)
         sorted_m = ad.sort_last_axis(ad.reshape(m, (len(x), T * n)))
         d = ad.sub(sorted_m, r_a)
@@ -458,7 +488,7 @@ def explain_dynamask(x, classifier: ClassifierParams,
     config = config or DynamaskConfig()
     X = _as_batch(x)
     _check_frozen(classifier)
-    ref = _reference_probs(X, classifier, PRESERVATION, config.target)
+    ref = _reference_probs(X, classifier, PRESERVATION)
     scores, meta = _optimize_blocks(
         X.shape, lambda lo, hi: _dynamask_block(
             X[lo:hi], ref[lo:hi], classifier, config),
@@ -469,8 +499,9 @@ def explain_dynamask(x, classifier: ClassifierParams,
 
 @single_blas_thread()
 def occlusion(x, classifier: ClassifierParams, baseline=0.0,
-              target=1, workers=None) -> SaliencyMap:
-    """Score of each cell: |f_c(x) - f_c(x with the cell set to baseline)|.
+              workers=None) -> SaliencyMap:
+    """Score of each cell: |f(x) - f(x with the cell set to baseline)|,
+    f being target_score.
 
     Copy i of the batch sets feature i to the baseline. All copies of one
     step go through perturbed_step_scores, which reuses the classifier's
@@ -488,9 +519,9 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
         rows[cells, :, cells] = baseline
         return rows
 
-    base = target_score(X, classifier, target)
+    base = target_score(X, classifier)
     sc = perturbed_step_scores(
-        X, classifier, replacements, target,
+        X, classifier, replacements,
         map_blocks=partial(_map_blocks, workers=workers))
     raw = np.ascontiguousarray(np.abs(base - sc).transpose(2, 0, 1))
     return SaliencyMap(scores=_minmax_per_sample(raw), method="occlusion",
@@ -500,7 +531,7 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
 @single_blas_thread()
 def augmented_occlusion(x, classifier: ClassifierParams,
                         reference: np.ndarray, draws=10, seed=0,
-                        target=1, workers=None) -> SaliencyMap:
+                        workers=None) -> SaliencyMap:
     """Occlusion with cell values resampled from the feature's empirical
     distribution across the reference dataset; scores average |delta|
     over the draws.
@@ -534,9 +565,9 @@ def augmented_occlusion(x, classifier: ClassifierParams,
         rows[cells, :, cells] = pool[picks[t], cells[:, None]]
         return rows
 
-    base = target_score(X, classifier, target)
+    base = target_score(X, classifier)
     sc = perturbed_step_scores(
-        X, classifier, replacements, target, repeats=draws,
+        X, classifier, replacements, repeats=draws,
         map_blocks=partial(_map_blocks, workers=workers)
     ).reshape(T, n, B, draws)
     raw = np.abs(base[:, None] - sc).mean(axis=-1).transpose(2, 0, 1)
@@ -547,9 +578,10 @@ def augmented_occlusion(x, classifier: ClassifierParams,
 
 @single_blas_thread()
 def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
-                         steps=128, target=1) -> SaliencyMap:
-    """Midpoint-rule path integral of gradients from baseline to x. Raw
-    attributions live in metadata; scores are min-max normalized."""
+                         steps=128) -> SaliencyMap:
+    """Midpoint-rule path integral of the gradients of the positive-class
+    probabilities, from baseline to x. Raw attributions live in metadata;
+    scores are min-max normalized."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     X = _as_batch(x)
@@ -567,11 +599,7 @@ def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
         point = Tensor(baseline + alpha * diff, requires_grad=True)
         with ad.Tape():
             logits = classifier_forward(point, classifier)
-            p = ad.sigmoid(logits)
-            if target == 0:
-                p = ad.sub(1.0, p)
-            total = ad.tsum(p)
-            total.backward()
+            ad.tsum(ad.sigmoid(logits)).backward()
         avg_grad += point.grad
     raw = diff * (avg_grad / steps)
     return SaliencyMap(scores=_minmax_per_sample(np.abs(raw)),
@@ -594,7 +622,7 @@ def save_saliency_csv(saliency: SaliencyMap, path):
                     w.writerow([b, t, i, repr(float(saliency.scores[b, t, i]))])
 
 
-def load_saliency_csv(path, method="loaded"):
+def load_saliency_csv(path):
     """The map save_saliency_csv wrote; ValueError if the header lacks one
     of its columns, a line does not parse, the file has no rows, a row
     has a negative index or a score that is not finite, or there is other
@@ -635,4 +663,4 @@ def load_saliency_csv(path, method="loaded"):
         k = counts[b, t, i]
         raise ValueError(f"sample {b}, t {t}, feature {i} has "
                          + ("no row" if k == 0 else f"{k} rows"))
-    return SaliencyMap(scores=scores, method=method)
+    return SaliencyMap(scores=scores, method="loaded")

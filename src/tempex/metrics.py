@@ -17,6 +17,8 @@ import numpy as np
 from .nets import ClassifierParams, predict_proba
 
 EPS = 1e-6
+# the threshold levels of aup_aur
+GRID = 100
 
 TIME_AVERAGE = "time_average"
 ZEROS = "zeros"
@@ -40,10 +42,10 @@ class MaskedPredictionReport:
     substitution: str
 
 
-def aup_aur(scores, truth, grid=100):
+def aup_aur(scores, truth):
     """Threshold-sweep precision/recall areas.
 
-    Thresholds are score quantiles at `grid` uniform levels in (0, 1), so
+    Thresholds are score quantiles at GRID uniform levels in (0, 1), so
     the result is invariant under strictly monotone rescaling of scores.
     Cells scoring strictly above the threshold count as predicted salient;
     thresholds that select nothing are skipped. A map that is 0 everywhere
@@ -64,7 +66,7 @@ def aup_aur(scores, truth, grid=100):
         raise ValueError("degenerate truth: needs both salient and "
                          "non-salient cells")
     total_true = a.sum()
-    levels = (np.arange(grid) + 1) / (grid + 1)
+    levels = (np.arange(GRID) + 1) / (GRID + 1)
     taus = np.quantile(s, levels)
     precisions, recalls = [], []
     for tau in taus:
@@ -103,8 +105,8 @@ def entropy(scores, truth):
     return float(-h.sum())
 
 
-def ground_truth_report(scores, truth, grid=100):
-    aup, aur = aup_aur(scores, truth, grid)
+def ground_truth_report(scores, truth):
+    aup, aur = aup_aur(scores, truth)
     return GroundTruthReport(aup=aup, aur=aur,
                              information=information(scores, truth),
                              entropy=entropy(scores, truth))

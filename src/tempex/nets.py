@@ -370,23 +370,16 @@ def classifier_forward(x, params: ClassifierParams):
     return ad.reshape(logits, (B,))
 
 
-def _score(p, target, per_timestep):
-    """target_score of positive-class probabilities p: (..., T) per
-    timestep, (...) at the final step."""
-    p = p if target == 1 else 1.0 - p
-    return p.sum(axis=-1) if per_timestep else p
-
-
 def predict_proba(x_data, params: ClassifierParams):
     """Positive-class probabilities as a plain array (no tape)."""
     return ad._sigmoid(classifier_forward(Tensor(x_data), params).data)
 
 
-def target_score(x_data, params: ClassifierParams, target=1):
-    """Scalar per-sample score for attribution methods: the target-class
+def target_score(x_data, params: ClassifierParams):
+    """Scalar per-sample score for attribution methods: the positive-class
     probability, summed over output positions in per-timestep mode."""
-    return _score(predict_proba(x_data, params), target,
-                  params.readout == PER_TIMESTEP)
+    p = predict_proba(x_data, params)
+    return p.sum(axis=-1) if params.readout == PER_TIMESTEP else p
 
 
 # rows of perturbed copies that perturbed_step_scores steps at once, at most
@@ -560,7 +553,7 @@ def _restep(x, h, W, ws, out):
 
 
 def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
-                          target=1, repeats=1, map_blocks=None):
+                          repeats=1, map_blocks=None):
     """target_score of copies of x_data that differ from it at one step.
 
     A copy is the batch np.repeat(x_data, repeats, axis=0), B*repeats rows,
@@ -578,8 +571,9 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     about _step_rows rows at a time: several whole copies, or one copy's
     draws in ranges. Their rows are ordered draw-major, so that a cached
     projection broadcasts over whole blocks.
-    The cache and every re-step are _restep, which has _gru_cell's bits,
-    and each copy's logits are one matrix-vector product over the rows of
+    The states are gru_forward's, the projections one stacked product over
+    the steps, and every re-step is _restep, which has _gru_cell's bits;
+    each copy's logits are one matrix-vector product over the rows of
     the copy's batch, as in classifier_forward, so every score equals
     target_score of its copy bit for bit.
 
@@ -600,26 +594,17 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     # the cache takes the copies' BLAS route (see _copies_matmul): a
     # one-row x_data whose copies have 2+ rows is cached over two rows
     Xc = np.repeat(X, 2, axis=0) if B == 1 < r else X
-    Bc = len(Xc)
+    states = gru_forward(Tensor(Xc), params.gru).data[:B].swapaxes(0, 1)
     # (W_x, W_h, b, reverse, projections, states), r and z negated (see
-    # _restep), the projections (3, T, B, H) gate blocks, the states
-    # (T, B, H)
+    # _restep), the projections (3, T, B, H) gate blocks, contiguous for
+    # the re-steps, the states (T, B, H)
     passes = []
-    with np.errstate(over="ignore"):  # the gate sigmoids of _restep
-        for dp, reverse in _passes(params.gru):
-            Wx, bias = (_negate_rz(a.data, H) for a in (dp.w_x, dp.b))
-            Wh = _step_weights(dp.w_h.data, H)
-            ws = _restep_buffers((1, Bc), H, Wh)
-            xg = np.empty((3, T, Bc, H))
-            states = np.empty((T, Bc, H))
-            h = np.zeros((Bc, H))
-            for s in range(T - 1, -1, -1) if reverse else range(T):
-                xs = np.array(Xc[:, s]) @ Wx + bias
-                np.copyto(xg[:, s], _gates(xs, H))
-                _restep(xg[:, s, None], h[None], Wh, ws, out=states[s][None])
-                h = states[s]
-            passes.append((Wx, Wh, bias, reverse, xg[:, :, :B],
-                           states[:, :B]))
+    for p, (dp, reverse) in enumerate(_passes(params.gru)):
+        Wx, bias = (_negate_rz(a.data, H) for a in (dp.w_x, dp.b))
+        xg = np.ascontiguousarray(_gates(Xc.swapaxes(0, 1) @ Wx, H)[:, :, :B])
+        xg += _gates(bias, H)[:, None, None]
+        passes.append((Wx, _step_weights(dp.w_h.data, H), bias, reverse, xg,
+                       states[..., p * H:(p + 1) * H]))
     D = H * len(passes)
     rows = _step_rows(passes[0][1])
     zeros = np.zeros((B, H))
@@ -700,8 +685,9 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                 logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
                 logits = (logits + b_out).reshape(c, B * r, T - first)
                 probs = logits if per_t else logits[..., 0]
-                scores[t - t0, k0:k0 + c] = _score(
-                    ad._sigmoid_unguarded(probs, probs), target, per_t)
+                ad._sigmoid_unguarded(probs, probs)
+                scores[t - t0, k0:k0 + c] = \
+                    probs.sum(axis=-1) if per_t else probs
             for p, (_, _, _, reverse, _, states) in enumerate(passes):
                 if not reverse and t >= first:
                     cat[..., t - first, p * H:(p + 1) * H] = \
@@ -714,13 +700,20 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     return np.concatenate(parts)
 
 
+# rows per minibatch of train_classifier
+BATCH_SIZE = 64
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 50
     lr: float = 0.001
-    batch_size: int = 64
     seed: int = 0
     log_every: int = 0  # epochs between INFO loss records; 0 = silent
+
+    def __post_init__(self):
+        if not self.lr > 0:  # a rate <= 0 trains uphill or not at all
+            raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 def train_classifier(dataset, params: ClassifierParams,
@@ -741,8 +734,8 @@ def train_classifier(dataset, params: ClassifierParams,
     for epoch in range(config.epochs):
         order = rng.permutation(N)
         total, count = 0.0, 0
-        for lo in range(0, N, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
+        for lo in range(0, N, BATCH_SIZE):
+            idx = order[lo:lo + BATCH_SIZE]
             with ad.Tape():
                 logits = classifier_forward(Tensor(X[idx]), params)
                 loss = ad.tmean(

@@ -61,12 +61,12 @@ def apply_fixed(x, m, surrogate):
 
 
 class Mask:
-    """Trainable mask in [0, 1]^(B, T, n); clamped back into the box after
-    every optimizer step (hard projection keeps values interpretable as
-    saliency scores)."""
+    """Trainable mask in [0, 1]^(B, T, n), 0.5 everywhere at the start;
+    clamped back into the box after every optimizer step (hard projection
+    keeps values interpretable as saliency scores)."""
 
-    def __init__(self, batch, n_steps, n_features, init=0.5):
-        self.values = Tensor(np.full((batch, n_steps, n_features), init),
+    def __init__(self, batch, n_steps, n_features):
+        self.values = Tensor(np.full((batch, n_steps, n_features), 0.5),
                              requires_grad=True, name="mask")
 
     def project(self):

@@ -81,11 +81,11 @@ def short_draws_in_workers(monkeypatch):
     come out one row short in forked worker processes only."""
     parent, scores = os.getpid(), ex.perturbed_step_scores
 
-    def patched(x, params, replacements, target=1, repeats=1, **kw):
+    def patched(x, params, replacements, repeats=1, **kw):
         def short(t):
             rows = replacements(t)
             return rows if repeats == 1 or os.getpid() == parent \
                 else rows[:, 1:]
-        return scores(x, params, short, target, repeats, **kw)
+        return scores(x, params, short, repeats, **kw)
 
     monkeypatch.setattr(ex, "perturbed_step_scores", patched)

@@ -27,7 +27,7 @@ threads per fold worker, and 2 h 57 min before the fused GRU op, batched
 occlusion and the numpy sigmoid. Only the CSVs, config.ini and charts are
 committed; models/ is regenerated by the same command. Compare the
 [environment] section of config.ini before comparing bytes: the BLAS
-thread count moves last bits.
+library and kernel (blas, blas_core) move last bits.
 
 Missing artifacts fail the corresponding tests outright (no skips): the
 gate stays red until the runs exist. The fast property checks at the bottom

@@ -126,6 +126,7 @@ class TestGenerateTrainExplain:
     @pytest.mark.parametrize("verb, flag, value", [
         ("generate", "--n-series", "0"), ("generate", "--n-steps", "0"),
         ("train", "--epochs", "0"), ("train", "--hidden", "0"),
+        ("train", "--lr", "0"), ("train", "--lr", "-1"),
         ("explain", "--steps", "0"), ("explain", "--iterations", "-1"),
         ("explain", "--lambda1", "-1"), ("explain", "--lambda2", "-0.5"),
     ])
@@ -346,16 +347,6 @@ class TestRun:
         b2 = (out2 / "hmm_results.csv").read_bytes()
         assert b1 == b2
 
-    def test_seed_env_override(self, tmp_path, small_profile, monkeypatch):
-        _, out1 = self._tiny_run(tmp_path / "a")
-        monkeypatch.setenv(cli.SEED_ENV, "7")
-        out2 = tmp_path / "b"
-        code = run_cli("run", "--experiment", "hmm", "--profile", "fast",
-                       "--out", str(out2), "--folds", "1")
-        assert code == 0
-        assert (out1 / "hmm_results.csv").read_bytes() != \
-            (out2 / "hmm_results.csv").read_bytes()
-
     def test_lambda_ablation_grid(self, tmp_path, small_profile,
                                   monkeypatch):
         monkeypatch.setattr(xp, "LAMBDAS", (0.1, 1.0))
@@ -395,6 +386,10 @@ class TestRun:
         text = (out / "config.ini").read_text()
         assert "n_series = 10" in text
         assert "seed = 5" in text
+        code = run_cli("run", "--config", str(ini), "--out", str(out),
+                       "--force", "--seed", "7")
+        assert code == 0
+        assert "seed = 7" in (out / "config.ini").read_text()
 
     @pytest.mark.parametrize("section, key, value", [
         ("explainers.learned", "lambda1", "0.5"),
@@ -451,12 +446,29 @@ class TestRun:
         assert (first / "config.ini").read_text().replace(
             str(first), str(again)) == (again / "config.ini").read_text()
 
+    def test_echoed_config_ignores_threads_and_cpus(self, tmp_path,
+                                                   small_profile,
+                                                   monkeypatch):
+        # a run pins one BLAS thread and --jobs moves no byte, so a config
+        # echoed under other thread variables and CPU counts repeats
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        code, first = self._tiny_run(tmp_path / "a")
+        assert code == 0
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4097)
+        again = tmp_path / "b"
+        code = run_cli("run", "--config", str(first / "config.ini"),
+                       "--out", str(again))
+        assert code == 0
+        assert (first / "hmm_results.csv").read_bytes() == \
+            (again / "hmm_results.csv").read_bytes()
+
     @pytest.mark.parametrize("ini, named", [
-        ("[environment]\ncpu_count = 4097\n",
-         "'cpu_count' in section [environment] is '4097'"),
-        ("[environment]\nblas_threads = 2\n",
-         "'blas_threads' in section [environment] is '2', but this process "
-         "has '1'"),
+        ("[environment]\nblas_core = NoSuchCore\n",
+         "'blas_core' in section [environment] is 'NoSuchCore', but this "
+         "process has"),
         ("[dataset]\nn_series = 10\n[resolved]\nn_series = 16\n",
          "'n_series' is 10 in section [dataset] but 16 in section "
          "[resolved]"),
@@ -493,20 +505,15 @@ class TestRun:
         assert named in str(exc.value)
         assert not out.exists()  # rejected before any stage ran
 
-    def test_config_echo_records_environment(self, tmp_path, small_profile,
-                                             monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    def test_config_echo_records_environment(self, tmp_path, small_profile):
         code, out = self._tiny_run(tmp_path)
         assert code == 0
         conf = configparser.ConfigParser()
         conf.read(out / "config.ini")
         env = conf["environment"]
-        assert env["openblas_num_threads"] == "1"
-        assert env["omp_num_threads"] == "unset"
-        assert env["blas_threads"] == "1"  # the count the run used
-        assert env["cpu_count"] == str(os.cpu_count())
+        assert set(env) == {"blas", "blas_core"}
         assert env["blas"]
+        assert env["blas_core"] == ex.blas_core()
         assert dict(conf["resolved"]) == {
             k: str(v) for k, v in xp.PROFILES[xp.HMM, xp.FAST].items()}
 

@@ -53,6 +53,14 @@ class TestHmm:
         np.testing.assert_array_equal(a.y, b.y)
 
 
+def two_branch_sigmoid(x):
+    """The logistic the labels were drawn with before data shared autodiff's
+    _sigmoid, which differs from it by up to 1 ulp; the labels must not
+    move."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                    np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))))
+
+
 def reference_hmm(config):
     """generate_hmm's X, y and states with one rng.choice per state draw."""
     N, T = config.n_series, config.n_steps
@@ -71,7 +79,7 @@ def reference_hmm(config):
             states[i, t] = s
             X[i, t] = config.mu[s] + chol[s] @ rng.standard_normal(3)
             driver = X[i, t, 1] if s == 0 else X[i, t, 2]
-            y[i, t] = rng.random() < data._sigmoid(driver)
+            y[i, t] = rng.random() < two_branch_sigmoid(driver)
     return X, y, states
 
 
@@ -136,6 +144,13 @@ class TestIcuLike:
         with pytest.raises(ValueError):
             data.generate_icu_like(10, n_features=3)
 
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_labels_match_the_two_branch_logistic(self, seed, monkeypatch):
+        ds = data.generate_icu_like(400, n_steps=24, seed=seed)
+        monkeypatch.setattr(data, "_sigmoid", two_branch_sigmoid)
+        want = data.generate_icu_like(400, n_steps=24, seed=seed)
+        np.testing.assert_array_equal(ds.y, want.y)
+
     def test_seeded_determinism(self):
         a = data.generate_icu_like(5, seed=3)
         b = data.generate_icu_like(5, seed=3)
@@ -146,7 +161,7 @@ class TestArchive:
     def test_roundtrip(self, tmp_path):
         ds = data.generate_hmm(HmmConfig(n_series=3, n_steps=10, seed=5))
         path = tmp_path / "ds.zip"
-        data.save_dataset(ds, path, seed=5)
+        data.save_dataset(ds, path)
         back = data.load_dataset(path)
         np.testing.assert_array_equal(back.X, ds.X)
         np.testing.assert_array_equal(back.y, ds.y)

@@ -367,35 +367,34 @@ class TestOcclusion:
         assert out.scores.min() >= 0.0 and out.scores.max() <= 1.0
 
 
-def reference_occlusion(X, classifier, baseline=0.0, target=1):
+def reference_occlusion(X, classifier, baseline=0.0):
     """Raw occlusion scores from one full forward per cell."""
     B, T, n = X.shape
-    base = nets.target_score(X, classifier, target)
+    base = nets.target_score(X, classifier)
     raw = np.empty((B, T, n))
     for t in range(T):
         for i in range(n):
             mod = X.copy()
             mod[:, t, i] = baseline
-            raw[:, t, i] = np.abs(
-                base - nets.target_score(mod, classifier, target))
+            raw[:, t, i] = np.abs(base - nets.target_score(mod, classifier))
     return raw
 
 
 def reference_augmented_occlusion(X, classifier, reference, draws=10,
-                                  seed=0, target=1):
+                                  seed=0):
     """Raw augmented-occlusion scores from one full forward per cell, the
     draws folded into the batch axis."""
     B, T, n = X.shape
     pool = reference.reshape(-1, reference.shape[-1])
     rng = np.random.default_rng(seed)
     tiled = np.repeat(X, draws, axis=0)  # (B*draws, T, n)
-    base = nets.target_score(X, classifier, target)
+    base = nets.target_score(X, classifier)
     raw = np.empty((B, T, n))
     for t in range(T):
         for i in range(n):
             mod = tiled.copy()
             mod[:, t, i] = rng.choice(pool[:, i], size=B * draws)
-            sc = nets.target_score(mod, classifier, target).reshape(B, draws)
+            sc = nets.target_score(mod, classifier).reshape(B, draws)
             raw[:, t, i] = np.abs(base[:, None] - sc).mean(axis=1)
     return raw
 
@@ -413,7 +412,7 @@ class TestOcclusionMatchesPerCellLoops:
     def _check(X, model, ref, **kw):
         """Both occlusions against their loops, with the step blocks in
         this process and on two workers."""
-        occ_kw = {k: v for k, v in kw.items() if k in ("baseline", "target")}
+        occ_kw = {k: v for k, v in kw.items() if k == "baseline"}
         aug_kw = {k: v for k, v in kw.items() if k != "baseline"}
         Xb = X if X.ndim == 3 else X[None]
         occ = reference_occlusion(Xb, model, **occ_kw)
@@ -435,11 +434,11 @@ class TestOcclusionMatchesPerCellLoops:
         self._check(X, self._model(direction, readout), ref, draws=3, seed=4)
 
     @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
-    def test_target_zero_and_nonzero_baseline(self, rng, direction):
+    def test_nonzero_baseline(self, rng, direction):
         X = rng.uniform(-1, 1, (2, 6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
         self._check(X, self._model(direction, nets.PER_TIMESTEP), ref,
-                    baseline=0.7, target=0, draws=2, seed=1)
+                    baseline=0.7, draws=2, seed=1)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
     def test_single_sample(self, rng, readout):
@@ -738,3 +737,23 @@ def test_config_rejects_negative_iterations(config):
     config(iterations=0)
     with pytest.raises(ValueError, match="iterations must be >= 0"):
         config(iterations=-1)
+
+
+@pytest.mark.parametrize("config, key, value, message", [
+    (ex.ExplainerConfig, "mask_lr", -1, "mask_lr must be > 0"),
+    (ex.ExplainerConfig, "mask_lr", 0, "mask_lr must be > 0"),
+    (ex.ExplainerConfig, "generator_lr", 0, "generator_lr must be > 0"),
+    (ex.ExplainerConfig, "early_stop_patience", 0,
+     "early_stop_patience must be >= 1"),
+    (ex.ExplainerConfig, "early_stop_tol", -1, "early_stop_tol must be >= 0"),
+    (ex.ExplainerConfig, "generator_hidden", 0,
+     "generator_hidden must be >= 1"),
+    (ex.DynamaskConfig, "lr", -1, "lr must be > 0"),
+    (ex.DynamaskConfig, "early_stop_patience", 0,
+     "early_stop_patience must be >= 1"),
+    (ex.DynamaskConfig, "early_stop_tol", -1, "early_stop_tol must be >= 0"),
+])
+def test_config_rejects_settings_that_cannot_work(config, key, value,
+                                                  message):
+    with pytest.raises(ValueError, match=message):
+        config(**{key: value})

@@ -396,6 +396,12 @@ def test_zero_epochs_returns_init_unchanged(rng):
     c.check_unchanged(before)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0])
+def test_train_config_rejects_a_rate_that_cannot_descend(lr):
+    with pytest.raises(ValueError, match="lr must be > 0"):
+        nets.TrainConfig(lr=lr)
+
+
 @pytest.mark.parametrize("log_every, epochs_logged", [(2, [2, 4]), (0, [])])
 def test_training_logs_loss_every_log_every_epochs(rng, caplog,
                                                    log_every, epochs_logged):
