@@ -449,8 +449,7 @@ def build_parser():
     e.add_argument("--lambda2", type=float, default=None)
     e.add_argument("--mode", default=None,
                    choices=(ex.PRESERVATION, ex.DELETION))
-    e.add_argument("--generator", default=None,
-                   choices=("zero", "unidirectional", "bidirectional"))
+    e.add_argument("--generator", default=None, choices=ex.GENERATORS)
     e.add_argument("--steps", type=int, default=None,
                    help="integration steps (integrated_gradients)")
     e.add_argument("--seed", type=int, default=None)

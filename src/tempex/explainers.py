@@ -32,9 +32,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .nets import ClassifierParams, classifier_forward, \
-    perturbed_step_scores, predict_proba, target_score
+    perturbed_step_scores, predict_proba, reuse_buffers, target_score
 from .perturbation import (
     BIDIRECTIONAL,
+    GENERATORS,
     Mask,
     PerturbationGenerator,
     apply_fixed,
@@ -76,6 +77,8 @@ class ExplainerConfig:
             raise ValueError("lambda weights must be >= 0")
         if self.mode not in (PRESERVATION, DELETION):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.generator not in GENERATORS:
+            raise ValueError(f"unknown generator {self.generator!r}")
         if self.generator_hidden < 1:
             raise ValueError("generator_hidden must be >= 1")
         _check_steps(self, mask_lr=self.mask_lr,
@@ -174,6 +177,8 @@ def _optimize_mask(mask, lr, config, loss, inputs, shared=()):
     row-led arrays, so the loss only ever sees live rows; `shared` goes on
     training on them. A frozen row's loss history repeats its last
     computed loss, and its terms are those of its last computed iteration.
+    The iterations run in one nets.reuse_buffers scope, so each taped GRU
+    reuses the last iteration's sequence buffers until rows freeze.
 
     Returns (scores, iterations_run, iterations_per_row, history, terms),
     where iterations_per_row[b] is the iteration count at which row b froze
@@ -191,34 +196,35 @@ def _optimize_mask(mask, lr, config, loss, inputs, shared=()):
     last = np.zeros(B)
     terms = {}
     iterations_run = 0
-    for it in range(config.iterations):
-        with ad.Tape():
-            loss_b, row_terms = loss(*inputs)
-            vals = loss_b.data.copy()
-            if not np.all(np.isfinite(vals)):
-                raise DivergenceError(f"non-finite loss at iteration {it}")
-            ad.tsum(loss_b).backward()
-        last[live] = vals
-        history[it] = last
-        for name, value in row_terms.items():
-            terms.setdefault(name, np.zeros(B))[live] = value
-        for opt in optimizers:
-            opt.step()
-        mask.project()
-        for opt in optimizers:
-            opt.zero_grad()
-        iterations_run = per_row[live] = it + 1
-        improved = vals < best - config.early_stop_tol
-        stall = np.where(improved, 0, stall + 1)
-        best = np.minimum(best, vals)
-        keep = stall < config.early_stop_patience
-        if not keep.all():
-            scores[live[~keep]] = mask.data[~keep]
-            live, best, stall = live[keep], best[keep], stall[keep]
-            mask_opt.keep_rows(keep)
-            inputs = [a[keep] for a in inputs]
-        if not live.size:
-            break
+    with reuse_buffers():
+        for it in range(config.iterations):
+            with ad.Tape():
+                loss_b, row_terms = loss(*inputs)
+                vals = loss_b.data.copy()
+                if not np.all(np.isfinite(vals)):
+                    raise DivergenceError(f"non-finite loss at iteration {it}")
+                ad.tsum(loss_b).backward()
+            last[live] = vals
+            history[it] = last
+            for name, value in row_terms.items():
+                terms.setdefault(name, np.zeros(B))[live] = value
+            for opt in optimizers:
+                opt.step()
+            mask.project()
+            for opt in optimizers:
+                opt.zero_grad()
+            iterations_run = per_row[live] = it + 1
+            improved = vals < best - config.early_stop_tol
+            stall = np.where(improved, 0, stall + 1)
+            best = np.minimum(best, vals)
+            keep = stall < config.early_stop_patience
+            if not keep.all():
+                scores[live[~keep]] = mask.data[~keep]
+                live, best, stall = live[keep], best[keep], stall[keep]
+                mask_opt.keep_rows(keep)
+                inputs = [a[keep] for a in inputs]
+            if not live.size:
+                break
     scores[live] = mask.data
     return scores, iterations_run, per_row, history[:iterations_run], terms
 
@@ -594,13 +600,14 @@ def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
             np.asarray(baseline, dtype=np.float64), X.shape).copy()
     diff = X - baseline
     avg_grad = np.zeros_like(X)
-    for k in range(steps):
-        alpha = (k + 0.5) / steps
-        point = Tensor(baseline + alpha * diff, requires_grad=True)
-        with ad.Tape():
-            logits = classifier_forward(point, classifier)
-            ad.tsum(ad.sigmoid(logits)).backward()
-        avg_grad += point.grad
+    with reuse_buffers():  # every step tapes the same shapes
+        for k in range(steps):
+            alpha = (k + 0.5) / steps
+            point = Tensor(baseline + alpha * diff, requires_grad=True)
+            with ad.Tape():
+                logits = classifier_forward(point, classifier)
+                ad.tsum(ad.sigmoid(logits)).backward()
+            avg_grad += point.grad
     raw = diff * (avg_grad / steps)
     return SaliencyMap(scores=_minmax_per_sample(np.abs(raw)),
                        method="integrated_gradients",

@@ -7,13 +7,18 @@ steps every pass of a GRU, forward and reverse, in one time loop. A
 recorded call keeps its whole-sequence state in one allocation (up to a
 size past which the allocator would keep it resident) and leaves its
 backward only the dh recurrence; the weight and input gradients are one
-product per pass over all steps.
+product per pass over all steps. Inside a reuse_buffers scope, which the
+mask explainers and integrated gradients open around their iterations, a
+recorded call takes that state from the buffers an earlier call of the
+same layout gave back, so an optimization loop allocates it once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,19 +151,21 @@ def gru_forward(x, params: GruParams):
     columns p*H .. (p+1)*H of the output.
 
     A recorded call takes every whole-sequence buffer from one allocation
-    (up to _BLOCK_BYTES, see _split): (T, B, P, .) arrays in step order, so
-    that a step's rows are contiguous and a pass's T*B rows are one strided
-    matrix. They hold the inputs, their projections x_t @ W_x + b (one
-    stacked matmul before the loop, whose (step, pass) slices are the
-    per-step products), the gates r | z, c and the states. After the
-    loop, _gate_factors turns
-    them into the factors of the backward that do not depend on the
-    gradient, so the backward loop runs only the dh recurrence,
+    (up to _BLOCK_BYTES, see _split), or inside a reuse_buffers scope from
+    the spares of an earlier call (_take): (T, B, P, .) arrays in step
+    order, so that a step's rows are contiguous and a pass's T*B rows are
+    one strided matrix. They hold the inputs, their projections
+    x_t @ W_x + b (one stacked matmul before the loop, whose (step, pass)
+    slices are the per-step products), the gates r | z, c and the states.
+    After the loop, _gate_factors turns them into the factors of the
+    backward that do not depend on the gradient, so the backward loop
+    runs only the dh recurrence,
     gt = G_k + dh, D_k = E_k * gt, dh = D_k @ W_h^T + gt * z, with gt
     written over the spent r gates and D_k over E_k. The W_h, W_x, b and
     input gradients are then one product or sum per pass over all T*B
-    rows. An unrecorded call runs the same step loop on per-step buffers
-    and keeps nothing but its output.
+    rows. The backward gives the buffers back as spares (_give_back). An
+    unrecorded call runs the same step loop on per-step buffers and keeps
+    nothing but its output.
     """
     if x.ndim != 3:
         raise ad.ShapeError(f"gru_forward expects (B, T, n), got {x.shape}")
@@ -183,8 +190,9 @@ def gru_forward(x, params: GruParams):
     hg = np.empty((B, P, 3 * H))
     h = np.zeros((B, P, H))
     if record:
-        xs, proj, gates, cs, states = _split(
-            (T, B, P), (n, 3 * H, 2 * H, H, H))
+        layout = ((T, B, P), (n, 3 * H, 2 * H, H, H))
+        buffers = _take(layout)
+        xs, proj, gates, cs, states = buffers
         for p, reverse in enumerate(reverses):
             np.copyto(xs[:, :, p], Xt[::-1] if reverse else Xt)
         np.matmul(xs.transpose(2, 0, 1, 3), Wx[:, None],
@@ -269,6 +277,8 @@ def gru_forward(x, params: GruParams):
                 if wanted[1 + 3 * p + i]:
                     tensor._accumulate(gw[i][p].reshape(tensor.shape),
                                        owned=True)
+        # every gradient above is a fresh array: nothing reads the buffers
+        _give_back(layout, buffers)
 
     return ad._record(Tensor(out.reshape(B, T, P * H)), (x, *weights),
                       backward)
@@ -278,12 +288,12 @@ def gru_forward(x, params: GruParams):
 # raises its mmap threshold to the size of an unmapped block and its heap
 # trim threshold to twice that, so from the second call on, blocks of one
 # size come from the heap, and up to twice their size stays resident after
-# the loop that made them. One block per call keeps such loops free of page
-# faults; past this size the memory it leaves behind outweighs that. On
-# 2 cores, one 10.7 MiB block per training batch raised the peak RSS of the
-# occlusion_icu benchmark by 8-11%, while an 8 MiB cap, which also splits
-# the fast HMM profile's 8.7 MiB generator blocks, slowed a 100-row learned
-# call at that profile from 3.64 to 4.19 s
+# the loop that made them. Inside a reuse_buffers scope a call allocates
+# only on a miss, so the cap matters only for the calls outside one:
+# classifier training and one-off calls. There, one block per call keeps a
+# loop free of page faults, and past this size the memory it leaves behind
+# outweighs that: on 2 cores, one 10.7 MiB block per training batch raised
+# the peak RSS of the occlusion_icu benchmark by 8-11%
 _BLOCK_BYTES = 10 * 2**20
 
 
@@ -298,6 +308,61 @@ def _split(lead, widths):
     ends = np.cumsum(widths) * size
     return [block[e - w * size:e].reshape(lead + (w,))
             for w, e in zip(widths, ends)]
+
+
+class _Spares(threading.local):
+    """The current thread's open reuse_buffers scopes and the spare
+    buffers that recorded gru_forward calls gave back inside them."""
+
+    def __init__(self):
+        self.depth = 0
+        self.spares = []  # (layout, buffers)
+
+
+_SPARES = _Spares()
+
+
+@contextlib.contextmanager
+def reuse_buffers():
+    """Let the recorded gru_forward calls of this thread reuse each other's
+    whole-sequence buffers inside the block.
+
+    A call takes the buffers that an earlier call of the same layout gave
+    back at the end of its backward, instead of allocating them, so a loop
+    that tapes the same shapes every iteration allocates once and glibc
+    does not hand the pages back to the system and fault them in again
+    each time. A miss means the shapes changed (rows froze): it drops
+    every spare before allocating, so the spares are only the last
+    iteration's working set. A call whose tape is dropped without a
+    backward never gives its buffers back. Scopes nest, and leaving the
+    outermost drops every spare. Every buffer is written before it is
+    read, so no byte of any result depends on the scope."""
+    _SPARES.depth += 1
+    try:
+        yield
+    finally:
+        _SPARES.depth -= 1
+        if not _SPARES.depth:
+            _SPARES.spares.clear()
+
+
+def _take(layout):
+    """gru_forward's buffers for layout (lead, widths), laid out by _split:
+    the spares of an earlier call of that layout, or else new ones, after
+    dropping every spare."""
+    spares = _SPARES.spares
+    for i, (key, _) in enumerate(spares):
+        if key == layout:
+            return spares.pop(i)[1]
+    spares.clear()
+    return _split(*layout)
+
+
+def _give_back(layout, buffers):
+    """Keep a backwarded call's buffers as spares inside a reuse_buffers
+    scope."""
+    if _SPARES.depth:
+        _SPARES.spares.append((layout, buffers))
 
 
 def _passes(params: GruParams):
@@ -733,7 +798,6 @@ def train_classifier(dataset, params: ClassifierParams,
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(N)
-        total, count = 0.0, 0
         for lo in range(0, N, BATCH_SIZE):
             idx = order[lo:lo + BATCH_SIZE]
             with ad.Tape():

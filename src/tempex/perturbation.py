@@ -24,6 +24,8 @@ from .autodiff import Tensor
 ZERO = "zero"
 UNIDIRECTIONAL = "unidirectional"
 BIDIRECTIONAL = "bidirectional"
+# the kinds of PerturbationGenerator
+GENERATORS = (ZERO, UNIDIRECTIONAL, BIDIRECTIONAL)
 
 
 def window_average(x, window):
@@ -84,7 +86,7 @@ class PerturbationGenerator:
     `seed` alone."""
 
     def __init__(self, kind, n_features, hidden=32, seed=0):
-        if kind not in (ZERO, UNIDIRECTIONAL, BIDIRECTIONAL):
+        if kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {kind!r}")
         self.kind = kind
         self.n_features = n_features

@@ -1,7 +1,10 @@
+import contextlib
 import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -673,6 +676,91 @@ def test_tapes_of_threads_stay_apart(toy_model, rng):
                                       b.metadata["loss_history"])
 
 
+class TestBufferReuse:
+    """The mask loops and integrated gradients run in one
+    nets.reuse_buffers scope: each taped GRU allocates its sequence buffers
+    once per live-row count, and no byte of any result moves."""
+
+    FOREVER = ex.ExplainerConfig(iterations=25, early_stop_patience=10**6)
+
+    @pytest.fixture()
+    def allocations(self, monkeypatch):
+        """(rows, nets._split calls so far) at each classifier_forward call
+        of an explainer: one per iteration or integration step."""
+        calls, seen = [], []
+        split, forward = nets._split, ex.classifier_forward
+
+        def count(lead, widths):
+            calls.append(lead)
+            return split(lead, widths)
+
+        def mark(x, params):
+            out = forward(x, params)
+            seen.append((x.shape[0], len(calls)))
+            return out
+
+        monkeypatch.setattr(nets, "_split", count)
+        monkeypatch.setattr(ex, "classifier_forward", mark)
+        return seen
+
+    @pytest.mark.parametrize("config", [FOREVER, TestRowFreezing.LEARNED],
+                             ids=["no-row-freezes", "rows-freeze"])
+    def test_two_allocations_per_live_row_count(self, toy_model, rng,
+                                                allocations, config):
+        # the generator's GRU and the classifier's, in the first iteration
+        # and after each iteration in which rows froze
+        X = rng.uniform(-1, 1, (4, 8, 2))
+        ex.explain_learned(X, toy_model, config, workers=1)
+        rows = [r for r, _ in allocations]
+        if config is self.FOREVER:
+            assert rows == [4] * 25
+        else:
+            assert len(set(rows)) >= 3
+        assert [n for _, n in allocations] == \
+            [2 * len(set(rows[:i + 1])) for i in range(len(rows))]
+        assert not nets._SPARES.spares
+
+    def test_integrated_gradients_allocates_once(self, toy_model, rng,
+                                                 allocations):
+        X = rng.uniform(-1, 1, (4, 8, 2))
+        ex.integrated_gradients(X, toy_model, steps=16)
+        assert allocations == [(4, 1)] * 16
+        assert not nets._SPARES.spares
+
+    @pytest.mark.parametrize("explain", [
+        *(partial(ex.explain_learned, config=replace(
+            TestRowFreezing.LEARNED, mode=mode, generator=generator))
+          for mode in (ex.PRESERVATION, ex.DELETION)
+          for generator in pert.GENERATORS),
+        partial(ex.explain_dynamask, config=TestRowFreezing.DYNAMASK),
+        partial(ex.integrated_gradients, steps=16),
+    ], ids=[f"{m}-{g}" for m in ("preservation", "deletion")
+            for g in pert.GENERATORS] + ["dynamask", "ig"])
+    def test_reuse_moves_no_byte(self, toy_model, rng, monkeypatch, explain):
+        X = rng.uniform(-1, 1, (4, 8, 2))
+        pooled = explain(X, toy_model)
+        monkeypatch.setattr(ex, "reuse_buffers", contextlib.nullcontext)
+        TestRowBlocks._assert_same(pooled, explain(X, toy_model))
+
+    def test_spares_go_when_the_loop_raises(self, rng):
+        p = nets.init_gru(rng, 2, 4)
+        mask = pert.Mask(3, 5, 2)
+        X = rng.uniform(-1, 1, (3, 5, 2))
+        spares = []
+
+        def loss(x):
+            with ad.Tape():  # a call that gives its buffers back
+                ad.tsum(nets.gru_forward(Tensor(x), p)).backward()
+            spares.append(len(nets._SPARES.spares))
+            m = ad.tmean(ad.reshape(mask.values, (3, 10)), axis=1)
+            return ad.mul(m, np.nan if len(spares) == 3 else 1.0), {}
+
+        with pytest.raises(ex.DivergenceError, match="at iteration 2"):
+            ex._optimize_mask(mask, 0.01, ex.DynamaskConfig(), loss, (X,))
+        assert spares == [1, 1, 1]
+        assert not nets._SPARES.spares and not nets._SPARES.depth
+
+
 class TestIntegratedGradients:
     def test_zero_at_baseline(self, toy_model):
         x = np.zeros((4, 2))
@@ -748,6 +836,7 @@ def test_config_rejects_negative_iterations(config):
     (ex.ExplainerConfig, "early_stop_tol", -1, "early_stop_tol must be >= 0"),
     (ex.ExplainerConfig, "generator_hidden", 0,
      "generator_hidden must be >= 1"),
+    (ex.ExplainerConfig, "generator", "foo", "unknown generator 'foo'"),
     (ex.DynamaskConfig, "lr", -1, "lr must be > 0"),
     (ex.DynamaskConfig, "early_stop_patience", 0,
      "early_stop_patience must be >= 1"),

@@ -1,4 +1,5 @@
 import logging
+import threading
 import tracemalloc
 import warnings
 
@@ -319,6 +320,132 @@ def test_buffers_past_the_block_size_give_the_same_bytes(rng, monkeypatch):
     monkeypatch.setattr(nets, "_BLOCK_BYTES", 0)
     for got, want in zip(_op_gradients(X, p, G, True, True), one_block):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The buffers of every nets._split call, in call order."""
+    made, split = [], nets._split
+
+    def spy(lead, widths):
+        made.append(split(lead, widths))
+        return made[-1]
+
+    monkeypatch.setattr(nets, "_split", spy)
+    return made
+
+
+def _backwarded(X, *params):
+    """Recorded gru_forward calls on X, one per params, on one tape (as in
+    an iteration of a mask explainer), backwarded."""
+    with ad.Tape():
+        loss = ad.tsum(nets.gru_forward(Tensor(X), params[0]))
+        for p in params[1:]:
+            loss = ad.add(loss, ad.tsum(nets.gru_forward(Tensor(X), p)))
+        loss.backward()
+
+
+def _spares():
+    return [buffers for _, buffers in nets._SPARES.spares]
+
+
+def test_a_scope_reuses_a_backwarded_calls_buffers(rng, splits):
+    # every buffer is written before it is read, so the reused buffers,
+    # which hold the last call's values, give the bytes of new ones
+    p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
+    X = rng.normal(0, 1, (4, 6, 3))
+    G = rng.normal(0, 1, (4, 6, 10))
+    plain = _op_gradients(X, p, G, True, True)
+    assert not _spares()  # outside a scope nothing is kept
+    with nets.reuse_buffers():
+        for _ in range(3):
+            for got, want in zip(_op_gradients(X, p, G, True, True), plain):
+                np.testing.assert_array_equal(got, want)
+        assert len(splits) == 2  # one call outside the scope, one inside
+        assert _spares() == [splits[1]]
+    assert not _spares()
+
+
+def test_calls_of_one_layout_on_one_tape_take_their_own_buffers(rng,
+                                                                 splits):
+    p = nets.init_gru(rng, 3, 6, nets.BIDIRECTIONAL)
+    X1, X2 = rng.normal(0, 1, (2, 4, 7, 3))
+    G1, G2 = rng.normal(0, 1, (2, 4, 7, 12))
+
+    def gradients():
+        x1, x2 = (Tensor(X, requires_grad=True) for X in (X1, X2))
+        for t in p.tensors():
+            t.grad = None
+        with ad.Tape():
+            ad.add(ad.tsum(ad.mul(nets.gru_forward(x1, p), Tensor(G1))),
+                   ad.tsum(ad.mul(nets.gru_forward(x2, p), Tensor(G2)))
+                   ).backward()
+        return [x1.grad, x2.grad] + [t.grad for t in p.tensors()]
+
+    plain = gradients()
+    with nets.reuse_buffers():
+        for _ in range(3):
+            for got, want in zip(gradients(), plain):
+                np.testing.assert_array_equal(got, want)
+    assert len(splits) == 4  # two calls outside the scope, two inside
+
+
+def test_a_miss_drops_every_spare(rng, splits):
+    p, q = nets.init_gru(rng, 3, 5), nets.init_gru(rng, 3, 4)
+    X = rng.normal(0, 1, (4, 6, 3))
+    with nets.reuse_buffers():
+        for _ in range(2):
+            _backwarded(X, p, q)  # the second time, two hits
+        assert len(splits) == 2
+        assert len(_spares()) == 2
+        _backwarded(X[:3], p, q)  # a row froze: a miss, which drops q's
+        assert len(splits) == 4
+        assert sorted(map(id, _spares())) == sorted(map(id, splits[2:]))
+        _backwarded(X, p)  # one call misses after another one's backward
+        assert _spares() == [splits[4]]
+
+
+def test_spares_are_per_thread_and_die_with_the_outermost_scope(rng, splits):
+    p = nets.init_gru(rng, 3, 5)
+    X = rng.normal(0, 1, (4, 6, 3))
+    other = []  # the other thread's spares, on entry and after its call
+
+    def call_in_a_thread():
+        other.append(_spares())
+        with nets.reuse_buffers():
+            _backwarded(X, p)
+            other.append(_spares())
+
+    with nets.reuse_buffers():
+        with nets.reuse_buffers():
+            _backwarded(X, p)
+        assert _spares() == [splits[0]]  # an inner scope keeps them
+        thread = threading.Thread(target=call_in_a_thread)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(splits) == 2  # the thread allocated its own
+        assert other == [[], [splits[1]]]
+        assert _spares() == [splits[0]]
+    assert not _spares()
+
+
+def test_a_call_dropped_without_a_backward_never_gives_its_buffers(rng,
+                                                                    splits):
+    p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
+    X = rng.normal(0, 1, (4, 6, 3))
+    with nets.reuse_buffers():
+        with ad.Tape():
+            dropped = nets.gru_forward(Tensor(X), p)
+        out = dropped.data.copy()
+        assert not _spares()
+        for _ in range(2):
+            _backwarded(X, p)
+        assert len(splits) == 2
+        assert _spares() == [splits[1]]
+        assert not any(np.shares_memory(a, b)
+                       for a in splits[0] for b in splits[1])
+        np.testing.assert_array_equal(dropped.data, out)
 
 
 # tracemalloc peak of a recorded forward and backward at (64, 48, 8), H 64,
