@@ -17,7 +17,7 @@ print("X", ds.X.shape, "y", ds.y.shape)
 print("true salient cells per step:", ds.true_saliency.sum(axis=(0, 2))[:5],
       "... (exactly one per timestep)")
 
-pi = data.hmm_stationary_distribution(cfg.transition)
+pi = data.hmm_stationary_distribution(data.HMM_TRANSITION)
 occ = np.bincount(ds.states.ravel(), minlength=2) / ds.states.size
 print("stationary distribution:", pi, "empirical occupancy:", occ)
 

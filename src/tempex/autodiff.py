@@ -361,7 +361,7 @@ def reshape(a, shape):
 
 
 def sort_last_axis(a):
-    """Ascending sort along the last axis (vecsort building block)."""
+    """Ascending sort along the last axis (Dynamask's sorted mask)."""
     order = np.argsort(a.data, axis=-1, kind="stable")
     out = Tensor(np.take_along_axis(a.data, order, axis=-1))
 
@@ -403,8 +403,15 @@ def cross_entropy_with_logits(logits, targets):
 # optimizer
 
 
+# Adam's moment decay rates and the term that keeps its step finite
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    """Standard Adam with bias correction.
+    """Standard Adam with bias correction (ADAM_BETA1, ADAM_BETA2,
+    ADAM_EPS).
 
     For an optimizer whose parameters all carry a leading row axis (the
     mask explainers' masks), keep_rows drops rows of every parameter and
@@ -412,12 +419,9 @@ class Adam:
     never held the others (their steps share one count).
     """
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         # a numpy integer: numpy's beta ** t differs from Python's float
@@ -432,11 +436,11 @@ class Adam:
                 name = p.name or f"param[{i}]"
                 raise ValueError(f"Adam.step: missing gradient for {name}")
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g**2
-            mhat = self.m[i] / (1 - self.beta1**self.t)
-            vhat = self.v[i] / (1 - self.beta2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g**2
+            mhat = self.m[i] / (1 - ADAM_BETA1**self.t)
+            vhat = self.v[i] / (1 - ADAM_BETA2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def keep_rows(self, rows):
         """Keep only `rows` (an index or boolean array) along the leading

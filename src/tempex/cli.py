@@ -6,11 +6,12 @@ expose the individual pipeline stages for one-off work.
 
 Configuration comes from an INI file (sections [dataset], [model],
 [explainers.learned], [metrics], [run]); a key that the run would not read,
-or a value it cannot use, is rejected before any stage starts. Command line
-flags override file keys. `run` echoes its inputs, the resolved sizes
-([resolved]) and the BLAS library and kernel ([environment]) into
-config.ini, which feeds back through --config: the sizes take effect, and
-another BLAS library or kernel is refused.
+or a value it cannot use, is rejected before any stage starts and before
+the output directory is made. Command line flags override file keys. `run`
+echoes its inputs, the resolved sizes ([resolved]) and the BLAS library
+and kernel ([environment]) into config.ini, which feeds back through
+--config: the sizes take effect, and another BLAS library or kernel is
+refused.
 """
 
 from __future__ import annotations
@@ -45,8 +46,12 @@ _SECTION_KEYS = {
     "environment": {"blas", "blas_core"},
 }
 # the [run] inputs that are also flags; ExperimentConfig holds the defaults
-_RUN_FLAGS = ("experiment", "profile", "folds", "jobs", "ablation",
+_RUN_FLAGS = ("experiment", "profile", "folds", "seed", "jobs", "ablation",
               "compare_generators")
+# the least value of each count a run reads, from [run] and from the
+# profile sizes (an ICU-like run needs data.ICU_MIN_STEPS steps)
+_MINIMUMS = {"folds": 1, "jobs": 1, "seed": 0, "n_series": 1, "n_steps": 1,
+             "eval_samples": 1, "epochs": 1, "hidden": 1, "iterations": 0}
 _CHOICES = {"experiment": xp.EXPERIMENTS, "profile": (xp.FAST, xp.FULL),
             "ablation": (None, "lambda")}
 
@@ -119,16 +124,18 @@ def _run_inputs(args, run_conf):
         if values[key] and experiment != reader:
             raise SystemExit(f"{sources[key]} is read only by {reader} "
                              f"runs, not by {experiment} runs")
-    for key in ("folds", "jobs"):
-        if values[key] < 1:
+    for key in ("folds", "seed", "jobs"):
+        if values[key] < _MINIMUMS[key]:
             raise SystemExit(f"{sources[key]} is {values[key]}; it must be "
-                             ">= 1")
+                             f">= {_MINIMUMS[key]}")
     return values
 
 
-def _overrides(file_conf):
+def _overrides(file_conf, experiment):
     """The profile sizes the config file sets; raise SystemExit if two
-    sections set one to different values."""
+    sections set one to different values, or if a run of `experiment`
+    cannot use one (a count below its minimum, a fraction outside
+    (0, 1))."""
     out, where = {}, {}
     for section, keys in file_conf.items():
         if section in ("run", "environment"):
@@ -139,6 +146,17 @@ def _overrides(file_conf):
                     f"config key {key!r} is {out[key]!r} in section "
                     f"[{where[key]}] but {value!r} in section [{section}]")
             out[key], where[key] = value, section
+            given = f"config key {key!r} in section [{section}] is {value!r}"
+            if key == "fractions":
+                if not all(0 < f < 1 for f in value):
+                    raise SystemExit(f"{given}; each fraction must be in "
+                                     "(0, 1)")
+                continue
+            low = _MINIMUMS[key]
+            if key == "n_steps" and experiment == xp.ICU:
+                low = data.ICU_MIN_STEPS
+            if value < low:
+                raise SystemExit(f"{given}; it must be >= {low}")
     return out
 
 
@@ -169,7 +187,8 @@ def _at_least(args, **minimums):
 
 
 def cmd_generate(args):
-    _at_least(args, n_series=1, n_steps=1)
+    min_steps = data.ICU_MIN_STEPS if args.experiment == xp.ICU else 1
+    _at_least(args, n_series=1, n_steps=min_steps, seed=0)
     if args.experiment == xp.HMM:
         ds = data.generate_hmm(data.HmmConfig(
             n_series=args.n_series, n_steps=args.n_steps, seed=args.seed or 0))
@@ -181,7 +200,7 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    _at_least(args, epochs=1, hidden=1)
+    _at_least(args, epochs=1, hidden=1, seed=0)
     if not args.lr > 0:
         raise SystemExit(f"--lr is {args.lr}; it must be > 0")
     ds = data.load_dataset(args.data)
@@ -227,7 +246,8 @@ def _explain_inputs(args):
 
 
 def cmd_explain(args):
-    _at_least(args, samples=1, iterations=0, lambda1=0, lambda2=0, steps=1)
+    _at_least(args, samples=1, iterations=0, lambda1=0, lambda2=0, steps=1,
+              seed=0)
     given = _explain_inputs(args)
     ds = data.load_dataset(args.data)
     model = nets.load_classifier(args.model).freeze()
@@ -235,7 +255,7 @@ def cmd_explain(args):
     if args.method == "learned":
         sal = ex.explain_learned(X, model, ex.ExplainerConfig(**given))
     elif args.method == "dynamask":
-        sal = ex.explain_dynamask(X, model, ex.DynamaskConfig(**given))
+        sal = ex.explain_dynamask(X, model, **given)
     elif args.method == "occlusion":
         sal = ex.occlusion(X, model)
     elif args.method == "augmented_occlusion":
@@ -298,15 +318,13 @@ def _run(args):
     run = _run_inputs(args, run_conf)
     _check_config_keys(file_conf, run["experiment"])
     _check_environment(file_conf.get("environment", {}))
-    overrides = _overrides(file_conf)
+    overrides = _overrides(file_conf, run["experiment"])
     out_dir = args.out or run_conf.get("out_dir") or \
         f"runs/{run['experiment']}_{run['profile']}"
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not args.force:
         raise SystemExit(f"output dir {out_dir!r} is not empty; "
                          "pass --force to overwrite")
-    seed = args.seed if args.seed is not None else run_conf.get("seed", 0)
-    cfg = xp.ExperimentConfig(seed=seed, out_dir=out_dir,
-                              overrides=overrides, **run)
+    cfg = xp.ExperimentConfig(out_dir=out_dir, overrides=overrides, **run)
     if args.force:
         xp.remove_run_files(out_dir)
     os.makedirs(out_dir, exist_ok=True)

@@ -60,44 +60,20 @@ class TimeSeriesDataset:
 # HMM benchmark
 
 
+# the benchmark's two hidden states: their transition matrix (rows sum to
+# 1), and their emission means and covariances over the three features
+HMM_TRANSITION = np.array([[0.9, 0.1], [0.1, 0.9]])
+HMM_MU = np.array([[0.1, 1.6, 0.5], [-0.1, -0.4, -1.5]])
+HMM_SIGMA = np.stack([np.array([[1.0, 0.0, 0.0],
+                                [0.0, 1.0, 0.2],
+                                [0.0, 0.2, 1.0]])] * 2)
+
+
 @dataclass
 class HmmConfig:
     n_series: int = 1000
     n_steps: int = 200
-    transition: np.ndarray = None  # (2, 2), rows sum to 1
-    mu: np.ndarray = None  # (2, 3) per-state emission means
-    sigma: np.ndarray = None  # (2, 3, 3) per-state covariances
     seed: int = 0
-
-    def __post_init__(self):
-        if self.transition is None:
-            self.transition = np.array([[0.9, 0.1], [0.1, 0.9]])
-        if self.mu is None:
-            self.mu = np.array([[0.1, 1.6, 0.5], [-0.1, -0.4, -1.5]])
-        if self.sigma is None:
-            base = np.eye(3)
-            base[1, 2] = base[2, 1] = 0.2
-            self.sigma = np.stack([base, base.copy()])
-        self.transition = np.asarray(self.transition, dtype=np.float64)
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        if self.transition.shape != (2, 2):
-            raise ValueError("transition must be (2, 2): two states")
-        if (self.transition < 0).any():
-            raise ValueError("transition probabilities must be non-negative")
-        # within rng.choice's tolerance, the one generate_hmm's draws assume
-        if (np.abs(self.transition.sum(axis=1) - 1.0)
-                > np.sqrt(np.finfo(np.float64).eps)).any():
-            raise ValueError("transition rows must sum to 1")
-        if self.mu.shape != (2, 3):
-            raise ValueError("mu must be (2, 3): two states, three features")
-        for s in range(2):
-            try:
-                np.linalg.cholesky(self.sigma[s])
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"covariance for state {s} is not positive-definite"
-                ) from None
 
 
 def hmm_stationary_distribution(transition):
@@ -115,10 +91,11 @@ def _first_cdf(p):
 
 
 def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
-    """Two hidden states; emissions Gaussian per state; label at each step
-    drawn Bernoulli(sigmoid of feature 2) in state 0 and (feature 3) in
-    state 1. The generating feature is the true salient cell of that step;
-    feature 1 is never salient.
+    """Two hidden states (HMM_TRANSITION); emissions Gaussian per state
+    (HMM_MU, HMM_SIGMA); label at each step drawn Bernoulli(sigmoid of
+    feature 2) in state 0 and (feature 3) in state 1. The generating
+    feature is the true salient cell of that step; feature 1 is never
+    salient.
     """
     N, T = config.n_series, config.n_steps
     states = np.empty((N, T), dtype=np.int64)
@@ -131,8 +108,8 @@ def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
     # at least the normalised CDF's first entry; that one draw per step
     # gives the same states in a tenth of the time
     first_cut, *cuts = (_first_cdf(p) for p in
-                        (hmm_stationary_distribution(config.transition),
-                         *config.transition))
+                        (hmm_stationary_distribution(HMM_TRANSITION),
+                         *HMM_TRANSITION))
     # the loop only draws, in each cell's order: state, emission normals,
     # label uniform; the arithmetic runs over all cells after it
     for i, rng in enumerate(streams):
@@ -143,8 +120,8 @@ def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
             states[i, t] = s
             rng.standard_normal(out=normals[i, t])
             uniforms[i, t] = rng.random()
-    chol = np.stack([np.linalg.cholesky(config.sigma[s]) for s in range(2)])
-    X = config.mu[states] + (chol[states] @ normals[..., None])[..., 0]
+    chol = np.stack([np.linalg.cholesky(HMM_SIGMA[s]) for s in range(2)])
+    X = HMM_MU[states] + (chol[states] @ normals[..., None])[..., 0]
     driver = np.where(states == 0, X[..., 1], X[..., 2])
     y = (uniforms < _sigmoid(driver)).astype(np.int64)
     sal = np.zeros((N, T, 3), dtype=bool)
@@ -161,35 +138,43 @@ def generate_hmm(config: HmmConfig) -> TimeSeriesDataset:
 
 
 ICU_SIGNAL_CHANNELS = (0, 1)
+# the channels (one standardized feature each), their AR(1) coefficient,
+# and the label's logit per unit of the planted score
+ICU_FEATURES = ("heart_rate", "sys_bp", "resp_rate", "temp", "spo2",
+                "glucose", "lactate", "wbc")
+ICU_RHO = 0.8
+ICU_SIGNAL_SCALE = 4.0
+# the label reads the last third of the steps, which is empty below 3
+ICU_MIN_STEPS = 3
 
 
-def generate_icu_like(n_samples, n_steps=48, n_features=8, seed=0,
-                      rho=0.8, signal_scale=4.0):
-    """Autocorrelated standardized channels; the binary sequence label is
-    driven only by channels 0 and 1 averaged over the final third of the
-    window, so late-time cells on those channels are the planted truth.
+def generate_icu_like(n_samples, n_steps=48, seed=0):
+    """Autocorrelated standardized channels (ICU_FEATURES); the binary
+    sequence label is driven only by channels 0 and 1 averaged over the
+    final third of the window, so late-time cells on those channels are
+    the planted truth. ValueError below ICU_MIN_STEPS steps.
     """
-    if n_features < 4:
-        raise ValueError("need at least 4 features")
+    if n_steps < ICU_MIN_STEPS:
+        raise ValueError(f"n_steps is {n_steps}; the label reads the last "
+                         f"third of the steps, so it must be >= "
+                         f"{ICU_MIN_STEPS}")
     rng = np.random.default_rng(seed)
-    N, T, n = n_samples, n_steps, n_features
+    N, T, n = n_samples, n_steps, len(ICU_FEATURES)
     X = np.empty((N, T, n))
     # stationary AR(1): marginal N(0, 1) at every step
     X[:, 0, :] = rng.standard_normal((N, n))
-    innov = rng.standard_normal((N, T - 1, n)) * np.sqrt(1.0 - rho**2)
+    innov = rng.standard_normal((N, T - 1, n)) * np.sqrt(1.0 - ICU_RHO**2)
     for t in range(1, T):
-        X[:, t, :] = rho * X[:, t - 1, :] + innov[:, t - 1, :]
+        X[:, t, :] = ICU_RHO * X[:, t - 1, :] + innov[:, t - 1, :]
     late = slice(T - T // 3, T)
     score = X[:, late, ICU_SIGNAL_CHANNELS[0]].mean(axis=1) \
         + X[:, late, ICU_SIGNAL_CHANNELS[1]].mean(axis=1)
-    y = (rng.random(N) < _sigmoid(signal_scale * score)).astype(np.int64)
+    y = (rng.random(N) < _sigmoid(ICU_SIGNAL_SCALE * score)).astype(np.int64)
     sal = np.zeros((N, T, n), dtype=bool)
     for c in ICU_SIGNAL_CHANNELS:
         sal[:, late, c] = True
-    names = ["heart_rate", "sys_bp", "resp_rate", "temp",
-             "spo2", "glucose", "lactate", "wbc"][:n]
-    names += [f"ch{i}" for i in range(len(names), n)]
-    return TimeSeriesDataset(X=X, y=y, true_saliency=sal, feature_names=names)
+    return TimeSeriesDataset(X=X, y=y, true_saliency=sal,
+                             feature_names=list(ICU_FEATURES))
 
 
 # ---------------------------------------------------------------------------

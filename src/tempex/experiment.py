@@ -208,8 +208,7 @@ def hmm_fold(cfg: ExperimentConfig, fold: int, sub, model, X):
         ("learned_deletion", lambda: 1.0 - learned(mode=ex.DELETION)),
         augmented,
         ("dynamask", lambda: ex.explain_dynamask(
-            sub.X, model, ex.DynamaskConfig(iterations=it),
-            workers=1).scores),
+            sub.X, model, iterations=it, workers=1).scores),
         *baselines,
     ]
     return _explain_tasks(stages, rows), [

@@ -7,9 +7,13 @@ one perturbation generator per row block against a frozen classifier:
     deletion:      l1 * mean(1 - m) + l2 * mean(|nn(x)|) + CE(f(0), f(phi))
 
 Baselines: a fixed-perturbation mask explainer with the sorted-mask area
-regularizer, Occlusion, Augmented Occlusion, and Integrated Gradients.
-Mask methods emit the mask itself as the saliency map; gradient and
-occlusion scores are min-max normalized into [0, 1] per sample.
+regularizer (Dynamask), Occlusion, Augmented Occlusion, and Integrated
+Gradients. Mask methods emit the mask itself as the saliency map; gradient
+and occlusion scores are min-max normalized into [0, 1] per sample.
+
+Each method runs one fixed objective: the stopping rule of both mask
+explainers, Dynamask's objective and the occlusion and integration
+baselines are the module constants below, read at call time.
 
 Every classifier has one logit, so every method explains the positive
 class: the mask losses, the occlusion scores and the normalized gradient
@@ -48,6 +52,20 @@ DELETION = "deletion"
 # the mask explainers optimize max(1, B // BLOCK_ROWS) contiguous row
 # blocks, each on its own tape (see _optimize_blocks)
 BLOCK_ROWS = 24
+# both mask explainers freeze a row once its loss has not dropped
+# EARLY_STOP_TOL below its best for EARLY_STOP_PATIENCE iterations
+EARLY_STOP_TOL = 1e-6
+EARLY_STOP_PATIENCE = 10
+# Dynamask's objective: the half-width of the window_average surrogate, the
+# area a of the sorted-mask regularizer and its weight, and the mask's Adam
+# learning rate
+DYNAMASK_WINDOW = 2
+DYNAMASK_AREA = 0.1
+DYNAMASK_REG_WEIGHT = 1.0
+DYNAMASK_LR = 0.01
+# the value occlusion sets a cell to, and integrated gradients' path start
+OCCLUSION_BASELINE = 0.0
+IG_BASELINE = 0.0
 
 
 class FrozenModelError(RuntimeError):
@@ -68,8 +86,6 @@ class ExplainerConfig:
     mask_lr: float = 0.01
     generator_lr: float = 0.001
     iterations: int = 500
-    early_stop_tol: float = 1e-6
-    early_stop_patience: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -81,41 +97,18 @@ class ExplainerConfig:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.generator_hidden < 1:
             raise ValueError("generator_hidden must be >= 1")
-        _check_steps(self, mask_lr=self.mask_lr,
+        _check_steps(self.iterations, mask_lr=self.mask_lr,
                      generator_lr=self.generator_lr)
 
 
-@dataclass
-class DynamaskConfig:
-    window: int = 2  # half-width of the window_average surrogate
-    area: float = 0.1
-    reg_weight: float = 1.0
-    lr: float = 0.01
-    iterations: int = 500
-    early_stop_tol: float = 1e-6
-    early_stop_patience: int = 10
-
-    def __post_init__(self):
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
-        if not 0 < self.area <= 1:
-            raise ValueError("area must be in (0, 1]")
-        _check_steps(self, lr=self.lr)
-
-
-def _check_steps(config, **rates):
+def _check_steps(iterations, **rates):
     """Raise ValueError unless each learning rate in `rates` is > 0 (else
-    the mask steps uphill or not at all) and config's stopping rule can
-    run."""
+    the mask steps uphill or not at all) and iterations is >= 0."""
     for name, rate in rates.items():
         if not rate > 0:
             raise ValueError(f"{name} must be > 0, got {rate}")
-    if config.iterations < 0:
+    if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    if config.early_stop_tol < 0:
-        raise ValueError("early_stop_tol must be >= 0")
-    if config.early_stop_patience < 1:
-        raise ValueError("early_stop_patience must be >= 1")
 
 
 @dataclass
@@ -164,14 +157,15 @@ def _minmax_per_sample(raw):
     return out
 
 
-def _optimize_mask(mask, lr, config, loss, inputs, shared=()):
-    """The optimization loop of both mask explainers.
+def _optimize_mask(mask, lr, iterations, loss, inputs, shared=()):
+    """The optimization loop of both mask explainers, for at most
+    `iterations` iterations.
 
     Each iteration tapes `loss(*inputs)`, which returns the per-row loss
     Tensor of the mask's rows and a dict of per-row loss terms, and steps
     the mask's Adam (learning rate lr) and the `shared` optimizers, whose
     parameters carry no row axis. A row freezes once its loss
-    has not dropped early_stop_tol below its best for early_stop_patience
+    has not dropped EARLY_STOP_TOL below its best for EARLY_STOP_PATIENCE
     iterations: its mask row goes into the scores, and the row leaves the
     mask, its Adam moments (Adam.keep_rows) and `inputs`, the loss's
     row-led arrays, so the loss only ever sees live rows; `shared` goes on
@@ -192,12 +186,12 @@ def _optimize_mask(mask, lr, config, loss, inputs, shared=()):
     best = np.full(B, np.inf)
     stall = np.zeros(B, dtype=np.int64)
     per_row = np.zeros(B, dtype=np.int64)
-    history = np.empty((config.iterations, B))
+    history = np.empty((iterations, B))
     last = np.zeros(B)
     terms = {}
     iterations_run = 0
     with reuse_buffers():
-        for it in range(config.iterations):
+        for it in range(iterations):
             with ad.Tape():
                 loss_b, row_terms = loss(*inputs)
                 vals = loss_b.data.copy()
@@ -214,10 +208,10 @@ def _optimize_mask(mask, lr, config, loss, inputs, shared=()):
             for opt in optimizers:
                 opt.zero_grad()
             iterations_run = per_row[live] = it + 1
-            improved = vals < best - config.early_stop_tol
+            improved = vals < best - EARLY_STOP_TOL
             stall = np.where(improved, 0, stall + 1)
             best = np.minimum(best, vals)
-            keep = stall < config.early_stop_patience
+            keep = stall < EARLY_STOP_PATIENCE
             if not keep.all():
                 scores[live[~keep]] = mask.data[~keep]
                 live, best, stall = live[keep], best[keep], stall[keep]
@@ -408,7 +402,7 @@ def _learned_block(X, ref, classifier, config):
                         "ce_term": ce_b.data}
 
     out = _optimize_mask(
-        mask, config.mask_lr, config, loss, (X, ref),
+        mask, config.mask_lr, config.iterations, loss, (X, ref),
         shared=[ad.Adam(gen.parameters(), lr=config.generator_lr)])
     classifier.check_unchanged(snap)
     return out
@@ -445,11 +439,6 @@ def explain_learned(x, classifier: ClassifierParams,
                        metadata=meta)
 
 
-def vecsort(m):
-    """Ascending sort of the flattened mask values (plain arrays)."""
-    return np.sort(np.asarray(m).ravel())
-
-
 def area_target(total_cells, area):
     """(1 - a) * cells zeros followed by a * cells ones."""
     ones = int(round(area * total_cells))
@@ -459,15 +448,15 @@ def area_target(total_cells, area):
     return r
 
 
-def _dynamask_block(X, ref, classifier, config):
+def _dynamask_block(X, ref, classifier, iterations):
     """_optimize_mask for the rows of X with their own mask and Adam;
     returns _optimize_blocks' block tuple."""
     snap = classifier.snapshot()
     B, T, n = X.shape
     mask = Mask(B, T, n)
-    r_a = Tensor(area_target(T * n, config.area))
+    r_a = Tensor(area_target(T * n, DYNAMASK_AREA))
     # the surrogate does not depend on the mask: one per block
-    mu = window_average(X, config.window)
+    mu = window_average(X, DYNAMASK_WINDOW)
 
     def loss(x, ref, mu):
         m = mask.values
@@ -477,37 +466,40 @@ def _dynamask_block(X, ref, classifier, config):
         sorted_m = ad.sort_last_axis(ad.reshape(m, (len(x), T * n)))
         d = ad.sub(sorted_m, r_a)
         reg_b = ad.tmean(ad.mul(d, d), axis=1)
-        return ad.add(ad.mul(reg_b, config.reg_weight), ce_b), {}
+        return ad.add(ad.mul(reg_b, DYNAMASK_REG_WEIGHT), ce_b), {}
 
-    out = _optimize_mask(mask, config.lr, config, loss, (X, ref, mu))
+    out = _optimize_mask(mask, DYNAMASK_LR, iterations, loss, (X, ref, mu))
     classifier.check_unchanged(snap)
     return out
 
 
 @single_blas_thread()
-def explain_dynamask(x, classifier: ClassifierParams,
-                     config: DynamaskConfig = None,
+def explain_dynamask(x, classifier: ClassifierParams, iterations=500,
                      workers=None) -> SaliencyMap:
-    """Fixed-perturbation mask baseline: optimizes the mask alone under the
-    preservation objective with the sorted-mask area regularizer, in the
-    row blocks and on the workers of explain_learned."""
-    config = config or DynamaskConfig()
+    """Fixed-perturbation mask baseline: optimizes the mask alone, for at
+    most `iterations` iterations, under the preservation objective with the
+    sorted-mask area regularizer, in the row blocks, on the workers and
+    with the stopping rule of explain_learned. The blend's surrogate is
+    window_average(x, DYNAMASK_WINDOW), the regularizer pulls the sorted
+    mask towards area_target(cells, DYNAMASK_AREA) with weight
+    DYNAMASK_REG_WEIGHT, and Adam steps at DYNAMASK_LR; the metadata
+    records the area and the window."""
+    _check_steps(iterations)
     X = _as_batch(x)
     _check_frozen(classifier)
     ref = _reference_probs(X, classifier, PRESERVATION)
     scores, meta = _optimize_blocks(
         X.shape, lambda lo, hi: _dynamask_block(
-            X[lo:hi], ref[lo:hi], classifier, config),
+            X[lo:hi], ref[lo:hi], classifier, iterations),
         workers)
-    meta.update(area=config.area, window=config.window)
+    meta.update(area=DYNAMASK_AREA, window=DYNAMASK_WINDOW)
     return SaliencyMap(scores=scores, method="dynamask", metadata=meta)
 
 
 @single_blas_thread()
-def occlusion(x, classifier: ClassifierParams, baseline=0.0,
-              workers=None) -> SaliencyMap:
-    """Score of each cell: |f(x) - f(x with the cell set to baseline)|,
-    f being target_score.
+def occlusion(x, classifier: ClassifierParams, workers=None) -> SaliencyMap:
+    """Score of each cell: |f(x) - f(x with the cell set to
+    OCCLUSION_BASELINE)|, f being target_score.
 
     Copy i of the batch sets feature i to the baseline. All copies of one
     step go through perturbed_step_scores, which reuses the classifier's
@@ -522,7 +514,7 @@ def occlusion(x, classifier: ClassifierParams, baseline=0.0,
 
     def replacements(t):
         rows = np.repeat(X[None, :, t], n, axis=0)
-        rows[cells, :, cells] = baseline
+        rows[cells, :, cells] = OCCLUSION_BASELINE
         return rows
 
     base = target_score(X, classifier)
@@ -583,21 +575,16 @@ def augmented_occlusion(x, classifier: ClassifierParams,
 
 
 @single_blas_thread()
-def integrated_gradients(x, classifier: ClassifierParams, baseline=None,
+def integrated_gradients(x, classifier: ClassifierParams,
                          steps=128) -> SaliencyMap:
     """Midpoint-rule path integral of the gradients of the positive-class
-    probabilities, from baseline to x. Raw attributions live in metadata;
-    scores are min-max normalized."""
+    probabilities, from the constant input IG_BASELINE to x. Raw
+    attributions live in metadata; scores are min-max normalized."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     X = _as_batch(x)
     _check_frozen(classifier)
-    B, T, n = X.shape
-    if baseline is None:
-        baseline = np.zeros_like(X)
-    else:
-        baseline = np.broadcast_to(
-            np.asarray(baseline, dtype=np.float64), X.shape).copy()
+    baseline = np.full_like(X, IG_BASELINE)
     diff = X - baseline
     avg_grad = np.zeros_like(X)
     with reuse_buffers():  # every step tapes the same shapes

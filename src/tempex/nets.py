@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import threading
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-log = logging.getLogger(__name__)
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -774,7 +771,6 @@ class TrainConfig:
     epochs: int = 50
     lr: float = 0.001
     seed: int = 0
-    log_every: int = 0  # epochs between INFO loss records; 0 = silent
 
     def __post_init__(self):
         if not self.lr > 0:  # a rate <= 0 trains uphill or not at all
@@ -817,8 +813,6 @@ def train_classifier(dataset, params: ClassifierParams,
         full = ad.tmean(ad.cross_entropy_with_logits(
             classifier_forward(Tensor(X), params), Tensor(y))).item()
         history.append(full)
-        if config.log_every and (epoch + 1) % config.log_every == 0:
-            log.info("epoch %d: loss %.4f", epoch + 1, full)
     return params, history
 
 

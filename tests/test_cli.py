@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,11 +28,21 @@ def tiny_dataset(tmp_path):
     return path
 
 
+def _logged_pids(log):
+    return {line.split()[1] for line in log.read_text().splitlines()
+            if len(line.split()) == 4}
+
+
 @pytest.fixture()
 def explainer_calls(tmp_path, monkeypatch):
     """Every explainer call of a run, from whichever process makes it. The
     fixture is a function that returns the calls since its last call, as
-    (explainer, pid, workers argument, OpenBLAS threads) string tuples."""
+    (explainer, pid, workers argument, OpenBLAS threads) string tuples.
+
+    A fork pool may hand every one of a few short tasks to its first
+    worker. So after `calls.procs = k`, each call of a run started later
+    waits, up to 30 s, until k processes have logged a call: k workers
+    then take part, whatever the pool's order."""
     log = tmp_path / "explainer_calls.txt"
     get_threads = ex._openblas_threads("get")
     for name in ("explain_learned", "explain_dynamask", "occlusion",
@@ -40,6 +51,10 @@ def explainer_calls(tmp_path, monkeypatch):
             with open(log, "a") as fh:  # one short append per call
                 fh.write(f"{_name} {os.getpid()} {kw.get('workers')} "
                          f"{get_threads()}\n")
+            deadline = time.monotonic() + 30
+            while len(_logged_pids(log)) < calls.procs \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
             return _explain(*args, **kw)
         monkeypatch.setattr(ex, name, spy)
 
@@ -49,6 +64,7 @@ def explainer_calls(tmp_path, monkeypatch):
         lines = log.read_text().splitlines()
         log.unlink()
         return [tuple(line.split()) for line in lines]
+    calls.procs = 1
     return calls
 
 
@@ -129,6 +145,8 @@ class TestGenerateTrainExplain:
         ("train", "--lr", "0"), ("train", "--lr", "-1"),
         ("explain", "--steps", "0"), ("explain", "--iterations", "-1"),
         ("explain", "--lambda1", "-1"), ("explain", "--lambda2", "-0.5"),
+        ("generate", "--seed", "-1"), ("train", "--seed", "-1"),
+        ("explain", "--seed", "-1"),
     ])
     def test_rejects_a_flag_below_its_minimum(self, tiny_dataset, tmp_path,
                                               verb, flag, value):
@@ -143,6 +161,14 @@ class TestGenerateTrainExplain:
         with pytest.raises(SystemExit) as exc:
             run_cli(verb, *inputs[verb], "--out", str(out), flag, value)
         assert str(exc.value).startswith(f"{flag} is ")
+        assert not out.exists()
+
+    def test_generate_icu_rejects_fewer_than_three_steps(self, tmp_path):
+        out = tmp_path / "icu.zip"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--experiment", "icu_like", "--out",
+                    str(out), "--n-steps", "2")
+        assert str(exc.value) == "--n-steps is 2; it must be >= 3"
         assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1"])
@@ -491,6 +517,9 @@ class TestRun:
         (["--jobs", "0"], None, "--jobs"),
         ([], "[run]\nfolds = 0\n", "'folds' in section [run]"),
         ([], "[run]\njobs = -1\n", "'jobs' in section [run]"),
+        (["--seed", "-1"], None, "--seed is -1; it must be >= 0"),
+        ([], "[run]\nseed = -1\n", "'seed' in section [run] is -1; it must "
+         "be >= 0"),
     ])
     def test_run_input_without_effect_is_rejected(self, tmp_path,
                                                   small_profile, argv, ini,
@@ -503,6 +532,34 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--out", str(out), *argv)
         assert named in str(exc.value)
+        assert not out.exists()  # rejected before any stage ran
+
+    @pytest.mark.parametrize("experiment, section, key, value, minimum", [
+        (xp.HMM, "dataset", "n_series", "0", ">= 1"),
+        (xp.HMM, "dataset", "n_steps", "0", ">= 1"),
+        (xp.ICU, "dataset", "n_steps", "2", ">= 3"),
+        (xp.HMM, "model", "hidden", "0", ">= 1"),
+        (xp.HMM, "model", "epochs", "0", ">= 1"),
+        (xp.HMM, "explainers.learned", "iterations", "-3", ">= 0"),
+        (xp.HMM, "metrics", "eval_samples", "0", ">= 1"),
+        (xp.ICU, "metrics", "fractions", "0.2,1", "in (0, 1)"),
+        (xp.ICU, "metrics", "fractions", "0,0.5", "in (0, 1)"),
+        (xp.HMM, "resolved", "hidden", "0", ">= 1"),
+    ])
+    def test_run_rejects_a_size_that_cannot_work(self, tmp_path,
+                                                 small_profile, experiment,
+                                                 section, key, value,
+                                                 minimum):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--experiment", experiment, "--folds", "1",
+                    "--config", str(ini), "--out", str(out))
+        message = str(exc.value)
+        assert message.startswith(f"config key {key!r} in section "
+                                  f"[{section}] is ")
+        assert message.endswith(minimum)
         assert not out.exists()  # rejected before any stage ran
 
     def test_config_echo_records_environment(self, tmp_path, small_profile):
@@ -589,12 +646,14 @@ class TestRun:
             "replacements(" in err
 
     def _same_bytes_at_jobs(self, tmp_path, experiment, explainer_calls,
-                            job_counts, *argv):
+                            job_counts, *argv, spread=False):
         """Run at each --jobs of job_counts, assert equal CSV bytes and that
         every explainer got workers=1; returns each run's explainer
-        calls."""
+        calls. With spread, every job of a run takes a task (see
+        explainer_calls)."""
         outs, calls = [], []
         for jobs in job_counts:
+            explainer_calls.procs = int(jobs) if spread else 1
             out = tmp_path / "_".join((experiment, *argv, "jobs", jobs))
             code = run_cli("run", "--experiment", experiment, "--profile",
                            "fast", "--out", str(out), *argv, "--jobs", jobs)
@@ -620,7 +679,8 @@ class TestRun:
                                  ("1", "2", "3"), "--folds", "3")
         monkeypatch.setattr(ex, "BLOCK_ROWS", 4)
         one, two = self._same_bytes_at_jobs(
-            tmp_path, experiment, explainer_calls, ("1", "2"), "--folds", "1")
+            tmp_path, experiment, explainer_calls, ("1", "2"), "--folds", "1",
+            spread=True)
         assert {pid for _, pid, _, _ in one} == {str(os.getpid())}
         assert len({pid for _, pid, _, _ in two}) >= 2
         assert str(os.getpid()) not in {pid for _, pid, _, _ in two}
@@ -630,6 +690,7 @@ class TestRun:
         # the 3 folds' 18 explainer tasks run on the 2 jobs, none here: the
         # fold that a round of 2 folds leaves over shares the one task pool
         out = tmp_path / "run"
+        explainer_calls.procs = 2
         code = run_cli("run", "--experiment", "hmm", "--out", str(out),
                        "--folds", "3", "--jobs", "2")
         assert code == 0
@@ -651,6 +712,7 @@ class TestRun:
             self, tmp_path, small_profile, explainer_calls):
         # 2 folds at --jobs 3: their 12 explainer tasks spread over the 3
         # jobs rather than one fold per worker, none here
+        explainer_calls.procs = 2
         code = run_cli("run", "--experiment", "hmm", "--out",
                        str(tmp_path / "run"), "--folds", "2", "--jobs", "3")
         assert code == 0
@@ -666,7 +728,7 @@ class TestRun:
         monkeypatch.setattr(xp, "LAMBDAS", (0.1, 1.0))
         _, two = self._same_bytes_at_jobs(
             tmp_path, xp.HMM, explainer_calls, ("1", "2"), "--folds", "1",
-            "--ablation", "lambda")
+            "--ablation", "lambda", spread=True)
         assert len(two) == 4 and len({pid for _, pid, _, _ in two}) >= 2
 
     @pytest.mark.parametrize("folds", ["1", "2"])

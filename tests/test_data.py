@@ -33,18 +33,13 @@ class TestHmm:
         strong = p > 0.9
         assert ds.y[strong].mean() > 0.85
 
-    def test_occupancy_matches_stationary_distribution(self):
+    def test_occupancy_matches_stationary_distribution(self, monkeypatch):
         trans = np.array([[0.8, 0.2], [0.1, 0.9]])
-        cfg = HmmConfig(n_series=500, n_steps=200, transition=trans, seed=4)
-        ds = data.generate_hmm(cfg)
+        monkeypatch.setattr(data, "HMM_TRANSITION", trans)
+        ds = data.generate_hmm(HmmConfig(n_series=500, n_steps=200, seed=4))
         pi = data.hmm_stationary_distribution(trans)
         occupancy = (ds.states == 0).mean()
         assert abs(occupancy - pi[0]) < 0.01
-
-    def test_non_pd_covariance_rejected(self):
-        sigma = np.stack([np.eye(3), -np.eye(3)])
-        with pytest.raises(ValueError, match="positive-definite"):
-            HmmConfig(sigma=sigma)
 
     def test_seeded_determinism(self):
         a = data.generate_hmm(HmmConfig(n_series=3, n_steps=20, seed=9))
@@ -64,20 +59,21 @@ def two_branch_sigmoid(x):
 def reference_hmm(config):
     """generate_hmm's X, y and states with one rng.choice per state draw."""
     N, T = config.n_series, config.n_steps
-    chol = [np.linalg.cholesky(config.sigma[s]) for s in range(2)]
+    transition, mu = data.HMM_TRANSITION, data.HMM_MU
+    chol = [np.linalg.cholesky(data.HMM_SIGMA[s]) for s in range(2)]
     X = np.empty((N, T, 3))
     y = np.empty((N, T), dtype=np.int64)
     states = np.empty((N, T), dtype=np.int64)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(config.seed).spawn(N)]
-    pi0 = data.hmm_stationary_distribution(config.transition)
+    pi0 = data.hmm_stationary_distribution(transition)
     for i, rng in enumerate(streams):
         s = rng.choice(2, p=pi0)
         for t in range(T):
             if t > 0:
-                s = rng.choice(2, p=config.transition[s])
+                s = rng.choice(2, p=transition[s])
             states[i, t] = s
-            X[i, t] = config.mu[s] + chol[s] @ rng.standard_normal(3)
+            X[i, t] = mu[s] + chol[s] @ rng.standard_normal(3)
             driver = X[i, t, 1] if s == 0 else X[i, t, 2]
             y[i, t] = rng.random() < two_branch_sigmoid(driver)
     return X, y, states
@@ -85,25 +81,15 @@ def reference_hmm(config):
 
 @pytest.mark.parametrize("seed", [0, 11])
 @pytest.mark.parametrize("transition", [None, [[0.7, 0.3], [0.05, 0.95]]])
-def test_hmm_matches_choice_reference(seed, transition):
-    cfg = HmmConfig(n_series=6, n_steps=40, transition=transition,
-                    seed=seed)
+def test_hmm_matches_choice_reference(seed, transition, monkeypatch):
+    if transition is not None:  # an asymmetric chain
+        monkeypatch.setattr(data, "HMM_TRANSITION", np.array(transition))
+    cfg = HmmConfig(n_series=6, n_steps=40, seed=seed)
     ds = data.generate_hmm(cfg)
     X, y, states = reference_hmm(cfg)
     np.testing.assert_array_equal(ds.X, X)
     np.testing.assert_array_equal(ds.y, y)
     np.testing.assert_array_equal(ds.states, states)
-
-
-@pytest.mark.parametrize("transition, match", [
-    ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], "two states"),
-    ([[1.2, -0.2], [0.5, 0.5]], "non-negative"),
-    # np.allclose accepts this row; rng.choice rejects it
-    ([[0.9, 0.1 + 1e-6], [0.5, 0.5]], "sum to 1"),
-])
-def test_hmm_transition_checked(transition, match):
-    with pytest.raises(ValueError, match=match):
-        HmmConfig(transition=transition)
 
 
 class TestIcuLike:
@@ -140,9 +126,18 @@ class TestIcuLike:
             shuffled[:, :, c] = shuffled[rng.permutation(len(shuffled)), :, c]
         assert abs(probe_auroc(shuffled, ds.y) - 0.5) < 0.05
 
-    def test_requires_four_features(self):
-        with pytest.raises(ValueError):
-            data.generate_icu_like(10, n_features=3)
+    @pytest.mark.parametrize("n_steps", [0, 1, 2])
+    def test_rejects_fewer_than_three_steps(self, n_steps):
+        # the label's late window, the last T // 3 steps, would be empty
+        with pytest.raises(ValueError, match=f"n_steps is {n_steps}; .* "
+                           "must be >= 3"):
+            data.generate_icu_like(10, n_steps=n_steps)
+
+    def test_three_steps_plant_the_last_one(self):
+        ds = data.generate_icu_like(10, n_steps=3, seed=0)
+        truth = np.zeros((10, 3, 8), dtype=bool)
+        truth[:, 2, list(data.ICU_SIGNAL_CHANNELS)] = True
+        np.testing.assert_array_equal(ds.true_saliency, truth)
 
     @pytest.mark.parametrize("seed", [0, 5, 17])
     def test_labels_match_the_two_branch_logistic(self, seed, monkeypatch):

@@ -109,18 +109,39 @@ class TestLearned:
         # either outcome is contract-conform
 
 
+def stop_rule(monkeypatch, tol, patience):
+    """Set the mask explainers' stopping rule for one test; forked workers
+    inherit it."""
+    monkeypatch.setattr(ex, "EARLY_STOP_TOL", tol)
+    monkeypatch.setattr(ex, "EARLY_STOP_PATIENCE", patience)
+
+
+@pytest.fixture()
+def learned_stop(monkeypatch):
+    stop_rule(monkeypatch, *TestRowFreezing.LEARNED_STOP)
+
+
+@pytest.fixture()
+def dynamask_stop(monkeypatch):
+    stop_rule(monkeypatch, *TestRowFreezing.DYNAMASK_STOP)
+
+
 class TestRowFreezing:
     """Rows freeze at different iterations and are no longer computed once
     frozen. Dynamask's batch must still match one run per row; the learned
-    generator is shared by the rows and goes on training on the live ones."""
+    generator is shared by the rows and goes on training on the live ones.
+    Under the (tol, patience) stopping rules LEARNED_STOP and DYNAMASK_STOP,
+    the rows of LEARNED and of a Dynamask call of DYNAMASK_ITERATIONS
+    freeze at different iterations."""
 
-    LEARNED = ex.ExplainerConfig(iterations=200, seed=11,
-                                 early_stop_tol=1e-2, early_stop_patience=3)
-    DYNAMASK = ex.DynamaskConfig(iterations=200, early_stop_tol=3e-3,
-                                 early_stop_patience=3)
+    LEARNED = ex.ExplainerConfig(iterations=200, seed=11)
+    LEARNED_STOP = (1e-2, 3)
+    DYNAMASK_ITERATIONS = 200
+    DYNAMASK_STOP = (3e-3, 3)
 
     def test_generator_trains_on_after_a_row_freezes(self, toy_model, rng,
-                                                     monkeypatch):
+                                                     monkeypatch,
+                                                     learned_stop):
         seen = []  # (mask rows, generator parameters) at each iteration
 
         def spy(x, m, gen):
@@ -144,7 +165,8 @@ class TestRowFreezing:
             assert all(not np.array_equal(a, b)
                        for a, b in zip(before, after))
 
-    def test_frozen_row_history_repeats_its_last_loss(self, toy_model, rng):
+    def test_frozen_row_history_repeats_its_last_loss(self, toy_model, rng,
+                                                      learned_stop):
         X = rng.uniform(-1, 1, (4, 8, 2))
         out = ex.explain_learned(X, toy_model, self.LEARNED)
         hist = out.metadata["loss_history"]
@@ -160,13 +182,15 @@ class TestRowFreezing:
                     ("mask_term", "generator_term", "ce_term"))
         assert terms == pytest.approx(hist[-1].mean(), abs=1e-12)
 
-    def test_dynamask_batched_equals_per_sample(self, toy_model, rng):
+    def test_dynamask_batched_equals_per_sample(self, toy_model, rng,
+                                                dynamask_stop):
         X = rng.uniform(-1, 1, (4, 8, 2))
-        batched = ex.explain_dynamask(X, toy_model, self.DYNAMASK)
+        its = self.DYNAMASK_ITERATIONS
+        batched = ex.explain_dynamask(X, toy_model, its)
         per_row = batched.metadata["iterations_per_row"]
         assert len(set(per_row)) >= 3
         for b in range(4):
-            single = ex.explain_dynamask(X[b], toy_model, self.DYNAMASK)
+            single = ex.explain_dynamask(X[b], toy_model, its)
             np.testing.assert_allclose(batched.scores[b], single.scores[0],
                                        atol=1e-9)
             assert single.metadata["iterations_run"] == per_row[b]
@@ -208,7 +232,7 @@ class TestRowBlocks:
         assert np.all(hist[k:] == hist[k - 1])
 
     def test_learned_blocks_on_two_workers(self, toy_model, rng,
-                                           two_row_blocks):
+                                           two_row_blocks, learned_stop):
         X = rng.uniform(-1, 1, (5, 8, 2))
         cfg = TestRowFreezing.LEARNED
         one = ex.explain_learned(X, toy_model, cfg, workers=1)
@@ -226,13 +250,13 @@ class TestRowBlocks:
                                                        abs=1e-12)
 
     def test_dynamask_blocks_on_two_workers(self, toy_model, rng,
-                                            two_row_blocks):
+                                            two_row_blocks, dynamask_stop):
         X = rng.uniform(-1, 1, (5, 8, 2))
-        cfg = TestRowFreezing.DYNAMASK
-        two = ex.explain_dynamask(X, toy_model, cfg, workers=2)
-        self._assert_same(ex.explain_dynamask(X, toy_model, cfg, workers=1),
+        its = TestRowFreezing.DYNAMASK_ITERATIONS
+        two = ex.explain_dynamask(X, toy_model, its, workers=2)
+        self._assert_same(ex.explain_dynamask(X, toy_model, its, workers=1),
                           two)
-        parts = [ex.explain_dynamask(X[lo:hi], toy_model, cfg, workers=1)
+        parts = [ex.explain_dynamask(X[lo:hi], toy_model, its, workers=1)
                  for lo, hi in ex._row_blocks(5)]
         assert len({p.metadata["iterations_run"] for p in parts}) == 2
         for (lo, hi), part in zip(ex._row_blocks(5), parts):
@@ -264,32 +288,28 @@ class TestRowBlocks:
 
 
 class TestDynamask:
-    def test_vecsort_definition(self):
-        np.testing.assert_array_equal(ex.vecsort([0.3, 0.9, 0.1]),
-                                      [0.1, 0.3, 0.9])
-
     def test_regularizer_zero_on_matching_sorted_mask(self):
         r = ex.area_target(10, 0.3)
-        m = r.copy()  # already sorted 0/1 vector equal to r_a
-        assert float(((ex.vecsort(m) - r) ** 2).sum()) == 0.0
+        m = Tensor(r[None])  # already sorted 0/1 vector equal to r_a
+        assert float(((ad.sort_last_axis(m).data[0] - r) ** 2).sum()) == 0.0
 
-    def test_area_one_pushes_mask_to_ones(self, toy_model, rng):
+    def test_area_one_pushes_mask_to_ones(self, toy_model, rng, monkeypatch):
         # pure-regularizer descent: constant classifier output keeps CE flat
         x = np.zeros((4, 2))
-        cfg = ex.DynamaskConfig(area=1.0, iterations=400, lr=0.05,
-                                reg_weight=50.0)
-        out = ex.explain_dynamask(x, toy_model, cfg)
+        monkeypatch.setattr(ex, "DYNAMASK_AREA", 1.0)
+        monkeypatch.setattr(ex, "DYNAMASK_LR", 0.05)
+        monkeypatch.setattr(ex, "DYNAMASK_REG_WEIGHT", 50.0)
+        out = ex.explain_dynamask(x, toy_model, iterations=400)
         assert out.scores.mean() > 0.9
+        assert out.metadata["area"] == 1.0
 
     def test_scores_in_box(self, toy_model, rng):
-        out = ex.explain_dynamask(_sample(rng), toy_model,
-                                  ex.DynamaskConfig(iterations=30))
+        out = ex.explain_dynamask(_sample(rng), toy_model, iterations=30)
         assert np.all(out.scores >= 0.0) and np.all(out.scores <= 1.0)
 
     def test_model_unchanged(self, toy_model, rng):
         before = toy_model.snapshot()
-        ex.explain_dynamask(_sample(rng), toy_model,
-                            ex.DynamaskConfig(iterations=10))
+        ex.explain_dynamask(_sample(rng), toy_model, iterations=10)
         toy_model.check_unchanged(before)
 
     def test_loss_blends_through_apply_fixed(self, toy_model, rng,
@@ -302,19 +322,18 @@ class TestDynamask:
 
         monkeypatch.setattr(ex, "apply_fixed", counted)
         out = ex.explain_dynamask(rng.uniform(-1, 1, (3, 8, 2)), toy_model,
-                                  ex.DynamaskConfig(iterations=5), workers=1)
+                                  iterations=5, workers=1)
         assert len(calls) == out.metadata["iterations_run"] > 0
         assert out.metadata["window"] == 2
 
-    def test_window_sets_the_surrogate(self, toy_model, rng):
+    def test_window_sets_the_surrogate(self, toy_model, rng, monkeypatch):
         # window 0 makes the surrogate x itself, so phi = x for every mask
         x = _sample(rng)
-        a = ex.explain_dynamask(x, toy_model, ex.DynamaskConfig(iterations=5))
-        b = ex.explain_dynamask(x, toy_model, ex.DynamaskConfig(
-            iterations=5, window=0))
+        a = ex.explain_dynamask(x, toy_model, iterations=5)
+        monkeypatch.setattr(ex, "DYNAMASK_WINDOW", 0)
+        b = ex.explain_dynamask(x, toy_model, iterations=5)
         assert not np.array_equal(a.scores, b.scores)
-        with pytest.raises(ValueError, match="window must be >= 0"):
-            ex.DynamaskConfig(window=-1)
+        assert b.metadata["window"] == 0
 
 
 class TestOcclusion:
@@ -415,18 +434,15 @@ class TestOcclusionMatchesPerCellLoops:
     def _check(X, model, ref, **kw):
         """Both occlusions against their loops, with the step blocks in
         this process and on two workers."""
-        occ_kw = {k: v for k, v in kw.items() if k == "baseline"}
-        aug_kw = {k: v for k, v in kw.items() if k != "baseline"}
         Xb = X if X.ndim == 3 else X[None]
-        occ = reference_occlusion(Xb, model, **occ_kw)
-        aug = reference_augmented_occlusion(Xb, model, ref, **aug_kw)
+        occ = reference_occlusion(Xb, model, ex.OCCLUSION_BASELINE)
+        aug = reference_augmented_occlusion(Xb, model, ref, **kw)
         for workers in (1, 2):
             np.testing.assert_array_equal(
-                ex.occlusion(X, model, workers=workers,
-                             **occ_kw).metadata["raw"], occ)
+                ex.occlusion(X, model, workers=workers).metadata["raw"], occ)
             np.testing.assert_array_equal(
                 ex.augmented_occlusion(X, model, ref, workers=workers,
-                                       **aug_kw).metadata["raw"], aug)
+                                       **kw).metadata["raw"], aug)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
     @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BACKWARD,
@@ -437,11 +453,12 @@ class TestOcclusionMatchesPerCellLoops:
         self._check(X, self._model(direction, readout), ref, draws=3, seed=4)
 
     @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
-    def test_nonzero_baseline(self, rng, direction):
+    def test_nonzero_baseline(self, rng, monkeypatch, direction):
         X = rng.uniform(-1, 1, (2, 6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
+        monkeypatch.setattr(ex, "OCCLUSION_BASELINE", 0.7)
         self._check(X, self._model(direction, nets.PER_TIMESTEP), ref,
-                    baseline=0.7, draws=2, seed=1)
+                    draws=2, seed=1)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
     def test_single_sample(self, rng, readout):
@@ -566,8 +583,7 @@ class TestStepBlocks:
             ex.augmented_occlusion(X, toy_model, X, draws=2, workers=2)
             ex.explain_learned(X, toy_model, ex.ExplainerConfig(
                 iterations=3), workers=2)
-            ex.explain_dynamask(X, toy_model, ex.DynamaskConfig(
-                iterations=3), workers=2)
+            ex.explain_dynamask(X, toy_model, iterations=3, workers=2)
             assert get() == 2
         finally:
             set_threads(before)
@@ -681,7 +697,9 @@ class TestBufferReuse:
     nets.reuse_buffers scope: each taped GRU allocates its sequence buffers
     once per live-row count, and no byte of any result moves."""
 
-    FOREVER = ex.ExplainerConfig(iterations=25, early_stop_patience=10**6)
+    # 25 iterations in which no row freezes
+    FOREVER = ex.ExplainerConfig(iterations=25)
+    FOREVER_STOP = (ex.EARLY_STOP_TOL, 10**6)
 
     @pytest.fixture()
     def allocations(self, monkeypatch):
@@ -703,13 +721,17 @@ class TestBufferReuse:
         monkeypatch.setattr(ex, "classifier_forward", mark)
         return seen
 
-    @pytest.mark.parametrize("config", [FOREVER, TestRowFreezing.LEARNED],
-                             ids=["no-row-freezes", "rows-freeze"])
+    @pytest.mark.parametrize("config, stop", [
+        (FOREVER, FOREVER_STOP),
+        (TestRowFreezing.LEARNED, TestRowFreezing.LEARNED_STOP),
+    ], ids=["no-row-freezes", "rows-freeze"])
     def test_two_allocations_per_live_row_count(self, toy_model, rng,
-                                                allocations, config):
+                                                monkeypatch, allocations,
+                                                config, stop):
         # the generator's GRU and the classifier's, in the first iteration
         # and after each iteration in which rows froze
         X = rng.uniform(-1, 1, (4, 8, 2))
+        stop_rule(monkeypatch, *stop)
         ex.explain_learned(X, toy_model, config, workers=1)
         rows = [r for r, _ in allocations]
         if config is self.FOREVER:
@@ -727,17 +749,23 @@ class TestBufferReuse:
         assert allocations == [(4, 1)] * 16
         assert not nets._SPARES.spares
 
-    @pytest.mark.parametrize("explain", [
-        *(partial(ex.explain_learned, config=replace(
-            TestRowFreezing.LEARNED, mode=mode, generator=generator))
+    @pytest.mark.parametrize("explain, stop", [
+        *((partial(ex.explain_learned, config=replace(
+            TestRowFreezing.LEARNED, mode=mode, generator=generator)),
+           TestRowFreezing.LEARNED_STOP)
           for mode in (ex.PRESERVATION, ex.DELETION)
           for generator in pert.GENERATORS),
-        partial(ex.explain_dynamask, config=TestRowFreezing.DYNAMASK),
-        partial(ex.integrated_gradients, steps=16),
+        (partial(ex.explain_dynamask,
+                 iterations=TestRowFreezing.DYNAMASK_ITERATIONS),
+         TestRowFreezing.DYNAMASK_STOP),
+        (partial(ex.integrated_gradients, steps=16), None),
     ], ids=[f"{m}-{g}" for m in ("preservation", "deletion")
             for g in pert.GENERATORS] + ["dynamask", "ig"])
-    def test_reuse_moves_no_byte(self, toy_model, rng, monkeypatch, explain):
+    def test_reuse_moves_no_byte(self, toy_model, rng, monkeypatch, explain,
+                                 stop):
         X = rng.uniform(-1, 1, (4, 8, 2))
+        if stop is not None:
+            stop_rule(monkeypatch, *stop)
         pooled = explain(X, toy_model)
         monkeypatch.setattr(ex, "reuse_buffers", contextlib.nullcontext)
         TestRowBlocks._assert_same(pooled, explain(X, toy_model))
@@ -756,7 +784,7 @@ class TestBufferReuse:
             return ad.mul(m, np.nan if len(spares) == 3 else 1.0), {}
 
         with pytest.raises(ex.DivergenceError, match="at iteration 2"):
-            ex._optimize_mask(mask, 0.01, ex.DynamaskConfig(), loss, (X,))
+            ex._optimize_mask(mask, 0.01, 500, loss, (X,))
         assert spares == [1, 1, 1]
         assert not nets._SPARES.spares and not nets._SPARES.depth
 
@@ -820,7 +848,11 @@ def test_saliency_csv_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.scores, sal.scores)
 
 
-@pytest.mark.parametrize("config", [ex.ExplainerConfig, ex.DynamaskConfig])
+@pytest.mark.parametrize("config", [
+    ex.ExplainerConfig,
+    partial(ex.explain_dynamask, np.zeros((0, 8, 2)), nets.init_classifier(
+        np.random.default_rng(0), 2, 4).freeze()),
+], ids=["ExplainerConfig", "explain_dynamask"])
 def test_config_rejects_negative_iterations(config):
     config(iterations=0)
     with pytest.raises(ValueError, match="iterations must be >= 0"):
@@ -831,16 +863,9 @@ def test_config_rejects_negative_iterations(config):
     (ex.ExplainerConfig, "mask_lr", -1, "mask_lr must be > 0"),
     (ex.ExplainerConfig, "mask_lr", 0, "mask_lr must be > 0"),
     (ex.ExplainerConfig, "generator_lr", 0, "generator_lr must be > 0"),
-    (ex.ExplainerConfig, "early_stop_patience", 0,
-     "early_stop_patience must be >= 1"),
-    (ex.ExplainerConfig, "early_stop_tol", -1, "early_stop_tol must be >= 0"),
     (ex.ExplainerConfig, "generator_hidden", 0,
      "generator_hidden must be >= 1"),
     (ex.ExplainerConfig, "generator", "foo", "unknown generator 'foo'"),
-    (ex.DynamaskConfig, "lr", -1, "lr must be > 0"),
-    (ex.DynamaskConfig, "early_stop_patience", 0,
-     "early_stop_patience must be >= 1"),
-    (ex.DynamaskConfig, "early_stop_tol", -1, "early_stop_tol must be >= 0"),
 ])
 def test_config_rejects_settings_that_cannot_work(config, key, value,
                                                   message):

@@ -1,4 +1,3 @@
-import logging
 import threading
 import tracemalloc
 import warnings
@@ -527,20 +526,6 @@ def test_zero_epochs_returns_init_unchanged(rng):
 def test_train_config_rejects_a_rate_that_cannot_descend(lr):
     with pytest.raises(ValueError, match="lr must be > 0"):
         nets.TrainConfig(lr=lr)
-
-
-@pytest.mark.parametrize("log_every, epochs_logged", [(2, [2, 4]), (0, [])])
-def test_training_logs_loss_every_log_every_epochs(rng, caplog,
-                                                   log_every, epochs_logged):
-    ds = _toy_separable(rng)
-    c = nets.init_classifier(np.random.default_rng(1), 2, 4)
-    with caplog.at_level(logging.DEBUG, logger="tempex.nets"):
-        _, history = nets.train_classifier(
-            ds, c, nets.TrainConfig(epochs=4, log_every=log_every))
-    records = [r for r in caplog.records if r.name == "tempex.nets"]
-    assert [r.getMessage() for r in records] == [
-        f"epoch {e}: loss {history[e - 1]:.4f}" for e in epochs_logged]
-    assert all(r.levelno == logging.INFO for r in records)
 
 
 def test_training_determinism(rng):
