@@ -219,7 +219,8 @@ def icu_fold(cfg: ExperimentConfig, fold: int, sub, model, X):
     """The tasks of one ICU-like fold on fold_data's output, heaviest
     first, and its methods in row order: masked-prediction metrics over
     fractions and substitutions per method, then the front/back masking
-    curve."""
+    curve, which is computed here, under the stage "metrics", so that a
+    fold it fails on runs no explainer."""
     s = cfg.settings()
     fold_seed = cfg.seed + fold
     generators = [("learned_preservation", BIDIRECTIONAL)]
@@ -245,23 +246,23 @@ def icu_fold(cfg: ExperimentConfig, fold: int, sub, model, X):
                                 getattr(rep, metric), fold])
         return out
 
-    def masking_curve():
-        with _stage("metrics"):
-            T = sub.X.shape[1]
-            curve = mt.positive_rate_masking_curve(model, sub,
-                                                   [0, T // 4, T // 2, T])
-            out = []
-            for i, k in enumerate(curve["k"]):
-                out.append(["masking_curve", "positive_rate_mask_first",
-                            k / T, mt.ZEROS, curve["mask_first"][i], fold])
-                out.append(["masking_curve", "positive_rate_mask_last",
-                            k / T, mt.ZEROS, curve["mask_last"][i], fold])
-            return out
+    # the curve needs no saliency map, and it fails on a classifier that
+    # predicts no sample positive, so it runs here, before any explainer
+    with _stage("metrics"):
+        T = sub.X.shape[1]
+        curve = mt.positive_rate_masking_curve(model, sub,
+                                               [0, T // 4, T // 2, T])
+        curve_rows = []
+        for i, k in enumerate(curve["k"]):
+            curve_rows.append(["masking_curve", "positive_rate_mask_first",
+                               k / T, mt.ZEROS, curve["mask_first"][i], fold])
+            curve_rows.append(["masking_curve", "positive_rate_mask_last",
+                               k / T, mt.ZEROS, curve["mask_last"][i], fold])
 
     tasks = _explain_tasks(
         [(name, partial(learned, kind)) for name, kind in generators]
         + _baseline_stages(sub.X, model, X, fold_seed), rows)
-    tasks.append(("masking_curve", masking_curve))
+    tasks.append(("masking_curve", lambda: curve_rows))
     methods = [name for name, _ in generators] + [*BASELINES,
                                                   "masking_curve"]
     return tasks, methods
@@ -335,9 +336,10 @@ def run_experiment(cfg: ExperimentConfig):
     are written as soon as its tasks are back.
 
     Returns the path of the per-fold results CSV. Raises StageError with
-    the failing stage name. A generate or train failure stops the run
-    before any fold's rows are written; after a later failure, the rows of
-    the folds completed before it are on disk.
+    the failing stage name. A generate or train failure, or an ICU-like
+    fold's masking curve failing (icu_fold), stops the run before any
+    fold's rows are written; after a later failure, the rows of the folds
+    completed before it are on disk.
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {cfg.experiment!r}")

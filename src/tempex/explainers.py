@@ -103,10 +103,13 @@ class ExplainerConfig:
 
 def _check_steps(iterations, **rates):
     """Raise ValueError unless each learning rate in `rates` is > 0 (else
-    the mask steps uphill or not at all) and iterations is >= 0."""
+    the mask steps uphill or not at all) and iterations is an integer
+    >= 0."""
     for name, rate in rates.items():
         if not rate > 0:
             raise ValueError(f"{name} must be > 0, got {rate}")
+    if not isinstance(iterations, (int, np.integer)):
+        raise ValueError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
 

@@ -7,10 +7,10 @@ steps every pass of a GRU, forward and reverse, in one time loop. A
 recorded call keeps its whole-sequence state in one allocation (up to a
 size past which the allocator would keep it resident) and leaves its
 backward only the dh recurrence; the weight and input gradients are one
-product per pass over all steps. Inside a reuse_buffers scope, which the
-mask explainers and integrated gradients open around their iterations, a
-recorded call takes that state from the buffers an earlier call of the
-same layout gave back, so an optimization loop allocates it once.
+product per pass over all steps. Inside a reuse_buffers scope (training's
+epochs, the mask explainers' and integrated gradients' iterations), a
+recorded call takes views of the buffers an earlier call of as many rows
+or more gave back, so a loop allocates them once.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def gru_forward(x, params: GruParams):
     columns p*H .. (p+1)*H of the output.
 
     A recorded call takes every whole-sequence buffer from one allocation
-    (up to _BLOCK_BYTES, see _split), or inside a reuse_buffers scope from
-    the spares of an earlier call (_take): (T, B, P, .) arrays in step
+    (up to _BLOCK_BYTES, see _split), or inside a reuse_buffers scope as
+    views of an earlier call's spares (_take): (T, B, P, .) arrays in step
     order, so that a step's rows are contiguous and a pass's T*B rows are
     one strided matrix. They hold the inputs, their projections
     x_t @ W_x + b (one stacked matmul before the loop, whose (step, pass)
@@ -187,9 +187,8 @@ def gru_forward(x, params: GruParams):
     hg = np.empty((B, P, 3 * H))
     h = np.zeros((B, P, H))
     if record:
-        layout = ((T, B, P), (n, 3 * H, 2 * H, H, H))
-        buffers = _take(layout)
-        xs, proj, gates, cs, states = buffers
+        held, (xs, proj, gates, cs, states) = _take((T, B, P),
+                                                    (n, 3 * H, 2 * H, H, H))
         for p, reverse in enumerate(reverses):
             np.copyto(xs[:, :, p], Xt[::-1] if reverse else Xt)
         np.matmul(xs.transpose(2, 0, 1, 3), Wx[:, None],
@@ -275,7 +274,7 @@ def gru_forward(x, params: GruParams):
                     tensor._accumulate(gw[i][p].reshape(tensor.shape),
                                        owned=True)
         # every gradient above is a fresh array: nothing reads the buffers
-        _give_back(layout, buffers)
+        _give_back(held)
 
     return ad._record(Tensor(out.reshape(B, T, P * H)), (x, *weights),
                       backward)
@@ -283,14 +282,13 @@ def gru_forward(x, params: GruParams):
 
 # the most bytes a recorded gru_forward call takes in one allocation. glibc
 # raises its mmap threshold to the size of an unmapped block and its heap
-# trim threshold to twice that, so from the second call on, blocks of one
-# size come from the heap, and up to twice their size stays resident after
-# the loop that made them. Inside a reuse_buffers scope a call allocates
-# only on a miss, so the cap matters only for the calls outside one:
-# classifier training and one-off calls. There, one block per call keeps a
-# loop free of page faults, and past this size the memory it leaves behind
-# outweighs that: on 2 cores, one 10.7 MiB block per training batch raised
-# the peak RSS of the occlusion_icu benchmark by 8-11%
+# trim threshold to twice that, so blocks of one size come from the heap
+# from the second call on, and up to twice their size stays resident after
+# the loop that made them. Calls allocate outside a reuse_buffers scope and
+# in one only on a miss (training's first batch, a mask loop's first
+# iteration). On 2 cores, training in the scope with one block and no cap
+# read the occlusion_icu benchmark's peak RSS at 62.0 MB, against 57.4 MB
+# with the cap and 57.5 MB for training outside a scope
 _BLOCK_BYTES = 10 * 2**20
 
 
@@ -313,7 +311,7 @@ class _Spares(threading.local):
 
     def __init__(self):
         self.depth = 0
-        self.spares = []  # (layout, buffers)
+        self.spares = {}  # widths: the buffers of a _split each
 
 
 _SPARES = _Spares()
@@ -324,16 +322,15 @@ def reuse_buffers():
     """Let the recorded gru_forward calls of this thread reuse each other's
     whole-sequence buffers inside the block.
 
-    A call takes the buffers that an earlier call of the same layout gave
-    back at the end of its backward, instead of allocating them, so a loop
-    that tapes the same shapes every iteration allocates once and glibc
-    does not hand the pages back to the system and fault them in again
-    each time. A miss means the shapes changed (rows froze): it drops
-    every spare before allocating, so the spares are only the last
-    iteration's working set. A call whose tape is dropped without a
-    backward never gives its buffers back. Scopes nest, and leaving the
-    outermost drops every spare. Every buffer is written before it is
-    read, so no byte of any result depends on the scope."""
+    A call takes views of the buffers that an earlier call of the same
+    widths and as many rows or more gave back at the end of its backward
+    (_take), so a loop that tapes the same shapes, or fewer rows than at
+    first (rows froze, a short last batch), allocates once, and glibc does
+    not hand the pages back and fault them in again each time. A call
+    whose tape is dropped without a backward never gives its buffers back.
+    Scopes nest, and leaving the outermost drops every spare. Every buffer
+    is written before it is read, so no byte of any result depends on the
+    scope."""
     _SPARES.depth += 1
     try:
         yield
@@ -343,23 +340,25 @@ def reuse_buffers():
             _SPARES.spares.clear()
 
 
-def _take(layout):
-    """gru_forward's buffers for layout (lead, widths), laid out by _split:
-    the spares of an earlier call of that layout, or else new ones, after
-    dropping every spare."""
-    spares = _SPARES.spares
-    for i, (key, _) in enumerate(spares):
-        if key == layout:
-            return spares.pop(i)[1]
-    spares.clear()
-    return _split(*layout)
+def _take(lead, widths):
+    """gru_forward's buffers lead + (w,) for w in widths, as (held, views):
+    held is the smallest spare of these widths with room for them, else a
+    new _split; the views are held's leading elements, laid out as a
+    _split of lead would be."""
+    size, spares = int(np.prod(lead)), _SPARES.spares.get(widths, [])
+    room = [i for i, h in enumerate(spares) if h[0].size >= size * widths[0]]
+    held = spares.pop(min(room, key=lambda i: spares[i][0].size)) if room \
+        else _split(lead, widths)
+    return held, [a.reshape(-1)[:size * w].reshape(lead + (w,))
+                  for a, w in zip(held, widths)]
 
 
-def _give_back(layout, buffers):
+def _give_back(held):
     """Keep a backwarded call's buffers as spares inside a reuse_buffers
     scope."""
     if _SPARES.depth:
-        _SPARES.spares.append((layout, buffers))
+        widths = tuple(a.shape[-1] for a in held)
+        _SPARES.spares.setdefault(widths, []).append(held)
 
 
 def _passes(params: GruParams):
@@ -773,17 +772,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not self.lr > 0:  # a rate <= 0 trains uphill or not at all
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
 
 def train_classifier(dataset, params: ClassifierParams,
                      config: TrainConfig = None):
-    """Minimize binary cross-entropy on the dataset; returns params.
-
+    """Minimize binary cross-entropy on the dataset in one reuse_buffers
+    scope; returns (params, history), history[e] being the row-weighted
+    mean of epoch e's minibatch losses, each taken before its step.
     Labels are (N, T) for per-timestep readout or (N,) for final-step.
-    Deterministic for a fixed seed. NaN loss aborts.
-    """
+    Deterministic for a fixed seed. NaN loss aborts."""
     config = config or TrainConfig()
     X, y = dataset.X, dataset.y
     N = X.shape[0]
@@ -792,27 +795,24 @@ def train_classifier(dataset, params: ClassifierParams,
     rng = np.random.default_rng(config.seed)
     opt = ad.Adam(params.tensors(), lr=config.lr)
     history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(N)
-        for lo in range(0, N, BATCH_SIZE):
-            idx = order[lo:lo + BATCH_SIZE]
-            with ad.Tape():
-                logits = classifier_forward(Tensor(X[idx]), params)
-                loss = ad.tmean(
-                    ad.cross_entropy_with_logits(logits, Tensor(y[idx]))
-                )
-                val = loss.item()
-                if not np.isfinite(val):
-                    raise TrainingDiverged(
-                        f"NaN/Inf loss at epoch {epoch}, batch offset {lo}"
-                    )
-                opt.zero_grad()
-                loss.backward()
-            opt.step()
-        # epoch loss on the last batch is noisy; track a fresh full pass
-        full = ad.tmean(ad.cross_entropy_with_logits(
-            classifier_forward(Tensor(X), params), Tensor(y))).item()
-        history.append(full)
+    with reuse_buffers():
+        for epoch in range(config.epochs):
+            order, total = rng.permutation(N), 0.0
+            for lo in range(0, N, BATCH_SIZE):
+                idx = order[lo:lo + BATCH_SIZE]
+                with ad.Tape():
+                    loss = ad.tmean(ad.cross_entropy_with_logits(
+                        classifier_forward(Tensor(X[idx]), params),
+                        Tensor(y[idx])))
+                    val = loss.item()
+                    if not np.isfinite(val):
+                        raise TrainingDiverged(f"NaN/Inf loss at epoch "
+                                               f"{epoch}, batch offset {lo}")
+                    opt.zero_grad()
+                    loss.backward()
+                opt.step()
+                total += val * len(idx)
+            history.append(total / N)
     return params, history
 
 

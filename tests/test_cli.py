@@ -625,6 +625,24 @@ class TestRun:
         assert not (out / "hmm_results.csv").exists()
         assert not os.listdir(out / "models")
 
+    def test_no_positive_prediction_fails_before_any_explainer(
+            self, tmp_path, explainer_calls, capsys):
+        # one sample and one epoch: the classifier predicts it negative, so
+        # the ICU-like masking curve has no positive sample to mask
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[model]\nepochs = 1\n"
+                       "[explainers.learned]\niterations = 2\n"
+                       "[dataset]\nn_series = 1\nn_steps = 8\n"
+                       "[metrics]\neval_samples = 4\n")
+        out = tmp_path / "run"
+        code = run_cli("run", "--experiment", "icu_like", "--folds", "1",
+                       "--jobs", "1", "--config", str(ini), "--out", str(out))
+        assert code == 1
+        assert "error in stage 'metrics': no positively predicted samples" \
+            in capsys.readouterr().err
+        assert explainer_calls() == []
+        assert not (out / "icu_like_results.csv").exists()
+
     def test_block_failure_names_stage_with_one_fold(
             self, tmp_path, small_profile, diverges_in_workers, capsys):
         # one fold trained in-process, its explainer tasks on 2 workers

@@ -1,3 +1,4 @@
+import contextlib
 import threading
 import tracemalloc
 import warnings
@@ -345,7 +346,7 @@ def _backwarded(X, *params):
 
 
 def _spares():
-    return [buffers for _, buffers in nets._SPARES.spares]
+    return [h for held in nets._SPARES.spares.values() for h in held]
 
 
 def test_a_scope_reuses_a_backwarded_calls_buffers(rng, splits):
@@ -389,19 +390,50 @@ def test_calls_of_one_layout_on_one_tape_take_their_own_buffers(rng,
     assert len(splits) == 4  # two calls outside the scope, two inside
 
 
-def test_a_miss_drops_every_spare(rng, splits):
+def test_a_smaller_layout_carves_from_a_larger_spare(rng, splits):
+    # fewer rows, fewer steps or both take views of the larger spare's
+    # arrays, and every byte stays that of new buffers
+    p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
+    X = rng.normal(0, 1, (4, 6, 3))
+    G = rng.normal(0, 1, (4, 6, 10))
+    cuts = [(3, 6), (4, 4), (1, 1), (4, 6)]
+    # copies: _backwarded accumulates into the weights' gradient arrays
+    plain = [[a.copy() for a in _op_gradients(X[:b, :t], p, G[:b, :t],
+                                              True, True)]
+             for b, t in cuts]
+    del splits[:]
+    with nets.reuse_buffers():
+        _backwarded(X, p)
+        for (b, t), want in zip(cuts, plain):
+            got = _op_gradients(X[:b, :t], p, G[:b, :t], True, True)
+            for a, w in zip(got, want):
+                np.testing.assert_array_equal(a, w)
+            assert _spares() == [splits[0]]
+        assert len(splits) == 1
+
+
+def test_a_larger_layout_misses(rng, splits):
     p, q = nets.init_gru(rng, 3, 5), nets.init_gru(rng, 3, 4)
     X = rng.normal(0, 1, (4, 6, 3))
     with nets.reuse_buffers():
         for _ in range(2):
-            _backwarded(X, p, q)  # the second time, two hits
+            _backwarded(X[:3], p, q)  # the second time, two hits
         assert len(splits) == 2
         assert len(_spares()) == 2
-        _backwarded(X[:3], p, q)  # a row froze: a miss, which drops q's
+        # more rows than p's spare holds: a miss, which keeps every spare
+        _backwarded(X, p)
+        assert len(splits) == 3
+        assert sorted(map(id, _spares())) == sorted(map(id, splits))
+        # each call takes the smallest spare with room, so a 3-row call
+        # leaves the 4-row spare to a 4-row call on the same tape
+        for _ in range(2):
+            with ad.Tape():
+                ad.add(ad.tsum(nets.gru_forward(Tensor(X[:3]), p)),
+                       ad.tsum(nets.gru_forward(Tensor(X), p))).backward()
+        assert len(splits) == 3
+        _backwarded(X, p, p)  # the second 4-row call misses
         assert len(splits) == 4
-        assert sorted(map(id, _spares())) == sorted(map(id, splits[2:]))
-        _backwarded(X, p)  # one call misses after another one's backward
-        assert _spares() == [splits[4]]
+        assert len(_spares()) == 4
 
 
 def test_spares_are_per_thread_and_die_with_the_outermost_scope(rng, splits):
@@ -526,6 +558,67 @@ def test_zero_epochs_returns_init_unchanged(rng):
 def test_train_config_rejects_a_rate_that_cannot_descend(lr):
     with pytest.raises(ValueError, match="lr must be > 0"):
         nets.TrainConfig(lr=lr)
+
+
+@pytest.mark.parametrize("epochs, message", [
+    (-3, "epochs must be >= 0, got -3"),
+    (2.5, "epochs must be an integer, got 2.5"),
+    ("3", "epochs must be an integer, got '3'"),
+])
+def test_train_config_rejects_epochs_that_are_not_a_count(epochs, message):
+    nets.TrainConfig(epochs=np.int64(3))
+    with pytest.raises(ValueError, match=message):
+        nets.TrainConfig(epochs=epochs)
+
+
+def test_history_has_one_finite_loss_per_epoch(rng):
+    # the benchmark counts training epochs as len(history)
+    ds = _toy_separable(rng, N=70)
+    c = nets.init_classifier(np.random.default_rng(1), 2, 8)
+    _, history = nets.train_classifier(ds, c, nets.TrainConfig(epochs=6,
+                                                               lr=0.02))
+    assert len(history) == 6
+    assert all(np.isfinite(history))
+    assert history[-1] < history[0]
+
+
+@pytest.mark.parametrize("N, lr", [(40, 0.02), (70, 1e-300)],
+                         ids=["one-batch", "two-batches"])
+def test_history_is_the_row_weighted_mean_of_the_batch_losses(rng, N, lr):
+    # each batch loss is taken before its step: one batch's at the initial
+    # weights, and two batches' too at a rate too small to move a weight,
+    # so the epoch's row-weighted mean is the initial loss over the whole
+    # set, up to the order of the sums
+    ds = _toy_separable(rng, N=N)
+    c = nets.init_classifier(np.random.default_rng(1), 2, 8)
+    whole = ad.tmean(ad.cross_entropy_with_logits(
+        nets.classifier_forward(Tensor(ds.X), c), Tensor(ds.y))).item()
+    _, history = nets.train_classifier(ds, c, nets.TrainConfig(epochs=1,
+                                                               lr=lr))
+    assert history[0] == pytest.approx(whole, rel=1e-12)
+
+
+@pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
+def test_training_allocates_once_and_moves_no_byte(rng, splits, monkeypatch,
+                                                   direction):
+    # 70 rows: a batch of 64, then a short one of 6, every epoch
+    ds = _toy_separable(rng, N=70)
+
+    def train():
+        c = nets.init_classifier(np.random.default_rng(1), 2, 8, direction)
+        c, history = nets.train_classifier(ds, c, nets.TrainConfig(
+            epochs=3, seed=5))
+        return c.snapshot(), history
+
+    pooled = train()
+    assert len(splits) == 1  # one GRU layout, allocated for the first batch
+    assert not _spares()
+    monkeypatch.setattr(nets, "reuse_buffers", contextlib.nullcontext)
+    plain = train()
+    assert len(splits) == 1 + 3 * 2  # outside a scope, one per batch
+    for a, b in zip(pooled[0], plain[0]):
+        np.testing.assert_array_equal(a, b)
+    assert pooled[1] == plain[1]
 
 
 def test_training_determinism(rng):
