@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -70,10 +72,15 @@ def _coerce(key, value):
 
 def read_config(path):
     """Flatten the INI file into {section: {key: coerced value}}; raise
-    SystemExit naming a value that does not parse."""
+    SystemExit, in one line, if the file is missing or is not INI, or
+    naming a value that does not parse."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        found = parser.read(path)
+    except configparser.Error as e:
+        raise SystemExit(f"{path}: {' '.join(str(e).split())}") from None
+    if not found:
+        raise SystemExit(f"{path}: config file not found")
     out = {}
     for section in parser.sections():
         out[section] = {}
@@ -178,12 +185,26 @@ def _check_environment(recorded):
 
 
 def _at_least(args, **minimums):
-    """Raise SystemExit naming the first flag below its minimum."""
+    """Raise SystemExit naming the first flag that is not finite or is
+    below its minimum."""
     for key, low in minimums.items():
         value = getattr(args, key)
-        if value is not None and value < low:
-            raise SystemExit(f"--{key.replace('_', '-')} is {value}; it "
-                             f"must be >= {low}")
+        if value is None:
+            continue
+        given = f"--{key.replace('_', '-')} is {value}"
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SystemExit(f"{given}; it must be finite")
+        if value < low:
+            raise SystemExit(f"{given}; it must be >= {low}")
+
+
+def _load(path, load):
+    """load(path); raise SystemExit naming path, in one line, if the file
+    cannot be read or holds what load cannot use."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as e:
+        raise SystemExit(f"{path}: {e}") from None
 
 
 def cmd_generate(args):
@@ -201,13 +222,12 @@ def cmd_generate(args):
 
 def cmd_train(args):
     _at_least(args, epochs=1, hidden=1, seed=0)
-    if not args.lr > 0:
-        raise SystemExit(f"--lr is {args.lr}; it must be > 0")
-    ds = data.load_dataset(args.data)
+    if not 0 < args.lr < math.inf:
+        raise SystemExit(f"--lr is {args.lr}; it must be finite and > 0")
+    ds = _load(args.data, data.load_dataset)
     seed = args.seed or 0
     model = nets.init_classifier(np.random.default_rng(seed),
                                  ds.X.shape[2], args.hidden,
-                                 direction=args.direction,
                                  readout=args.readout)
     model, history = nets.train_classifier(
         ds, model, nets.TrainConfig(epochs=args.epochs, lr=args.lr,
@@ -249,8 +269,8 @@ def cmd_explain(args):
     _at_least(args, samples=1, iterations=0, lambda1=0, lambda2=0, steps=1,
               seed=0)
     given = _explain_inputs(args)
-    ds = data.load_dataset(args.data)
-    model = nets.load_classifier(args.model).freeze()
+    ds = _load(args.data, data.load_dataset)
+    model = _load(args.model, nets.load_classifier).freeze()
     X = ds.X if args.samples is None else ds.X[: args.samples]
     if args.method == "learned":
         sal = ex.explain_learned(X, model, ex.ExplainerConfig(**given))
@@ -270,11 +290,8 @@ def cmd_evaluate(args):
     if not 0 < args.fraction < 1:
         raise SystemExit(f"--fraction is {args.fraction}; it must be in "
                          "(0, 1)")
-    ds = data.load_dataset(args.data)
-    try:
-        sal = ex.load_saliency_csv(args.saliency)
-    except ValueError as e:
-        raise SystemExit(f"{args.saliency}: {e}") from None
+    ds = _load(args.data, data.load_dataset)
+    sal = _load(args.saliency, ex.load_saliency_csv)
     n, T, n_features = sal.scores.shape
     if n > ds.n_samples or (T, n_features) != ds.X.shape[1:]:
         raise SystemExit(f"{args.saliency}: saliency grid {sal.scores.shape} "
@@ -285,10 +302,7 @@ def cmd_evaluate(args):
         print(f"aup {rep.aup:.4f}  aur {rep.aur:.4f}  "
               f"information {rep.information:.2f}  entropy {rep.entropy:.2f}")
     if args.model:
-        try:
-            model = nets.load_classifier(args.model).freeze()
-        except (OSError, ValueError, KeyError) as e:
-            raise SystemExit(f"{args.model}: {e}") from None
+        model = _load(args.model, nets.load_classifier).freeze()
         if model.gru.input_size != n_features:
             raise SystemExit(f"{args.model}: the classifier reads "
                              f"{model.gru.input_size} features, the dataset "
@@ -439,12 +453,10 @@ def build_parser():
     g.add_argument("--seed", type=int, default=None)
     g.set_defaults(func=cmd_generate)
 
-    t = sub.add_parser("train", help="train a GRU classifier")
+    t = sub.add_parser("train", help="train a forward GRU classifier")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--hidden", type=int, default=32)
-    t.add_argument("--direction", default=nets.FORWARD,
-                   choices=(nets.FORWARD, nets.BACKWARD, nets.BIDIRECTIONAL))
     t.add_argument("--readout", default=nets.PER_TIMESTEP,
                    choices=(nets.PER_TIMESTEP, nets.FINAL_STEP))
     t.add_argument("--epochs", type=int, default=25)

@@ -89,8 +89,11 @@ class ExplainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda weights must be >= 0")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{value}")
         if self.mode not in (PRESERVATION, DELETION):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.generator not in GENERATORS:

@@ -1,5 +1,6 @@
-"""GRU sequence models: the classifier under explanation and the recurrent
-perturbation generators both build on the same cell.
+"""GRU sequence models: the classifier under explanation, one forward GRU
+with a linear readout, and the recurrent perturbation generators, a
+forward or a bidirectional GRU, all build on the same cell.
 
 All forward passes take a batched input [B, T, n], and every row of the
 batch runs through the same 2-d weights. gru_forward is one taped op that
@@ -26,7 +27,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 FORWARD = "forward"
-BACKWARD = "backward"
 BIDIRECTIONAL = "bidirectional"
 
 
@@ -75,7 +75,7 @@ def _init_direction(rng, n, hidden):
 
 
 def init_gru(rng, input_size, hidden_size, direction=FORWARD):
-    if direction not in (FORWARD, BACKWARD, BIDIRECTIONAL):
+    if direction not in (FORWARD, BIDIRECTIONAL):
         raise ValueError(f"unknown direction {direction!r}")
     p = GruParams(input_size, hidden_size, direction)
     p.fwd = _init_direction(rng, input_size, hidden_size)
@@ -363,8 +363,6 @@ def _give_back(held):
 
 def _passes(params: GruParams):
     """(direction params, reverse) of each pass, in output order."""
-    if params.direction == BACKWARD:
-        return [(params.fwd, True)]
     if params.direction == BIDIRECTIONAL:
         return [(params.fwd, False), (params.bwd, True)]
     return [(params.fwd, False)]
@@ -380,7 +378,7 @@ FINAL_STEP = "final_step"
 @dataclass
 class ClassifierParams:
     gru: GruParams
-    w_out: Tensor  # (D, 1) single-logit binary readout
+    w_out: Tensor  # (H, 1) single-logit binary readout
     b_out: Tensor  # (1,)
     readout: str = PER_TIMESTEP
 
@@ -403,16 +401,16 @@ class ClassifierParams:
                 )
 
 
-def init_classifier(rng, input_size, hidden_size, direction=FORWARD,
-                    readout=PER_TIMESTEP):
+def init_classifier(rng, input_size, hidden_size, readout=PER_TIMESTEP):
+    """A forward GRU of hidden_size states and a one-logit readout."""
     if readout not in (PER_TIMESTEP, FINAL_STEP):
         raise ValueError(f"unknown readout mode {readout!r}")
-    gru = init_gru(rng, input_size, hidden_size, direction)
-    D = gru.output_size
-    k = 1.0 / np.sqrt(D)
+    gru = init_gru(rng, input_size, hidden_size)
+    k = 1.0 / np.sqrt(hidden_size)
     return ClassifierParams(
         gru=gru,
-        w_out=Tensor(rng.uniform(-k, k, size=(D, 1)), requires_grad=True),
+        w_out=Tensor(rng.uniform(-k, k, size=(hidden_size, 1)),
+                     requires_grad=True),
         b_out=Tensor(rng.uniform(-k, k, size=(1,)), requires_grad=True),
         readout=readout,
     )
@@ -420,10 +418,10 @@ def init_classifier(rng, input_size, hidden_size, direction=FORWARD,
 
 def classifier_forward(x, params: ClassifierParams):
     """Logits: (B, T) in per-timestep mode, (B,) in final-step mode."""
-    h = gru_forward(x, params.gru)  # (B, T, D)
-    B, T, D = h.shape
+    h = gru_forward(x, params.gru)  # (B, T, H)
+    B, T, H = h.shape
     if params.readout == PER_TIMESTEP:
-        flat = ad.reshape(h, (B * T, D))
+        flat = ad.reshape(h, (B * T, H))
         logits = ad.add(ad.matmul(flat, params.w_out), params.b_out)
         return ad.reshape(logits, (B, T))
     h_last = h[:, T - 1, :]
@@ -455,25 +453,15 @@ _SMALL_PRODUCT = 10**6
 STEP_BLOCKS = 4
 
 
-def _restep_costs(T, params: ClassifierParams):
-    """Cost of step t in perturbed_step_scores, t = 0 .. T-1: the GRU steps
-    it re-runs, summed over the passes, plus one for its input projection
-    and readout."""
-    first = 0 if params.readout == PER_TIMESTEP else T - 1
-    t = np.arange(T)
-    cost = np.ones(T, dtype=np.int64)
-    for _, reverse in _passes(params.gru):
-        cost += np.maximum(t - first + 1, 0) if reverse else T - t
-    return cost
-
-
-def step_blocks(T, params: ClassifierParams):
+def step_blocks(T):
     """(lo, hi) bounds of min(T, STEP_BLOCKS) contiguous blocks of the
-    steps 0 .. T-1, of near-equal _restep_costs. They depend on T, the
-    classifier's passes and its readout alone, never on a worker count."""
+    steps 0 .. T-1, of near-equal re-step cost in perturbed_step_scores:
+    step t re-runs the T - t GRU steps from t on, plus one for its input
+    projection and readout. They depend on T alone, never on the
+    classifier or a worker count."""
     k = max(1, min(T, STEP_BLOCKS))
     # the cost of the steps before each edge e = 0 .. T
-    before = np.concatenate([[0], np.cumsum(_restep_costs(T, params))])
+    before = np.concatenate([[0], np.cumsum(T + 1 - np.arange(T))])
     edges = [0]
     for i in range(1, k):
         # the edge nearest to i/k of the total, leaving no block empty
@@ -624,14 +612,14 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     blocks, in any order and possibly in other processes. Returns
     scores[t, k], the target_score of copy k, shape (T, m, B*repeats).
 
-    The classifier runs once over x_data and caches, per pass, the states
-    and the input projections x_s @ W_x + b, as gate blocks. A copy starts
-    from the cached state next to step t (before it going forward, after
-    it going in reverse) and re-steps only the states that change,
-    reusing the cached projections at every step but t. Copies go through
-    about _step_rows rows at a time: several whole copies, or one copy's
-    draws in ranges. Their rows are ordered draw-major, so that a cached
-    projection broadcasts over whole blocks.
+    The classifier runs once over x_data and caches its states and the
+    input projections x_s @ W_x + b, as gate blocks. A copy starts from the
+    cached state before step t and re-steps the states from t on, reusing
+    the cached projections at every step but t; the states before t are
+    the cached ones. Copies go through about _step_rows rows at a time:
+    several whole copies, or one copy's draws in ranges. Their rows are
+    ordered draw-major, so that a cached projection broadcasts over whole
+    blocks.
     The states are gru_forward's, the projections one stacked product over
     the steps, and every re-step is _restep, which has _gru_cell's bits;
     each copy's logits are one matrix-vector product over the rows of
@@ -656,44 +644,21 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     # one-row x_data whose copies have 2+ rows is cached over two rows
     Xc = np.repeat(X, 2, axis=0) if B == 1 < r else X
     states = gru_forward(Tensor(Xc), params.gru).data[:B].swapaxes(0, 1)
-    # (W_x, W_h, b, reverse, projections, states), r and z negated (see
-    # _restep), the projections (3, T, B, H) gate blocks, contiguous for
-    # the re-steps, the states (T, B, H)
-    passes = []
-    for p, (dp, reverse) in enumerate(_passes(params.gru)):
-        Wx, bias = (_negate_rz(a.data, H) for a in (dp.w_x, dp.b))
-        xg = np.ascontiguousarray(_gates(Xc.swapaxes(0, 1) @ Wx, H)[:, :, :B])
-        xg += _gates(bias, H)[:, None, None]
-        passes.append((Wx, _step_weights(dp.w_h.data, H), bias, reverse, xg,
-                       states[..., p * H:(p + 1) * H]))
-    D = H * len(passes)
-    rows = _step_rows(passes[0][1])
+    # W_x, W_h and b with r and z negated (see _restep), and the
+    # projections as (3, T, B, H) gate blocks, contiguous for the re-steps
+    fwd = params.gru.fwd
+    Wx, bias = (_negate_rz(a.data, H) for a in (fwd.w_x, fwd.b))
+    Wh = _step_weights(fwd.w_h.data, H)
+    xg = np.ascontiguousarray(_gates(Xc.swapaxes(0, 1) @ Wx, H)[:, :, :B])
+    xg += _gates(bias, H)[:, None, None]
+    rows = _step_rows(Wh)
     zeros = np.zeros((B, H))
-
-    def readout_states(copies, t0):
-        """Each copy's output states at the positions the readout reads,
-        for a block from t0. A cached state is filled once, into all
-        `copies` rows: the steps go up from t0, a reverse pass re-steps
-        positions t and below, and a forward pass re-steps t and above, so
-        the reverse positions above t0 and the forward ones below it are
-        filled here, and forward position t after step t."""
-        cat = np.empty((copies, B, r, T - first, D))
-        for p, (_, _, _, reverse, _, states) in enumerate(passes):
-            cols = slice(p * H, (p + 1) * H)
-            if reverse:
-                lo = max(t0 + 1, first)
-                cat[..., lo - first:, cols] = \
-                    states[lo:].transpose(1, 0, 2)[:, None]
-            elif t0 > first:
-                cat[..., :t0 - first, cols] = \
-                    states[first:t0].transpose(1, 0, 2)[:, None]
-        return cat
 
     @np.errstate(over="ignore")  # the gate and readout sigmoids
     def block(t0, t1):
         # per chunk size, step t's projections as computed and as gate
-        # blocks; per pass and chunk shape, the re-stepped states
-        # (c, draws, B, H) and their workspace. Every step reuses them
+        # blocks; per chunk shape, the re-stepped states (c, draws, B, H)
+        # and their workspace. Every step reuses them
         projections, steppers = {}, {}
         scores = None
         for t in range(t0, t1):
@@ -704,18 +669,14 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
             if scores is None:
                 scores = np.empty((t1 - t0, len(rep), B * r))
                 copies, draws = _step_chunks(len(rep), B, r, rows)
-                cat = readout_states(copies, t0)
-            # a copy re-steps from t to the far end of the positions read,
-            # from the cached state next to t; the states read on the near
-            # side are the cached ones
-            spans, h0 = [], []
-            for _, _, _, reverse, _, states in passes:
-                if reverse:
-                    spans.append(range(t, first - 1, -1))
-                    h0.append(states[t + 1] if t + 1 < T else zeros)
-                else:
-                    spans.append(range(t, T))
-                    h0.append(states[t - 1] if t > 0 else zeros)
+                # each copy's states at the positions the readout reads;
+                # a cached one is filled once, into all `copies` rows:
+                # those before t0 here, and position t after step t
+                cat = np.empty((copies, B, r, T - first, H))
+                if t0 > first:
+                    cat[..., :t0 - first, :] = \
+                        states[first:t0].transpose(1, 0, 2)[:, None]
+            h0 = states[t - 1] if t > 0 else zeros
             for k0 in range(0, len(rep), copies):
                 chunk = rep[k0:k0 + copies]
                 c = len(chunk)
@@ -723,39 +684,34 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
                     projections[c] = (np.empty((c, B * r, 3 * H)),
                                       np.empty((3, c, r, B, H)))
                 proj, x_t = projections[c]
-                for p, (Wx, Wh, bias, _, xg, _) in enumerate(passes):
-                    cols = slice(p * H, (p + 1) * H)
-                    _copies_matmul(chunk, Wx, proj)
-                    proj += bias
-                    np.copyto(x_t, _gates(proj.reshape(c, B, r, 3 * H),
-                                          H).swapaxes(2, 3))
-                    for d0, d1 in draws:
-                        if (p, c, d1 - d0) not in steppers:
-                            steppers[p, c, d1 - d0] = (
-                                np.empty((c, d1 - d0, B, H)),
-                                _restep_buffers((c, d1 - d0, B), H, Wh))
-                        h, ws = steppers[p, c, d1 - d0]
-                        h[...] = h0[p]
-                        for s in spans[p]:
-                            x_s = x_t[:, :, d0:d1] if s == t else \
-                                xg[:, s, None, None]
-                            _restep(x_s, h, Wh, ws, out=h)
-                            if s >= first:
-                                cat[:c, :, d0:d1, s - first, cols] = \
-                                    h.swapaxes(1, 2)
-                logits = cat[:c].reshape(c, B * r * (T - first), D) @ w_out
+                _copies_matmul(chunk, Wx, proj)
+                proj += bias
+                np.copyto(x_t, _gates(proj.reshape(c, B, r, 3 * H),
+                                      H).swapaxes(2, 3))
+                for d0, d1 in draws:
+                    if (c, d1 - d0) not in steppers:
+                        steppers[c, d1 - d0] = (
+                            np.empty((c, d1 - d0, B, H)),
+                            _restep_buffers((c, d1 - d0, B), H, Wh))
+                    h, ws = steppers[c, d1 - d0]
+                    h[...] = h0
+                    for s in range(t, T):
+                        x_s = x_t[:, :, d0:d1] if s == t else \
+                            xg[:, s, None, None]
+                        _restep(x_s, h, Wh, ws, out=h)
+                        if s >= first:
+                            cat[:c, :, d0:d1, s - first] = h.swapaxes(1, 2)
+                logits = cat[:c].reshape(c, B * r * (T - first), H) @ w_out
                 logits = (logits + b_out).reshape(c, B * r, T - first)
                 probs = logits if per_t else logits[..., 0]
                 ad._sigmoid_unguarded(probs, probs)
                 scores[t - t0, k0:k0 + c] = \
                     probs.sum(axis=-1) if per_t else probs
-            for p, (_, _, _, reverse, _, states) in enumerate(passes):
-                if not reverse and t >= first:
-                    cat[..., t - first, p * H:(p + 1) * H] = \
-                        states[t][:, None]
+            if t >= first:
+                cat[..., t - first, :] = states[t][:, None]
         return scores
 
-    bounds = step_blocks(T, params)
+    bounds = step_blocks(T)
     parts = list(map_blocks(block, bounds)) if map_blocks is not None \
         else [block(*b) for b in bounds]
     return np.concatenate(parts)
@@ -820,30 +776,20 @@ def train_classifier(dataset, params: ClassifierParams,
 # checkpoint format: versioned JSON with shapes + flat weight arrays
 
 _CKPT_VERSION = 1
-
-
-def _arrays_of(params: ClassifierParams):
-    names = ["fwd.w_x", "fwd.w_h", "fwd.b"]
-    tensors = params.gru.fwd.tensors()
-    if params.gru.bwd is not None:
-        names += ["bwd.w_x", "bwd.w_h", "bwd.b"]
-        tensors += params.gru.bwd.tensors()
-    names += ["w_out", "b_out"]
-    tensors += [params.w_out, params.b_out]
-    return names, tensors
+# the arrays of a checkpoint, in the order of ClassifierParams.tensors
+_CKPT_ARRAYS = ("fwd.w_x", "fwd.w_h", "fwd.b", "w_out", "b_out")
 
 
 def save_classifier(params: ClassifierParams, path):
-    names, tensors = _arrays_of(params)
     payload = {
         "version": _CKPT_VERSION,
         "input_size": params.gru.input_size,
         "hidden_size": params.gru.hidden_size,
-        "direction": params.gru.direction,
+        "direction": FORWARD,
         "readout": params.readout,
         "arrays": {
             name: {"shape": list(t.shape), "data": t.data.ravel().tolist()}
-            for name, t in zip(names, tensors)
+            for name, t in zip(_CKPT_ARRAYS, params.tensors())
         },
     }
     with open(path, "w") as fh:
@@ -853,14 +799,16 @@ def save_classifier(params: ClassifierParams, path):
 def load_classifier(path):
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("version") != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {payload.get('version')}")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != _CKPT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {version}")
+    if payload.get("direction") != FORWARD:
+        raise ValueError("unsupported classifier direction: "
+                         f"{payload.get('direction')!r}")
     rng = np.random.default_rng(0)
     params = init_classifier(rng, payload["input_size"],
-                             payload["hidden_size"], payload["direction"],
-                             payload["readout"])
-    names, tensors = _arrays_of(params)
-    for name, t in zip(names, tensors):
+                             payload["hidden_size"], payload["readout"])
+    for name, t in zip(_CKPT_ARRAYS, params.tensors()):
         rec = payload["arrays"][name]
         arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
         if arr.shape != t.shape:

@@ -266,6 +266,92 @@ class TestGenerateTrainExplain:
                     str(sal), "--model", str(model))
         assert str(exc.value).startswith(f"{model}: ")
 
+    @pytest.mark.parametrize("verb, flag, value, message", [
+        ("explain", "--lambda1", "nan", "it must be finite"),
+        ("explain", "--lambda2", "inf", "it must be finite"),
+        ("train", "--lr", "inf", "it must be finite and > 0"),
+        ("train", "--lr", "nan", "it must be finite and > 0"),
+    ])
+    def test_rejects_a_float_flag_that_is_not_finite(
+            self, tiny_dataset, tmp_path, verb, flag, value, message):
+        # a NaN passes `value < low`; a NaN or infinite weight or rate
+        # used to end in a non-finite loss and a traceback
+        model = tmp_path / "m.json"
+        inputs = ["--data", str(tiny_dataset)]
+        if verb == "explain":
+            run_cli("train", *inputs, "--out", str(model), "--hidden", "4",
+                    "--epochs", "1")
+            inputs += ["--model", str(model), "--samples", "2"]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, *inputs, "--out", str(out), flag, value)
+        assert str(exc.value) == f"{flag} is {float(value)}; {message}"
+        assert not out.exists()
+
+    @staticmethod
+    def _unusable_model(tmp_path, kind):
+        """A checkpoint load_classifier rejects, and the message it gives."""
+        path = tmp_path / f"{kind}.json"
+        if kind == "missing":
+            return path, None
+        if kind == "not_an_object":
+            path.write_text("[1]")
+            return path, "unsupported checkpoint version: None"
+        nets.save_classifier(nets.init_classifier(np.random.default_rng(0),
+                                                  3, 4), path)
+        text = path.read_text()
+        if kind == "no_input_size":
+            path.write_text(text.replace('"input_size": 3, ', ""))
+            return path, "'input_size'"
+        path.write_text(text.replace('"forward"', '"bidirectional"'))
+        return path, "unsupported classifier direction: 'bidirectional'"
+
+    @pytest.mark.parametrize("verb", ["explain", "evaluate"])
+    @pytest.mark.parametrize("kind", ["missing", "not_an_object",
+                                      "no_input_size", "bidirectional"])
+    def test_names_a_model_it_cannot_use(self, tiny_dataset, tmp_path, verb,
+                                         kind):
+        model, error = self._unusable_model(tmp_path, kind)
+        out = tmp_path / "sal.csv"
+        if verb == "explain":
+            argv = ["--method", "occlusion", "--samples", "2", "--out",
+                    str(out)]
+        else:
+            sal = tmp_path / "given.csv"
+            ex.save_saliency_csv(ex.SaliencyMap(np.full((2, 16, 3), 0.5),
+                                                "occlusion"), sal)
+            argv = ["--saliency", str(sal)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, "--data", str(tiny_dataset), "--model", str(model),
+                    *argv)
+        if error is None:
+            assert str(exc.value).startswith(f"{model}: ")
+        else:
+            assert str(exc.value) == f"{model}: {error}"
+        assert not out.exists()
+
+    def test_evaluate_names_a_saliency_csv_it_cannot_read(self, tiny_dataset,
+                                                          tmp_path):
+        sal = tmp_path / "missing.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--data", str(tiny_dataset), "--saliency",
+                    str(sal))
+        assert str(exc.value).startswith(f"{sal}: ")
+
+    @pytest.mark.parametrize("verb", ["train", "explain", "evaluate"])
+    @pytest.mark.parametrize("kind", ["missing", "not_a_zip"])
+    def test_names_a_dataset_it_cannot_read(self, tmp_path, verb, kind):
+        ds = tmp_path / "ds.zip"
+        if kind == "not_a_zip":
+            ds.write_text("not a dataset archive")
+        others = {"train": ["--out", str(tmp_path / "m.json")],
+                  "explain": ["--model", str(tmp_path / "m.json"), "--out",
+                              str(tmp_path / "sal.csv")],
+                  "evaluate": ["--saliency", str(tmp_path / "sal.csv")]}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, "--data", str(ds), *others[verb])
+        assert str(exc.value).startswith(f"{ds}: ")
+
 
     @pytest.fixture()
     def tiny_model(self, tiny_dataset, tmp_path):
@@ -452,6 +538,24 @@ class TestRun:
             run_cli("run", "--config", str(ini), "--out", str(out))
         assert f"{key!r} in section [run]" in str(exc.value)
         assert repr(value) in str(exc.value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, error", [
+        (None, "config file not found"),
+        ("experiment = hmm\n", "File contains no section headers."),
+        ("[run]\n[run]\n", "section 'run' already exists"),
+    ], ids=["missing", "no_section", "duplicate_section"])
+    def test_config_file_it_cannot_read_ends_in_one_line(self, tmp_path,
+                                                          text, error):
+        ini = tmp_path / "cfg.ini"
+        if text is not None:
+            ini.write_text(text)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(ini), "--out", str(out))
+        message = str(exc.value)
+        assert message.startswith(f"{ini}: ") and error in message
+        assert "\n" not in message
         assert not out.exists()
 
     def test_echoed_config_feeds_back(self, tmp_path, small_profile):

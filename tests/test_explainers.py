@@ -423,12 +423,12 @@ def reference_augmented_occlusion(X, classifier, reference, draws=10,
 
 class TestOcclusionMatchesPerCellLoops:
     """The batched occlusions give the per-cell loops' raw scores bit for
-    bit, for every pass layout and readout."""
+    bit, for every readout."""
 
     @staticmethod
-    def _model(direction, readout, hidden=5):
+    def _model(readout, hidden=5):
         return nets.init_classifier(np.random.default_rng(7), 3, hidden,
-                                    direction, readout).freeze()
+                                    readout).freeze()
 
     @staticmethod
     def _check(X, model, ref, **kw):
@@ -445,32 +445,27 @@ class TestOcclusionMatchesPerCellLoops:
                                        **kw).metadata["raw"], aug)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
-    @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BACKWARD,
-                                           nets.BIDIRECTIONAL])
-    def test_every_direction_and_readout(self, rng, direction, readout):
+    def test_every_readout(self, rng, readout):
         X = rng.uniform(-1, 1, (3, 5, 3))
         ref = rng.uniform(-1, 1, (6, 5, 3))
-        self._check(X, self._model(direction, readout), ref, draws=3, seed=4)
+        self._check(X, self._model(readout), ref, draws=3, seed=4)
 
-    @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
-    def test_nonzero_baseline(self, rng, monkeypatch, direction):
+    def test_nonzero_baseline(self, rng, monkeypatch):
         X = rng.uniform(-1, 1, (2, 6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
         monkeypatch.setattr(ex, "OCCLUSION_BASELINE", 0.7)
-        self._check(X, self._model(direction, nets.PER_TIMESTEP), ref,
-                    draws=2, seed=1)
+        self._check(X, self._model(nets.PER_TIMESTEP), ref, draws=2, seed=1)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
     def test_single_sample(self, rng, readout):
         # a one-row batch takes numpy's gemv route, unlike its copies
         X = rng.uniform(-1, 1, (6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
-        self._check(X, self._model(nets.BIDIRECTIONAL, readout, hidden=32),
-                    ref, draws=3, seed=2)
+        self._check(X, self._model(readout, hidden=32), ref, draws=3, seed=2)
 
     def test_empty_batch(self, rng):
         self._check(np.zeros((0, 5, 3)),
-                    self._model(nets.BIDIRECTIONAL, nets.PER_TIMESTEP),
+                    self._model(nets.PER_TIMESTEP),
                     rng.uniform(-1, 1, (4, 5, 3)), draws=2)
 
     def test_icu_full_hidden_size(self, rng):
@@ -479,8 +474,8 @@ class TestOcclusionMatchesPerCellLoops:
         # count, and not in the explainers, which run on one thread
         X = rng.uniform(-1, 1, (8, 6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
-        self._check(X, self._model(nets.FORWARD, nets.FINAL_STEP,
-                                   hidden=200), ref, draws=4, seed=3)
+        self._check(X, self._model(nets.FINAL_STEP, hidden=200), ref,
+                    draws=4, seed=3)
 
     @pytest.mark.parametrize("hidden", [20, 64])
     def test_gate_block_routes(self, rng, hidden):
@@ -488,10 +483,10 @@ class TestOcclusionMatchesPerCellLoops:
         # blocks at the bench's H = 64 (nets._step_weights)
         X = rng.uniform(-1, 1, (3, 5, 3))
         ref = rng.uniform(-1, 1, (4, 5, 3))
-        self._check(X, self._model(nets.BIDIRECTIONAL, nets.PER_TIMESTEP,
-                                   hidden=hidden), ref, draws=3, seed=6)
-        self._check(X[0], self._model(nets.FORWARD, nets.FINAL_STEP,
-                                      hidden=hidden), ref, draws=2, seed=7)
+        self._check(X, self._model(nets.PER_TIMESTEP, hidden=hidden), ref,
+                    draws=3, seed=6)
+        self._check(X[0], self._model(nets.FINAL_STEP, hidden=hidden), ref,
+                    draws=2, seed=7)
 
     def test_copies_split_by_draws(self, rng, monkeypatch):
         # at 2 rows a step, augmented occlusion's copies of 5 draws of one
@@ -499,8 +494,8 @@ class TestOcclusionMatchesPerCellLoops:
         monkeypatch.setattr(nets, "_CHUNK_ROWS", 2)
         X = rng.uniform(-1, 1, (6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
-        self._check(X, self._model(nets.BIDIRECTIONAL, nets.PER_TIMESTEP,
-                                   hidden=32), ref, draws=5, seed=8)
+        self._check(X, self._model(nets.PER_TIMESTEP, hidden=32), ref,
+                    draws=5, seed=8)
 
     @pytest.mark.parametrize("chunk_rows", [4, 12])
     def test_last_chunk_partly_filled(self, rng, monkeypatch, chunk_rows):
@@ -509,8 +504,7 @@ class TestOcclusionMatchesPerCellLoops:
         monkeypatch.setattr(nets, "_CHUNK_ROWS", chunk_rows)
         X = rng.uniform(-1, 1, (2, 5, 3))
         ref = rng.uniform(-1, 1, (4, 5, 3))
-        self._check(X, self._model(nets.FORWARD, nets.PER_TIMESTEP), ref,
-                    draws=3, seed=5)
+        self._check(X, self._model(nets.PER_TIMESTEP), ref, draws=3, seed=5)
 
 
 class TestStepBlocks:
@@ -518,40 +512,23 @@ class TestStepBlocks:
     the explainers' worker pool, whose workers, like every process of an
     explainer, run OpenBLAS on one thread."""
 
-    @staticmethod
-    def _model(direction, readout, n=3, hidden=5, seed=0):
-        return nets.init_classifier(np.random.default_rng(seed), n, hidden,
-                                    direction, readout)
-
-    @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
-    @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BACKWARD,
-                                           nets.BIDIRECTIONAL])
     @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 48, 200])
-    def test_partition_covers_each_step_once(self, T, direction, readout):
-        bounds = nets.step_blocks(T, self._model(direction, readout))
+    def test_partition_covers_each_step_once(self, T):
+        bounds = nets.step_blocks(T)
         assert len(bounds) == min(T, nets.STEP_BLOCKS)
         assert bounds[0][0] == 0 and bounds[-1][1] == T
         assert all(lo < hi for lo, hi in bounds)
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        # the passes and the readout decide it, not the sizes or weights
-        other = self._model(direction, readout, n=7, hidden=11, seed=1)
-        assert nets.step_blocks(T, other) == bounds
-        # each block's re-step cost is within one step of an equal share
-        cost = nets._restep_costs(T, other)
+        # each block's re-step cost is within one step of an equal share:
+        # step t re-runs the steps t .. T-1, plus one for its projection
+        cost = T + 1 - np.arange(T)
         for lo, hi in bounds:
             share = cost.sum() / len(bounds)
             assert abs(cost[lo:hi].sum() - share) <= cost.max()
 
-    def test_partition_follows_the_passes(self):
-        fwd = nets.step_blocks(48, self._model(nets.FORWARD,
-                                               nets.PER_TIMESTEP))
-        bwd = nets.step_blocks(48, self._model(nets.BACKWARD,
-                                               nets.PER_TIMESTEP))
-        bi = nets.step_blocks(48, self._model(nets.BIDIRECTIONAL,
-                                              nets.PER_TIMESTEP))
-        # early steps re-step the most going forward, the fewest in reverse
-        assert fwd[0][1] < 12 < bwd[0][1]
-        assert bi == [(0, 12), (12, 24), (24, 36), (36, 48)]
+    def test_early_steps_take_shorter_blocks(self):
+        # an early step re-steps the most, so the blocks grow with t
+        assert nets.step_blocks(48) == [(0, 7), (7, 14), (14, 25), (25, 48)]
 
     def test_step_workers_run_one_blas_thread(self, toy_model, rng,
                                               monkeypatch):
@@ -869,6 +846,14 @@ def test_config_rejects_negative_iterations(config):
     (ex.ExplainerConfig, "generator_hidden", 0,
      "generator_hidden must be >= 1"),
     (ex.ExplainerConfig, "generator", "foo", "unknown generator 'foo'"),
+    (ex.ExplainerConfig, "lambda1", -1.0,
+     "lambda1 must be finite and >= 0, got -1.0"),
+    # NaN fails every comparison, so `< 0` alone let it through to a
+    # non-finite loss at the first iteration
+    (ex.ExplainerConfig, "lambda1", np.nan,
+     "lambda1 must be finite and >= 0, got nan"),
+    (ex.ExplainerConfig, "lambda2", np.inf,
+     "lambda2 must be finite and >= 0, got inf"),
 ])
 def test_config_rejects_settings_that_cannot_work(config, key, value,
                                                   message):

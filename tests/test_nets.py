@@ -22,10 +22,14 @@ def _zero_direction(n, H):
     )
 
 
-def _one_pass(dp, n, H, reverse=False):
-    """GruParams of the single pass dp, run in reverse if asked."""
-    return nets.GruParams(n, H, nets.BACKWARD if reverse else nets.FORWARD,
-                          fwd=dp)
+def _one_pass(dp, n, H):
+    """GruParams of the single forward pass dp."""
+    return nets.GruParams(n, H, nets.FORWARD, fwd=dp)
+
+
+def _both_ways(dp, n, H):
+    """GruParams of a bidirectional GRU whose two passes both run dp."""
+    return nets.GruParams(n, H, nets.BIDIRECTIONAL, fwd=dp, bwd=dp)
 
 
 def test_zero_weights_fixed_point():
@@ -51,8 +55,12 @@ def test_cell_matches_scalar_recomputation(rng):
         return 1.0 / (1.0 + np.exp(-v))
 
     wx, wh, b = p.fwd.w_x.data, p.fwd.w_h.data, p.fwd.b.data
-    for reverse in (False, True):
-        got = nets.gru_forward(Tensor(x), _one_pass(p.fwd, n, H, reverse))
+    # the forward pass, and the reverse half of a bidirectional op
+    outputs = {
+        False: nets.gru_forward(Tensor(x), _one_pass(p.fwd, n, H)).data[0],
+        True: nets.gru_forward(Tensor(x),
+                               _both_ways(p.fwd, n, H)).data[0, :, H:]}
+    for reverse, got in outputs.items():
         want = np.empty((T, H))
         h_prev = np.zeros(H)
         for t in (range(T - 1, -1, -1) if reverse else range(T)):
@@ -69,13 +77,15 @@ def test_cell_matches_scalar_recomputation(rng):
                 c = np.tanh(xc + r * hc)
                 want[t, j] = (1 - z) * c + z * h_prev[j]
             h_prev = want[t]
-        np.testing.assert_allclose(got.data[0], want, atol=1e-12)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("reverse", [False, True],
                          ids=["shared-forward", "shared-reverse"])
 @pytest.mark.parametrize("wrt", ["x", "w_x", "w_h", "b"])
 def test_gradcheck_gru_direction(rng, wrt, reverse):
+    # reverse: the reverse half of a bidirectional op whose two passes run
+    # the same weights, so the loss reads only the reverse pass
     B, T, n, H = 3, 4, 2, 3
     arrays = {"w_x": rng.normal(0, 0.4, (n, 3 * H)),
               "w_h": rng.normal(0, 0.4, (H, 3 * H)),
@@ -87,7 +97,10 @@ def test_gradcheck_gru_direction(rng, wrt, reverse):
         given = {k: leaf if k == wrt else Tensor(v)
                  for k, v in arrays.items()}
         dp = nets.GruDirectionParams(given["w_x"], given["w_h"], given["b"])
-        out = nets.gru_forward(given["x"], _one_pass(dp, n, H, reverse))
+        if reverse:
+            out = nets.gru_forward(given["x"], _both_ways(dp, n, H))[:, :, H:]
+        else:
+            out = nets.gru_forward(given["x"], _one_pass(dp, n, H))
         return ad.tsum(ad.mul(out, weight))
 
     assert_gradcheck(build, arrays[wrt], rtol=1e-4)
@@ -119,8 +132,9 @@ def test_gradcheck_bidirectional_gru(rng, wrt):
 
 @pytest.mark.parametrize("B", [1, 5])
 def test_bidirectional_pass_matches_its_two_directions(rng, B):
-    # one op over both passes gives the bits of a FORWARD and a BACKWARD
-    # op over the same direction tensors, output and every gradient
+    # one op over both passes gives the bits of two FORWARD ops over the
+    # same direction tensors, the reverse one on the time-reversed input,
+    # output and every gradient
     T, n, H = 6, 3, 4
     p = nets.init_gru(rng, n, H, nets.BIDIRECTIONAL)
     X = rng.normal(0, 1, (B, T, n))
@@ -132,19 +146,21 @@ def test_bidirectional_pass_matches_its_two_directions(rng, B):
             t.grad = None
         with ad.Tape():
             if split:
-                halves = [nets.gru_forward(x, nets.GruParams(n, H, d, fwd=dp))
-                          for d, dp in ((nets.FORWARD, p.fwd),
-                                        (nets.BACKWARD, p.bwd))]
-                out = np.concatenate([h.data for h in halves], axis=2)
-                loss = ad.add(*(ad.tsum(ad.mul(h, Tensor(w)))
-                                for h, w in zip(halves, (weight[..., :H],
-                                                         weight[..., H:]))))
+                # a leaf of its own: the time reversal stays off the tape
+                x_rev = Tensor(X[:, ::-1].copy(), requires_grad=True)
+                fwd = nets.gru_forward(x, _one_pass(p.fwd, n, H))
+                rev = nets.gru_forward(x_rev, _one_pass(p.bwd, n, H))
+                out = np.concatenate([fwd.data, rev.data[:, ::-1]], axis=2)
+                loss = ad.add(
+                    ad.tsum(ad.mul(fwd, Tensor(weight[..., :H]))),
+                    ad.tsum(ad.mul(rev, Tensor(weight[:, ::-1, H:]))))
             else:
                 whole = nets.gru_forward(x, p)
                 out = whole.data
                 loss = ad.tsum(ad.mul(whole, Tensor(weight)))
             loss.backward()
-        return [out, x.grad] + [t.grad for t in p.tensors()]
+        gx = x.grad + x_rev.grad[:, ::-1] if split else x.grad
+        return [out, gx] + [t.grad for t in p.tensors()]
 
     for got, want in zip(run(split=False), run(split=True)):
         np.testing.assert_array_equal(got, want)
@@ -272,7 +288,7 @@ def _worst_deviation(got, want):
     (64, 48, 8, 64, nets.FORWARD, False, True),
     (1, 9, 3, 5, nets.BIDIRECTIONAL, True, True),
     (4, 1, 3, 5, nets.BIDIRECTIONAL, True, True),
-    (5, 9, 2, 20, nets.BACKWARD, True, True),
+    (5, 9, 2, 20, nets.BIDIRECTIONAL, True, True),
 ], ids=["generator", "classifier", "training", "B1", "T1", "reverse"])
 def test_gradients_match_the_per_step_backward(B, T, n, H, direction,
                                                wrt_x, wrt_weights):
@@ -598,14 +614,12 @@ def test_history_is_the_row_weighted_mean_of_the_batch_losses(rng, N, lr):
     assert history[0] == pytest.approx(whole, rel=1e-12)
 
 
-@pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
-def test_training_allocates_once_and_moves_no_byte(rng, splits, monkeypatch,
-                                                   direction):
+def test_training_allocates_once_and_moves_no_byte(rng, splits, monkeypatch):
     # 70 rows: a batch of 64, then a short one of 6, every epoch
     ds = _toy_separable(rng, N=70)
 
     def train():
-        c = nets.init_classifier(np.random.default_rng(1), 2, 8, direction)
+        c = nets.init_classifier(np.random.default_rng(1), 2, 8)
         c, history = nets.train_classifier(ds, c, nets.TrainConfig(
             epochs=3, seed=5))
         return c.snapshot(), history
@@ -635,8 +649,7 @@ def test_training_determinism(rng):
 
 def test_gradient_flow_through_every_weight(rng):
     ds = _toy_separable(rng, N=8, T=6)
-    c = nets.init_classifier(np.random.default_rng(2), 2, 4,
-                             direction=nets.BIDIRECTIONAL)
+    c = nets.init_classifier(np.random.default_rng(2), 2, 4)
     with ad.Tape():
         logits = nets.classifier_forward(Tensor(ds.X), c)
         loss = ad.tmean(ad.cross_entropy_with_logits(logits, Tensor(ds.y)))
@@ -647,14 +660,63 @@ def test_gradient_flow_through_every_weight(rng):
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
-    c = nets.init_classifier(rng, 3, 5, direction=nets.BIDIRECTIONAL,
-                             readout=nets.FINAL_STEP)
+    c = nets.init_classifier(rng, 3, 5, readout=nets.FINAL_STEP)
     path = tmp_path / "model.json"
     nets.save_classifier(c, path)
     loaded = nets.load_classifier(path)
     x = rng.uniform(-1, 1, (2, 6, 3))
     np.testing.assert_array_equal(nets.predict_proba(x, c),
                                   nets.predict_proba(x, loaded))
+
+
+class TestCheckpointFormat:
+    """Version 1 checkpoints, byte for byte as save_classifier has always
+    written them for a forward GRU classifier: 2 features, H = 1."""
+
+    V1 = ('{"version": 1, "input_size": 2, "hidden_size": 1, "direction": '
+          '"forward", "readout": "per_timestep", "arrays": {"fwd.w_x": '
+          '{"shape": [2, 3], "data": [0.5, -0.25, 1.5, -1.0, 0.75, 0.125]}, '
+          '"fwd.w_h": {"shape": [1, 3], "data": [0.25, -0.5, 2.0]}, '
+          '"fwd.b": {"shape": [3], "data": [0.0625, -0.125, 0.375]}, '
+          '"w_out": {"shape": [1, 1], "data": [1.25]}, "b_out": {"shape": '
+          '[1], "data": [-0.5]}}}')
+    X = np.array([[[0.5, -1.0], [1.0, 0.25], [-0.75, 0.5]]])
+    # predict_proba(X) when the format was fixed
+    PROBS = [0.548834431177737, 0.6289499618282206, 0.4886586816300586]
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        return path
+
+    def test_loads_and_predicts_the_same(self, tmp_path):
+        loaded = nets.load_classifier(self._write(tmp_path, self.V1))
+        # the same weights, set by hand
+        c = nets.init_classifier(np.random.default_rng(0), 2, 1)
+        for t, a in zip(c.tensors(), (
+                [[0.5, -0.25, 1.5], [-1.0, 0.75, 0.125]],
+                [[0.25, -0.5, 2.0]], [0.0625, -0.125, 0.375], [[1.25]],
+                [-0.5])):
+            t.data = np.array(a)
+        assert loaded.readout == nets.PER_TIMESTEP
+        got = nets.predict_proba(self.X, loaded)
+        np.testing.assert_array_equal(got, nets.predict_proba(self.X, c))
+        np.testing.assert_allclose(got[0], self.PROBS, rtol=1e-14)
+
+    def test_save_writes_the_same_bytes(self, tmp_path):
+        loaded = nets.load_classifier(self._write(tmp_path, self.V1))
+        again = tmp_path / "again.json"
+        nets.save_classifier(loaded, again)
+        assert again.read_text() == self.V1
+
+    @pytest.mark.parametrize("direction", ["bidirectional", "backward"])
+    def test_other_directions_are_rejected(self, tmp_path, direction):
+        # the direction is checked before any array is read
+        path = self._write(tmp_path, self.V1.replace(
+            '"forward"', f'"{direction}"'))
+        with pytest.raises(ValueError, match="unsupported classifier "
+                           f"direction: '{direction}'"):
+            nets.load_classifier(path)
 
 
 
