@@ -382,6 +382,13 @@ class ClassifierParams:
     b_out: Tensor  # (1,)
     readout: str = PER_TIMESTEP
 
+    def __post_init__(self):
+        # save_classifier and perturbed_step_scores read one forward pass:
+        # a bidirectional GRU's second pass would be mislabelled or dropped
+        if self.gru.direction != FORWARD:
+            raise ValueError("unsupported classifier direction: "
+                             f"{self.gru.direction!r}")
+
     def tensors(self):
         return self.gru.tensors() + [self.w_out, self.b_out]
 

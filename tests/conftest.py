@@ -6,6 +6,7 @@ import pytest
 
 from tempex import autodiff as ad
 from tempex import explainers as ex
+from tempex import nets
 
 
 def finite_difference_grad(fn, x, h=1e-5):
@@ -47,6 +48,23 @@ def assert_gradcheck(build, x, rtol=1e-4, h=1e-5):
     denom = np.maximum(np.abs(want), 1.0)
     err = np.max(np.abs(got - want) / denom)
     assert err < rtol, f"gradcheck failed: max rel err {err:.3e}"
+
+
+def classifier_or_refusal(rng, n, hidden, direction,
+                          readout=nets.PER_TIMESTEP):
+    """init_classifier(rng, n, hidden, readout) for a forward GRU. The
+    classifier is a forward GRU only: for any other direction, check that
+    building one is refused with the direction named, and return None."""
+    if direction == nets.FORWARD:
+        return nets.init_classifier(rng, n, hidden, readout)
+    with pytest.raises(ValueError, match=repr(direction)):
+        # init_gru knows no backward pass, and ClassifierParams takes no
+        # bidirectional GRU
+        gru = nets.init_gru(rng, n, hidden, direction)
+        nets.ClassifierParams(
+            gru, ad.Tensor(np.zeros((gru.output_size, 1))),
+            ad.Tensor(np.zeros(1)), readout)
+    return None
 
 
 @pytest.fixture(autouse=True)

@@ -17,6 +17,8 @@ from tempex import perturbation as pert
 from tempex.autodiff import Tensor
 from tempex.data import TimeSeriesDataset
 
+from conftest import classifier_or_refusal
+
 
 @pytest.fixture(scope="module")
 def toy_model():
@@ -423,7 +425,8 @@ def reference_augmented_occlusion(X, classifier, reference, draws=10,
 
 class TestOcclusionMatchesPerCellLoops:
     """The batched occlusions give the per-cell loops' raw scores bit for
-    bit, for every readout."""
+    bit, for every readout. The classifier is a forward GRU: one of any
+    other direction is refused when built, before it can be explained."""
 
     @staticmethod
     def _model(readout, hidden=5):
@@ -445,16 +448,27 @@ class TestOcclusionMatchesPerCellLoops:
                                        **kw).metadata["raw"], aug)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
-    def test_every_readout(self, rng, readout):
+    @pytest.mark.parametrize("direction", [nets.FORWARD, "backward",
+                                           nets.BIDIRECTIONAL])
+    def test_every_direction_and_readout(self, rng, direction, readout):
+        model = classifier_or_refusal(np.random.default_rng(7), 3, 5,
+                                      direction, readout)
+        if model is None:
+            return
         X = rng.uniform(-1, 1, (3, 5, 3))
         ref = rng.uniform(-1, 1, (6, 5, 3))
-        self._check(X, self._model(readout), ref, draws=3, seed=4)
+        self._check(X, model.freeze(), ref, draws=3, seed=4)
 
-    def test_nonzero_baseline(self, rng, monkeypatch):
+    @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
+    def test_nonzero_baseline(self, rng, monkeypatch, direction):
+        model = classifier_or_refusal(np.random.default_rng(7), 3, 5,
+                                      direction)
+        if model is None:
+            return
         X = rng.uniform(-1, 1, (2, 6, 3))
         ref = rng.uniform(-1, 1, (4, 6, 3))
         monkeypatch.setattr(ex, "OCCLUSION_BASELINE", 0.7)
-        self._check(X, self._model(nets.PER_TIMESTEP), ref, draws=2, seed=1)
+        self._check(X, model.freeze(), ref, draws=2, seed=1)
 
     @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
     def test_single_sample(self, rng, readout):
@@ -512,8 +526,11 @@ class TestStepBlocks:
     the explainers' worker pool, whose workers, like every process of an
     explainer, run OpenBLAS on one thread."""
 
+    @pytest.mark.parametrize("readout", [nets.PER_TIMESTEP, nets.FINAL_STEP])
+    @pytest.mark.parametrize("direction", [nets.FORWARD, "backward",
+                                           nets.BIDIRECTIONAL])
     @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 48, 200])
-    def test_partition_covers_each_step_once(self, T):
+    def test_partition_covers_each_step_once(self, T, direction, readout):
         bounds = nets.step_blocks(T)
         assert len(bounds) == min(T, nets.STEP_BLOCKS)
         assert bounds[0][0] == 0 and bounds[-1][1] == T
@@ -525,6 +542,22 @@ class TestStepBlocks:
         for lo, hi in bounds:
             share = cost.sum() / len(bounds)
             assert abs(cost[lo:hi].sum() - share) <= cost.max()
+        # perturbed_step_scores runs these blocks for a classifier of this
+        # readout; one of another direction is refused when built
+        model = classifier_or_refusal(np.random.default_rng(0), 3, 5,
+                                      direction, readout)
+        if model is None:
+            return
+        ran = []
+
+        def map_blocks(block, given):
+            ran.extend(given)
+            return [block(lo, hi) for lo, hi in given]
+
+        scores = nets.perturbed_step_scores(
+            np.zeros((1, T, 3)), model.freeze(),
+            lambda t: np.ones((1, 1, 3)), map_blocks=map_blocks)
+        assert ran == bounds and scores.shape == (T, 1, 1)
 
     def test_early_steps_take_shorter_blocks(self):
         # an early step re-steps the most, so the blocks grow with t

@@ -11,7 +11,7 @@ from tempex import nets
 from tempex.autodiff import Tensor
 from tempex.data import TimeSeriesDataset
 
-from conftest import assert_gradcheck
+from conftest import assert_gradcheck, classifier_or_refusal
 
 
 def _zero_direction(n, H):
@@ -614,7 +614,13 @@ def test_history_is_the_row_weighted_mean_of_the_batch_losses(rng, N, lr):
     assert history[0] == pytest.approx(whole, rel=1e-12)
 
 
-def test_training_allocates_once_and_moves_no_byte(rng, splits, monkeypatch):
+@pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
+def test_training_allocates_once_and_moves_no_byte(rng, splits, monkeypatch,
+                                                   direction):
+    # the classifier is a forward GRU; a bidirectional one is refused
+    if classifier_or_refusal(np.random.default_rng(1), 2, 8,
+                             direction) is None:
+        return
     # 70 rows: a batch of 64, then a short one of 6, every epoch
     ds = _toy_separable(rng, N=70)
 
