@@ -189,13 +189,20 @@ def save_dataset(dataset: TimeSeriesDataset, path):
         "label_shape": list(dataset.y.shape),
         "has_saliency": dataset.true_saliency is not None,
     }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("header.json", json.dumps(header))
-        zf.writestr("X.f64", dataset.X.astype("<f8").tobytes())
-        zf.writestr("y.f64", dataset.y.astype("<f8").tobytes())
-        if dataset.true_saliency is not None:
-            zf.writestr("saliency.u8",
-                        dataset.true_saliency.astype(np.uint8).tobytes())
+    members = {"header.json": json.dumps(header),
+               "X.f64": dataset.X.astype("<f8").tobytes(),
+               "y.f64": dataset.y.astype("<f8").tobytes()}
+    if dataset.true_saliency is not None:
+        members["saliency.u8"] = \
+            dataset.true_saliency.astype(np.uint8).tobytes()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            # a fixed time stamp, not the clock's, so that one dataset
+            # always gives the same bytes
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = zipfile.ZIP_DEFLATED
+            info.external_attr = 0o600 << 16  # rw-------, as writestr sets
+            zf.writestr(info, data)
 
 
 def load_dataset(path):

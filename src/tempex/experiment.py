@@ -281,14 +281,17 @@ def _fmt(v):
 
 
 def _write_rows(path, rows, append=False):
+    """Write rows of the 7 CSV_HEADER fields to path after the header, or
+    append them to the file there: a fold's rows with std "" and their
+    fold, aggregate's with their std and fold "all"."""
     mode = "a" if append and os.path.exists(path) else "w"
     with open(path, mode, newline="") as fh:
         w = csv.writer(fh)
         if mode == "w":
             w.writerow(CSV_HEADER)
-        for method, metric, frac, subst, value, fold in rows:
-            w.writerow([method, metric, _fmt(frac), subst, _fmt(value), "",
-                        fold])
+        w.writerows([method, metric, _fmt(frac), subst, _fmt(mean),
+                     _fmt(std), fold]
+                    for method, metric, frac, subst, mean, std, fold in rows)
 
 
 def load_results(path):
@@ -319,12 +322,8 @@ def aggregate(rows):
 
 
 def _write_aggregated(path, agg):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for method, metric, frac, subst, mean, std in agg:
-            w.writerow([method, metric, _fmt(frac), subst, _fmt(mean),
-                        _fmt(std), "all"])
+    """aggregate's rows, as fold "all"."""
+    _write_rows(path, [(*row, "all") for row in agg])
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -366,7 +365,8 @@ def run_experiment(cfg: ExperimentConfig):
             rows = [row for method in methods for row in by_method[method]]
             # each fold is written as soon as its tasks are back, so a
             # later failure keeps the earlier folds on disk
-            _write_rows(results_path, rows, append=fold > 0)
+            _write_rows(results_path, [(*row[:5], "", row[5]) for row in rows],
+                        append=fold > 0)
             nets.save_classifier(model, os.path.join(
                 cfg.out_dir, "models", f"fold{fold}.json"))
             all_rows.extend(rows)

@@ -105,12 +105,12 @@ class ExplainerConfig:
 
 
 def _check_steps(iterations, **rates):
-    """Raise ValueError unless each learning rate in `rates` is > 0 (else
-    the mask steps uphill or not at all) and iterations is an integer
-    >= 0."""
+    """Raise ValueError unless each learning rate in `rates` is finite and
+    > 0 (else the mask steps uphill, not at all or into NaN) and iterations
+    is an integer >= 0."""
     for name, rate in rates.items():
-        if not rate > 0:
-            raise ValueError(f"{name} must be > 0, got {rate}")
+        if not 0 < rate < np.inf:  # NaN fails every comparison
+            raise ValueError(f"{name} must be finite and > 0, got {rate}")
     if not isinstance(iterations, (int, np.integer)):
         raise ValueError(f"iterations must be an integer, got {iterations!r}")
     if iterations < 0:

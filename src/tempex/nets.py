@@ -5,13 +5,12 @@ forward or a bidirectional GRU, all build on the same cell.
 All forward passes take a batched input [B, T, n], and every row of the
 batch runs through the same 2-d weights. gru_forward is one taped op that
 steps every pass of a GRU, forward and reverse, in one time loop. A
-recorded call keeps its whole-sequence state in one allocation (up to a
-size past which the allocator would keep it resident) and leaves its
-backward only the dh recurrence; the weight and input gradients are one
-product per pass over all steps. Inside a reuse_buffers scope (training's
-epochs, the mask explainers' and integrated gradients' iterations), a
-recorded call takes views of the buffers an earlier call of as many rows
-or more gave back, so a loop allocates them once.
+recorded call keeps its whole-sequence state and leaves its backward only
+the dh recurrence; the weight and input gradients are one product per
+pass over all steps. Inside a reuse_buffers scope (training's epochs, the
+mask explainers' and integrated gradients' iterations), a recorded call
+takes views of the buffers an earlier call of as many rows or more gave
+back, so a loop allocates them once.
 """
 
 from __future__ import annotations
@@ -147,13 +146,13 @@ def gru_forward(x, params: GruParams):
     or gemv of the 2-d product on every pass. Pass p's states fill
     columns p*H .. (p+1)*H of the output.
 
-    A recorded call takes every whole-sequence buffer from one allocation
-    (up to _BLOCK_BYTES, see _split), or inside a reuse_buffers scope as
-    views of an earlier call's spares (_take): (T, B, P, .) arrays in step
-    order, so that a step's rows are contiguous and a pass's T*B rows are
-    one strided matrix. They hold the inputs, their projections
-    x_t @ W_x + b (one stacked matmul before the loop, whose (step, pass)
-    slices are the per-step products), the gates r | z, c and the states.
+    A recorded call takes its whole-sequence buffers from _take, inside a
+    reuse_buffers scope as views of an earlier call's spares: (T, B, P, .)
+    arrays in step order, so that a step's rows are contiguous and a
+    pass's T*B rows are one strided matrix. They hold the inputs, their
+    projections x_t @ W_x + b (one stacked matmul before the loop, whose
+    (step, pass) slices are the per-step products), the gates r | z, c
+    and the states.
     After the loop, _gate_factors turns them into the factors of the
     backward that do not depend on the gradient, so the backward loop
     runs only the dh recurrence,
@@ -280,29 +279,10 @@ def gru_forward(x, params: GruParams):
                       backward)
 
 
-# the most bytes a recorded gru_forward call takes in one allocation. glibc
-# raises its mmap threshold to the size of an unmapped block and its heap
-# trim threshold to twice that, so blocks of one size come from the heap
-# from the second call on, and up to twice their size stays resident after
-# the loop that made them. Calls allocate outside a reuse_buffers scope and
-# in one only on a miss (training's first batch, a mask loop's first
-# iteration). On 2 cores, training in the scope with one block and no cap
-# read the occlusion_icu benchmark's peak RSS at 62.0 MB, against 57.4 MB
-# with the cap and 57.5 MB for training outside a scope
-_BLOCK_BYTES = 10 * 2**20
-
-
-def _split(lead, widths):
-    """Arrays of shape lead + (w,) for w in widths: consecutive views of one
-    allocation, or one allocation each when they take more than
-    _BLOCK_BYTES in all."""
-    size = int(np.prod(lead))
-    if size * sum(widths) * 8 > _BLOCK_BYTES:
-        return [np.empty(lead + (w,)) for w in widths]
-    block = np.empty(size * sum(widths))
-    ends = np.cumsum(widths) * size
-    return [block[e - w * size:e].reshape(lead + (w,))
-            for w, e in zip(widths, ends)]
+def _allocate(lead, widths):
+    """New arrays of shape lead + (w,) for w in widths, one each: the
+    buffers of a recorded gru_forward call that no spare has room for."""
+    return [np.empty(lead + (w,)) for w in widths]
 
 
 class _Spares(threading.local):
@@ -311,7 +291,7 @@ class _Spares(threading.local):
 
     def __init__(self):
         self.depth = 0
-        self.spares = {}  # widths: the buffers of a _split each
+        self.spares = {}  # widths: the buffers of _allocate calls
 
 
 _SPARES = _Spares()
@@ -342,13 +322,13 @@ def reuse_buffers():
 
 def _take(lead, widths):
     """gru_forward's buffers lead + (w,) for w in widths, as (held, views):
-    held is the smallest spare of these widths with room for them, else a
-    new _split; the views are held's leading elements, laid out as a
-    _split of lead would be."""
+    held is the smallest spare of these widths with room for them, else
+    new arrays (_allocate); the views are held's leading elements, laid
+    out as new arrays of lead would be."""
     size, spares = int(np.prod(lead)), _SPARES.spares.get(widths, [])
     room = [i for i, h in enumerate(spares) if h[0].size >= size * widths[0]]
     held = spares.pop(min(room, key=lambda i: spares[i][0].size)) if room \
-        else _split(lead, widths)
+        else _allocate(lead, widths)
     return held, [a.reshape(-1)[:size * w].reshape(lead + (w,))
                   for a, w in zip(held, widths)]
 
@@ -739,8 +719,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.lr > 0:  # a rate <= 0 trains uphill or not at all
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:  # else uphill, idle or into NaN
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def train_classifier(dataset, params: ClassifierParams,

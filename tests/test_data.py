@@ -1,8 +1,13 @@
+import time
+import zipfile
+
 import numpy as np
 import pytest
 
 from tempex import data
 from tempex.data import HmmConfig
+
+real_localtime = time.localtime
 
 
 class TestHmm:
@@ -162,3 +167,19 @@ class TestArchive:
         np.testing.assert_array_equal(back.y, ds.y)
         np.testing.assert_array_equal(back.true_saliency, ds.true_saliency)
         assert back.feature_names == ds.feature_names
+
+    def test_two_saves_at_other_times_write_the_same_bytes(self, tmp_path,
+                                                           monkeypatch):
+        # zipfile stamps a member written by name with the local time
+        ds = data.generate_hmm(HmmConfig(n_series=3, n_steps=10, seed=5))
+        saved = []
+        for when in (0, 86400 * 365 + 7):
+            monkeypatch.setattr(time, "localtime",
+                                lambda *_, when=when: real_localtime(when))
+            path = tmp_path / f"{when}.zip"
+            data.save_dataset(ds, path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+        with zipfile.ZipFile(tmp_path / "0.zip") as zf:
+            assert {i.compress_type for i in zf.infolist()} == \
+                {zipfile.ZIP_DEFLATED}

@@ -714,42 +714,54 @@ class TestBufferReuse:
 
     @pytest.fixture()
     def allocations(self, monkeypatch):
-        """(rows, nets._split calls so far) at each classifier_forward call
-        of an explainer: one per iteration or integration step."""
+        """(rows, nets._allocate calls so far) at each classifier_forward
+        call of an explainer: one per iteration or integration step. Every
+        allocation must happen inside a reuse_buffers scope."""
         calls, seen = [], []
-        split, forward = nets._split, ex.classifier_forward
+        allocate, forward = nets._allocate, ex.classifier_forward
 
         def count(lead, widths):
+            assert nets._SPARES.depth > 0
             calls.append(lead)
-            return split(lead, widths)
+            return allocate(lead, widths)
 
         def mark(x, params):
             out = forward(x, params)
             seen.append((x.shape[0], len(calls)))
             return out
 
-        monkeypatch.setattr(nets, "_split", count)
+        monkeypatch.setattr(nets, "_allocate", count)
         monkeypatch.setattr(ex, "classifier_forward", mark)
         return seen
 
-    @pytest.mark.parametrize("config, stop", [
-        (FOREVER, FOREVER_STOP),
-        (TestRowFreezing.LEARNED, TestRowFreezing.LEARNED_STOP),
-    ], ids=["no-row-freezes", "rows-freeze"])
-    def test_two_allocations_whatever_rows_freeze(self, toy_model, rng,
-                                                  monkeypatch, allocations,
-                                                  config, stop):
-        # the generator's GRU and the classifier's, in the first iteration;
-        # after rows froze, each takes views of its first buffers
+    # (explain, stopping rule, GRU layouts, live-row counts at least)
+    @pytest.mark.parametrize("explain, stop, layouts, counts", [
+        (partial(ex.explain_learned, config=FOREVER), FOREVER_STOP, 2, 1),
+        (partial(ex.explain_learned, config=TestRowFreezing.LEARNED),
+         TestRowFreezing.LEARNED_STOP, 2, 3),
+        *((partial(ex.explain_learned, config=replace(
+            TestRowFreezing.LEARNED, mode=ex.DELETION, generator=generator)),
+           TestRowFreezing.LEARNED_STOP, 1 if generator == pert.ZERO else 2,
+           2) for generator in pert.GENERATORS),
+        (partial(ex.explain_dynamask,
+                 iterations=TestRowFreezing.DYNAMASK_ITERATIONS),
+         TestRowFreezing.DYNAMASK_STOP, 1, 3),
+    ], ids=["no-row-freezes", "rows-freeze",
+            *(f"deletion-{g}" for g in pert.GENERATORS), "dynamask"])
+    def test_one_allocation_per_gru_layout_whatever_rows_freeze(
+            self, toy_model, rng, monkeypatch, allocations, explain, stop,
+            layouts, counts):
+        # the generator's GRU, if it has one, and the classifier's, in the
+        # first iteration; after rows froze, each takes views of its first
+        # buffers
         X = rng.uniform(-1, 1, (4, 8, 2))
         stop_rule(monkeypatch, *stop)
-        ex.explain_learned(X, toy_model, config, workers=1)
+        explain(X, toy_model, workers=1)
         rows = [r for r, _ in allocations]
-        if config is self.FOREVER:
+        if stop == self.FOREVER_STOP:
             assert rows == [4] * 25
-        else:
-            assert len(set(rows)) >= 3
-        assert [n for _, n in allocations] == [2] * len(rows)
+        assert len(set(rows)) >= counts
+        assert [n for _, n in allocations] == [layouts] * len(rows)
         assert not nets._SPARES.spares
 
     def test_integrated_gradients_allocates_once(self, toy_model, rng,
@@ -873,9 +885,15 @@ def test_config_rejects_negative_iterations(config):
 
 
 @pytest.mark.parametrize("config, key, value, message", [
-    (ex.ExplainerConfig, "mask_lr", -1, "mask_lr must be > 0"),
-    (ex.ExplainerConfig, "mask_lr", 0, "mask_lr must be > 0"),
-    (ex.ExplainerConfig, "generator_lr", 0, "generator_lr must be > 0"),
+    (ex.ExplainerConfig, "mask_lr", -1, "mask_lr must be finite and > 0"),
+    (ex.ExplainerConfig, "mask_lr", 0, "mask_lr must be finite and > 0"),
+    (ex.ExplainerConfig, "generator_lr", 0,
+     "generator_lr must be finite and > 0"),
+    # an infinite rate steps the mask or the generator into NaN
+    (ex.ExplainerConfig, "mask_lr", np.inf,
+     "mask_lr must be finite and > 0, got inf"),
+    (ex.ExplainerConfig, "generator_lr", np.inf,
+     "generator_lr must be finite and > 0, got inf"),
     (ex.ExplainerConfig, "generator_hidden", 0,
      "generator_hidden must be >= 1"),
     (ex.ExplainerConfig, "generator", "foo", "unknown generator 'foo'"),

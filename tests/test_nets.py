@@ -326,28 +326,16 @@ def test_two_calls_on_one_tape_give_the_gradient_of_their_sum(rng):
     assert _worst_deviation(got, want) <= 1e-12
 
 
-def test_buffers_past_the_block_size_give_the_same_bytes(rng, monkeypatch):
-    # a call whose buffers exceed _BLOCK_BYTES allocates them one by one;
-    # the arithmetic, and so every byte, stays that of the one block
-    p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
-    X = rng.normal(0, 1, (4, 6, 3))
-    G = rng.normal(0, 1, (4, 6, 10))
-    one_block = _op_gradients(X, p, G, True, True)
-    monkeypatch.setattr(nets, "_BLOCK_BYTES", 0)
-    for got, want in zip(_op_gradients(X, p, G, True, True), one_block):
-        np.testing.assert_array_equal(got, want)
-
-
 @pytest.fixture
-def splits(monkeypatch):
-    """The buffers of every nets._split call, in call order."""
-    made, split = [], nets._split
+def allocs(monkeypatch):
+    """The buffers of every nets._allocate call, in call order."""
+    made, allocate = [], nets._allocate
 
     def spy(lead, widths):
-        made.append(split(lead, widths))
+        made.append(allocate(lead, widths))
         return made[-1]
 
-    monkeypatch.setattr(nets, "_split", spy)
+    monkeypatch.setattr(nets, "_allocate", spy)
     return made
 
 
@@ -365,7 +353,7 @@ def _spares():
     return [h for held in nets._SPARES.spares.values() for h in held]
 
 
-def test_a_scope_reuses_a_backwarded_calls_buffers(rng, splits):
+def test_a_scope_reuses_a_backwarded_calls_buffers(rng, allocs):
     # every buffer is written before it is read, so the reused buffers,
     # which hold the last call's values, give the bytes of new ones
     p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
@@ -377,13 +365,13 @@ def test_a_scope_reuses_a_backwarded_calls_buffers(rng, splits):
         for _ in range(3):
             for got, want in zip(_op_gradients(X, p, G, True, True), plain):
                 np.testing.assert_array_equal(got, want)
-        assert len(splits) == 2  # one call outside the scope, one inside
-        assert _spares() == [splits[1]]
+        assert len(allocs) == 2  # one call outside the scope, one inside
+        assert _spares() == [allocs[1]]
     assert not _spares()
 
 
 def test_calls_of_one_layout_on_one_tape_take_their_own_buffers(rng,
-                                                                 splits):
+                                                                 allocs):
     p = nets.init_gru(rng, 3, 6, nets.BIDIRECTIONAL)
     X1, X2 = rng.normal(0, 1, (2, 4, 7, 3))
     G1, G2 = rng.normal(0, 1, (2, 4, 7, 12))
@@ -403,10 +391,10 @@ def test_calls_of_one_layout_on_one_tape_take_their_own_buffers(rng,
         for _ in range(3):
             for got, want in zip(gradients(), plain):
                 np.testing.assert_array_equal(got, want)
-    assert len(splits) == 4  # two calls outside the scope, two inside
+    assert len(allocs) == 4  # two calls outside the scope, two inside
 
 
-def test_a_smaller_layout_carves_from_a_larger_spare(rng, splits):
+def test_a_smaller_layout_carves_from_a_larger_spare(rng, allocs):
     # fewer rows, fewer steps or both take views of the larger spare's
     # arrays, and every byte stays that of new buffers
     p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
@@ -417,42 +405,42 @@ def test_a_smaller_layout_carves_from_a_larger_spare(rng, splits):
     plain = [[a.copy() for a in _op_gradients(X[:b, :t], p, G[:b, :t],
                                               True, True)]
              for b, t in cuts]
-    del splits[:]
+    del allocs[:]
     with nets.reuse_buffers():
         _backwarded(X, p)
         for (b, t), want in zip(cuts, plain):
             got = _op_gradients(X[:b, :t], p, G[:b, :t], True, True)
             for a, w in zip(got, want):
                 np.testing.assert_array_equal(a, w)
-            assert _spares() == [splits[0]]
-        assert len(splits) == 1
+            assert _spares() == [allocs[0]]
+        assert len(allocs) == 1
 
 
-def test_a_larger_layout_misses(rng, splits):
+def test_a_larger_layout_misses(rng, allocs):
     p, q = nets.init_gru(rng, 3, 5), nets.init_gru(rng, 3, 4)
     X = rng.normal(0, 1, (4, 6, 3))
     with nets.reuse_buffers():
         for _ in range(2):
             _backwarded(X[:3], p, q)  # the second time, two hits
-        assert len(splits) == 2
+        assert len(allocs) == 2
         assert len(_spares()) == 2
         # more rows than p's spare holds: a miss, which keeps every spare
         _backwarded(X, p)
-        assert len(splits) == 3
-        assert sorted(map(id, _spares())) == sorted(map(id, splits))
+        assert len(allocs) == 3
+        assert sorted(map(id, _spares())) == sorted(map(id, allocs))
         # each call takes the smallest spare with room, so a 3-row call
         # leaves the 4-row spare to a 4-row call on the same tape
         for _ in range(2):
             with ad.Tape():
                 ad.add(ad.tsum(nets.gru_forward(Tensor(X[:3]), p)),
                        ad.tsum(nets.gru_forward(Tensor(X), p))).backward()
-        assert len(splits) == 3
+        assert len(allocs) == 3
         _backwarded(X, p, p)  # the second 4-row call misses
-        assert len(splits) == 4
+        assert len(allocs) == 4
         assert len(_spares()) == 4
 
 
-def test_spares_are_per_thread_and_die_with_the_outermost_scope(rng, splits):
+def test_spares_are_per_thread_and_die_with_the_outermost_scope(rng, allocs):
     p = nets.init_gru(rng, 3, 5)
     X = rng.normal(0, 1, (4, 6, 3))
     other = []  # the other thread's spares, on entry and after its call
@@ -466,19 +454,19 @@ def test_spares_are_per_thread_and_die_with_the_outermost_scope(rng, splits):
     with nets.reuse_buffers():
         with nets.reuse_buffers():
             _backwarded(X, p)
-        assert _spares() == [splits[0]]  # an inner scope keeps them
+        assert _spares() == [allocs[0]]  # an inner scope keeps them
         thread = threading.Thread(target=call_in_a_thread)
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert len(splits) == 2  # the thread allocated its own
-        assert other == [[], [splits[1]]]
-        assert _spares() == [splits[0]]
+        assert len(allocs) == 2  # the thread allocated its own
+        assert other == [[], [allocs[1]]]
+        assert _spares() == [allocs[0]]
     assert not _spares()
 
 
 def test_a_call_dropped_without_a_backward_never_gives_its_buffers(rng,
-                                                                    splits):
+                                                                    allocs):
     p = nets.init_gru(rng, 3, 5, nets.BIDIRECTIONAL)
     X = rng.normal(0, 1, (4, 6, 3))
     with nets.reuse_buffers():
@@ -488,10 +476,10 @@ def test_a_call_dropped_without_a_backward_never_gives_its_buffers(rng,
         assert not _spares()
         for _ in range(2):
             _backwarded(X, p)
-        assert len(splits) == 2
-        assert _spares() == [splits[1]]
+        assert len(allocs) == 2
+        assert _spares() == [allocs[1]]
         assert not any(np.shares_memory(a, b)
-                       for a in splits[0] for b in splits[1])
+                       for a in allocs[0] for b in allocs[1])
         np.testing.assert_array_equal(dropped.data, out)
 
 
@@ -570,9 +558,9 @@ def test_zero_epochs_returns_init_unchanged(rng):
     c.check_unchanged(before)
 
 
-@pytest.mark.parametrize("lr", [0.0, -1.0])
+@pytest.mark.parametrize("lr", [0.0, -1.0, np.inf, np.nan])
 def test_train_config_rejects_a_rate_that_cannot_descend(lr):
-    with pytest.raises(ValueError, match="lr must be > 0"):
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
         nets.TrainConfig(lr=lr)
 
 
@@ -615,7 +603,7 @@ def test_history_is_the_row_weighted_mean_of_the_batch_losses(rng, N, lr):
 
 
 @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
-def test_training_allocates_once_and_moves_no_byte(rng, splits, monkeypatch,
+def test_training_allocates_once_and_moves_no_byte(rng, allocs, monkeypatch,
                                                    direction):
     # the classifier is a forward GRU; a bidirectional one is refused
     if classifier_or_refusal(np.random.default_rng(1), 2, 8,
@@ -631,11 +619,11 @@ def test_training_allocates_once_and_moves_no_byte(rng, splits, monkeypatch,
         return c.snapshot(), history
 
     pooled = train()
-    assert len(splits) == 1  # one GRU layout, allocated for the first batch
+    assert len(allocs) == 1  # one GRU layout, allocated for the first batch
     assert not _spares()
     monkeypatch.setattr(nets, "reuse_buffers", contextlib.nullcontext)
     plain = train()
-    assert len(splits) == 1 + 3 * 2  # outside a scope, one per batch
+    assert len(allocs) == 1 + 3 * 2  # outside a scope, one per batch
     for a, b in zip(pooled[0], plain[0]):
         np.testing.assert_array_equal(a, b)
     assert pooled[1] == plain[1]
