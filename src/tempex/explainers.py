@@ -502,34 +502,36 @@ def explain_dynamask(x, classifier: ClassifierParams, iterations=500,
     return SaliencyMap(scores=scores, method="dynamask", metadata=meta)
 
 
+def _occlude(X, classifier, values, draws, method, workers):
+    """The occlusions' SaliencyMap: the mean over `draws` draws of
+    |f(x) - f(copy)|, f being target_score, where the copies are those of
+    perturbed_step_scores for `values` (T, n, B * draws). Its step blocks
+    run on `workers` processes (None: the usable CPUs), and like every
+    explainer on one OpenBLAS thread each, so the worker count moves no
+    bit. The raw scores go into the metadata."""
+    B, T, n = X.shape
+    base = target_score(X, classifier)
+    sc = perturbed_step_scores(
+        X, classifier, values,
+        map_blocks=partial(_map_blocks, workers=workers)
+    ).reshape(T, n, B, draws)
+    raw = np.abs(base[:, None] - sc).mean(axis=-1).transpose(2, 0, 1)
+    raw = np.ascontiguousarray(raw)
+    return SaliencyMap(scores=_minmax_per_sample(raw), method=method,
+                       metadata={"raw": raw})
+
+
 @single_blas_thread()
 def occlusion(x, classifier: ClassifierParams, workers=None) -> SaliencyMap:
     """Score of each cell: |f(x) - f(x with the cell set to
-    OCCLUSION_BASELINE)|, f being target_score.
-
-    Copy i of the batch sets feature i to the baseline. All copies of one
-    step go through perturbed_step_scores, which reuses the classifier's
-    states on the unchanged side of that step. Its step blocks run on
-    `workers` processes (None: the usable CPUs), and like every explainer
-    on one OpenBLAS thread each, so the worker count moves no bit.
-    """
+    OCCLUSION_BASELINE)|, f being target_score: the one-draw case of
+    _occlude, whose re-stepper reuses the classifier's states on the
+    unchanged side of each step."""
     X = _as_batch(x)
     _check_frozen(classifier)
     B, T, n = X.shape
-    cells = np.arange(n)
-
-    def replacements(t):
-        rows = np.repeat(X[None, :, t], n, axis=0)
-        rows[cells, :, cells] = OCCLUSION_BASELINE
-        return rows
-
-    base = target_score(X, classifier)
-    sc = perturbed_step_scores(
-        X, classifier, replacements,
-        map_blocks=partial(_map_blocks, workers=workers))
-    raw = np.ascontiguousarray(np.abs(base - sc).transpose(2, 0, 1))
-    return SaliencyMap(scores=_minmax_per_sample(raw), method="occlusion",
-                       metadata={"raw": raw})
+    values = np.broadcast_to(OCCLUSION_BASELINE, (T, n, B))
+    return _occlude(X, classifier, values, 1, "occlusion", workers)
 
 
 @single_blas_thread()
@@ -562,22 +564,8 @@ def augmented_occlusion(x, classifier: ClassifierParams,
     pool = reference.reshape(-1, n)  # (N*T, n)
     picks = np.random.default_rng(seed).integers(
         0, len(pool), size=(T, n, B * draws))  # pool rows
-    cells = np.arange(n)
-
-    def replacements(t):
-        rows = np.repeat(np.repeat(X[None, :, t], draws, axis=1), n, axis=0)
-        rows[cells, :, cells] = pool[picks[t], cells[:, None]]
-        return rows
-
-    base = target_score(X, classifier)
-    sc = perturbed_step_scores(
-        X, classifier, replacements, repeats=draws,
-        map_blocks=partial(_map_blocks, workers=workers)
-    ).reshape(T, n, B, draws)
-    raw = np.abs(base[:, None] - sc).mean(axis=-1).transpose(2, 0, 1)
-    raw = np.ascontiguousarray(raw)
-    return SaliencyMap(scores=_minmax_per_sample(raw),
-                       method="augmented_occlusion", metadata={"raw": raw})
+    return _occlude(X, classifier, pool[picks, np.arange(n)[:, None]], draws,
+                    "augmented_occlusion", workers)
 
 
 @single_blas_thread()

@@ -588,16 +588,17 @@ def _restep(x, h, W, ws, out):
     out += c
 
 
-def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
-                          repeats=1, map_blocks=None):
-    """target_score of copies of x_data that differ from it at one step.
+def perturbed_step_scores(x_data, params: ClassifierParams, values,
+                          map_blocks=None):
+    """target_score of copies of x_data that differ from it in one cell a
+    row.
 
-    A copy is the batch np.repeat(x_data, repeats, axis=0), B*repeats rows,
-    with step t replaced. replacements(t) returns an (m, B*repeats, n)
-    stack: row j of copy k has replacements(t)[k, j] at step t. It must be
-    a pure function of t: each step calls it once, but the steps run in
-    blocks, in any order and possibly in other processes. Returns
-    scores[t, k], the target_score of copy k, shape (T, m, B*repeats).
+    values has shape (T, n, B*r) for the B rows of x_data and some r >= 1.
+    Copy i at step t is the batch np.repeat(x_data, r, axis=0), B*r rows,
+    with feature i of step t replaced: row j takes values[t, i, j].
+    Returns scores[t, i], the target_score of copy i at step t, shape
+    (T, n, B*r). A values array of any other shape raises ShapeError here,
+    before any block runs.
 
     The classifier runs once over x_data and caches its states and the
     input projections x_s @ W_x + b, as gate blocks. A copy starts from the
@@ -621,8 +622,12 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     one pass over all steps, bit for bit.
     """
     X = np.asarray(x_data, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     B, T, n = X.shape
-    r = repeats
+    r = values.shape[-1] // B if B and values.ndim == 3 else 1
+    if values.shape != (T, n, B * r) or not r:
+        raise ad.ShapeError(f"values {values.shape}, expected ({T}, {n}, "
+                            f"{B} * r) for some r >= 1")
     H = params.gru.hidden_size
     per_t = params.readout == PER_TIMESTEP
     first = 0 if per_t else T - 1  # the first position the readout reads
@@ -640,31 +645,28 @@ def perturbed_step_scores(x_data, params: ClassifierParams, replacements,
     xg += _gates(bias, H)[:, None, None]
     rows = _step_rows(Wh)
     zeros = np.zeros((B, H))
+    cells = np.arange(n)
 
     @np.errstate(over="ignore")  # the gate and readout sigmoids
     def block(t0, t1):
+        copies, draws = _step_chunks(n, B, r, rows)
+        scores = np.empty((t1 - t0, n, B * r))
+        # each copy's states at the positions the readout reads; a cached
+        # one is filled once, into all `copies` rows: those before t0
+        # here, and position t after step t
+        cat = np.empty((copies, B, r, T - first, H))
+        if t0 > first:
+            cat[..., :t0 - first, :] = \
+                states[first:t0].transpose(1, 0, 2)[:, None]
         # per chunk size, step t's projections as computed and as gate
         # blocks; per chunk shape, the re-stepped states (c, draws, B, H)
         # and their workspace. Every step reuses them
         projections, steppers = {}, {}
-        scores = None
         for t in range(t0, t1):
-            rep = np.asarray(replacements(t), dtype=np.float64)
-            if rep.shape[1:] != (B * r, n):
-                raise ad.ShapeError(f"replacements({t}): {rep.shape}, "
-                                    f"expected (m, {B * r}, {n})")
-            if scores is None:
-                scores = np.empty((t1 - t0, len(rep), B * r))
-                copies, draws = _step_chunks(len(rep), B, r, rows)
-                # each copy's states at the positions the readout reads;
-                # a cached one is filled once, into all `copies` rows:
-                # those before t0 here, and position t after step t
-                cat = np.empty((copies, B, r, T - first, H))
-                if t0 > first:
-                    cat[..., :t0 - first, :] = \
-                        states[first:t0].transpose(1, 0, 2)[:, None]
+            rep = np.repeat(np.repeat(X[None, :, t], r, axis=1), n, axis=0)
+            rep[cells, :, cells] = values[t]
             h0 = states[t - 1] if t > 0 else zeros
-            for k0 in range(0, len(rep), copies):
+            for k0 in range(0, n, copies):
                 chunk = rep[k0:k0 + copies]
                 c = len(chunk)
                 if c not in projections:

@@ -95,15 +95,13 @@ def diverges_in_workers(monkeypatch):
 
 @pytest.fixture
 def short_draws_in_workers(monkeypatch):
-    """augmented_occlusion's replacements (the copies with repeats > 1)
-    come out one row short in forked worker processes only."""
-    parent, scores = os.getpid(), ex.perturbed_step_scores
+    """The step blocks of augmented_occlusion (copies of r > 1 draws)
+    raise ShapeError in forked worker processes only."""
+    parent, chunks = os.getpid(), nets._step_chunks
 
-    def patched(x, params, replacements, repeats=1, **kw):
-        def short(t):
-            rows = replacements(t)
-            return rows if repeats == 1 or os.getpid() == parent \
-                else rows[:, 1:]
-        return scores(x, params, short, repeats, **kw)
+    def patched(m, B, r, rows):
+        if r > 1 and os.getpid() != parent:
+            raise ad.ShapeError(f"a worker's block of {r} draws of {B} rows")
+        return chunks(m, B, r, rows)
 
-    monkeypatch.setattr(ex, "perturbed_step_scores", patched)
+    monkeypatch.setattr(nets, "_step_chunks", patched)

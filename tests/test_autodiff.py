@@ -64,10 +64,9 @@ class TestSigmoidKernel:
                 p = nets.predict_proba(np.zeros((1, 4, 2)), model)
                 np.testing.assert_array_equal(p, np.full((1, 4), b > 0))
                 sc = nets.perturbed_step_scores(
-                    np.zeros((2, 4, 2)), model,
-                    lambda t: np.ones((3, 2, 2)))
+                    np.zeros((2, 4, 2)), model, np.ones((4, 2, 2)))
                 # per-timestep scores sum the 4 positions
-                np.testing.assert_array_equal(sc, np.full((4, 3, 2),
+                np.testing.assert_array_equal(sc, np.full((4, 2, 2),
                                                           4.0 * (b > 0)))
             with ad.Tape():
                 ad.tsum(ad.cross_entropy_with_logits(

@@ -765,7 +765,7 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert "error in stage 'explain:augmented_occlusion': " \
-            "replacements(" in err
+            "a worker's block of " in err
 
     def _same_bytes_at_jobs(self, tmp_path, experiment, explainer_calls,
                             job_counts, *argv, spread=False):

@@ -555,9 +555,24 @@ class TestStepBlocks:
             return [block(lo, hi) for lo, hi in given]
 
         scores = nets.perturbed_step_scores(
-            np.zeros((1, T, 3)), model.freeze(),
-            lambda t: np.ones((1, 1, 3)), map_blocks=map_blocks)
-        assert ran == bounds and scores.shape == (T, 1, 1)
+            np.zeros((1, T, 3)), model.freeze(), np.ones((T, 3, 1)),
+            map_blocks=map_blocks)
+        assert ran == bounds and scores.shape == (T, 3, 1)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 4), (5, 2, 4), (5, 3, 5),
+                                       (5, 3, 0),
+                                       (5, 3), (1, 5, 3, 2)])
+    def test_values_of_another_shape_fail_before_any_block(self, shape):
+        # 2 rows, 5 steps and 3 features take (5, 3, 2 * r) values
+        model = nets.init_classifier(np.random.default_rng(0), 3, 5).freeze()
+
+        def map_blocks(block, bounds):
+            raise AssertionError("a block was handed out")
+
+        with pytest.raises(ad.ShapeError, match=r"values \(.*\), expected "
+                           r"\(5, 3, 2 \* r\) for some r >= 1"):
+            nets.perturbed_step_scores(np.zeros((2, 5, 3)), model,
+                                       np.zeros(shape), map_blocks=map_blocks)
 
     def test_early_steps_take_shorter_blocks(self):
         # an early step re-steps the most, so the blocks grow with t
@@ -611,8 +626,7 @@ class TestStepBlocks:
         # the parent computes its own rows right
         ex.augmented_occlusion(X, toy_model, ref, draws=3, workers=1)
         with pytest.raises(ad.ShapeError,
-                           match=r"replacements\(\d+\): \(2, 5, 2\), "
-                                 r"expected \(m, 6, 2\)"):
+                           match="a worker's block of 3 draws of 2 rows"):
             ex.augmented_occlusion(X, toy_model, ref, draws=3, workers=2)
 
 
