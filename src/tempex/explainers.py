@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nets import ClassifierParams, classifier_forward, \
+from .nets import ClassifierParams, check_count, classifier_forward, \
     perturbed_step_scores, predict_proba, reuse_buffers, target_score
 from .perturbation import (
     BIDIRECTIONAL,
@@ -98,8 +98,7 @@ class ExplainerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
-        if self.generator_hidden < 1:
-            raise ValueError("generator_hidden must be >= 1")
+        check_count("generator_hidden", self.generator_hidden, 1)
         _check_steps(self.iterations, mask_lr=self.mask_lr,
                      generator_lr=self.generator_lr)
 
@@ -111,10 +110,7 @@ def _check_steps(iterations, **rates):
     for name, rate in rates.items():
         if not 0 < rate < np.inf:  # NaN fails every comparison
             raise ValueError(f"{name} must be finite and > 0, got {rate}")
-    if not isinstance(iterations, (int, np.integer)):
-        raise ValueError(f"iterations must be an integer, got {iterations!r}")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    check_count("iterations", iterations, 0)
 
 
 @dataclass
@@ -125,10 +121,19 @@ class SaliencyMap:
 
 
 def _as_batch(x):
+    """x as a (B, T, n) batch; ShapeError for another shape or no steps,
+    ValueError for a non-finite value, naming its sample."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim in (2, 3):
-        return x.reshape((-1,) + x.shape[-2:])
-    raise ad.ShapeError(f"expected (T, n) or (B, T, n) input, got {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ad.ShapeError(
+            f"expected (T, n) or (B, T, n) input, got {x.shape}")
+    if not x.shape[-2]:
+        raise ad.ShapeError(f"empty sequence: x has no steps, {x.shape}")
+    X = x.reshape((-1,) + x.shape[-2:])
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} of x holds a non-finite value")
+    return X
 
 
 def _check_frozen(classifier: ClassifierParams):
@@ -548,19 +553,21 @@ def augmented_occlusion(x, classifier: ClassifierParams,
     size=B * draws) gives for each t and i in turn. So the step blocks of
     perturbed_step_scores can run in any order, on `workers` processes and
     one OpenBLAS thread each, as in occlusion. The reference's last axis
-    holds x's n features.
+    holds x's n features, and its values must be finite.
     """
     X = _as_batch(x)
     _check_frozen(classifier)
     reference = np.asarray(reference, dtype=np.float64)
     if reference.size == 0:
         raise ValueError("augmented_occlusion: empty reference dataset")
-    if draws < 1:
-        raise ValueError("augmented_occlusion: draws must be >= 1")
+    check_count("draws", draws, 1)
     B, T, n = X.shape
     if reference.shape[-1] != n:
         raise ValueError(f"augmented_occlusion: reference {reference.shape} "
                          f"has another feature count than x {X.shape}")
+    if not np.isfinite(reference).all():
+        raise ValueError("augmented_occlusion: the reference holds a "
+                         "non-finite value")
     pool = reference.reshape(-1, n)  # (N*T, n)
     picks = np.random.default_rng(seed).integers(
         0, len(pool), size=(T, n, B * draws))  # pool rows
@@ -574,8 +581,7 @@ def integrated_gradients(x, classifier: ClassifierParams,
     """Midpoint-rule path integral of the gradients of the positive-class
     probabilities, from the constant input IG_BASELINE to x. Raw
     attributions live in metadata; scores are min-max normalized."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    check_count("steps", steps, 1)
     X = _as_batch(x)
     _check_frozen(classifier)
     baseline = np.full_like(X, IG_BASELINE)
@@ -613,8 +619,9 @@ def save_saliency_csv(saliency: SaliencyMap, path):
 def load_saliency_csv(path):
     """The map save_saliency_csv wrote; ValueError if the header lacks one
     of its columns, a line does not parse, the file has no rows, a row
-    has a negative index or a score that is not finite, or there is other
-    than one row for each (sample, t, feature) cell of its grid."""
+    has a negative index or a score that is not finite or not in [0, 1],
+    or there is other than one row for each (sample, t, feature) cell of
+    its grid."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -638,6 +645,9 @@ def load_saliency_csv(path):
         if not np.isfinite(s):
             raise ValueError(f"sample {b}, t {t}, feature {i} has the "
                              f"non-finite score {s}")
+        if not 0 <= s <= 1:
+            raise ValueError(f"sample {b}, t {t}, feature {i} has the "
+                             f"score {s}, outside [0, 1]")
     N = max(r[0] for r in rows) + 1
     T = max(r[1] for r in rows) + 1
     n = max(r[2] for r in rows) + 1

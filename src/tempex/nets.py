@@ -706,6 +706,15 @@ def perturbed_step_scores(x_data, params: ClassifierParams, values,
     return np.concatenate(parts)
 
 
+def check_count(name, value, least):
+    """Raise ValueError unless value is an integer >= least; a bool is
+    not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 # rows per minibatch of train_classifier
 BATCH_SIZE = 64
 
@@ -717,10 +726,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.epochs, (int, np.integer)):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        check_count("epochs", self.epochs, 0)
         if not 0 < self.lr < np.inf:  # else uphill, idle or into NaN
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 

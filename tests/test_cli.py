@@ -188,14 +188,20 @@ class TestGenerateTrainExplain:
         (None, "no saliency rows"),
         (np.nan, "sample 1, t 4, feature 2 has the non-finite score nan"),
         (-np.inf, "sample 1, t 4, feature 2 has the non-finite score -inf"),
+        # every map holds scores in [0, 1], and the ground-truth metrics
+        # read nonsense from others (an entropy of -1.216 at 1.5 and -0.5)
+        (1.5, "sample 1, t 4, feature 2 has the score 1.5, outside [0, 1]"),
+        (-0.5, "sample 1, t 4, feature 2 has the score -0.5, outside "
+               "[0, 1]"),
         ("missing_row", "sample 1, t 4, feature 2 has no row"),
         ("duplicate_row", "sample 1, t 4, feature 2 has 2 rows"),
         ("negative_index", "sample -1, t 4, feature 2 has a negative index"),
         ("missing_column", "the header lacks the column 'score'"),
         ("short_row", "line 64 does not hold an integer sample_id, t and "
                       "feature and a score"),
-    ], ids=["no_rows", "nan", "-inf", "missing_row", "duplicate_row",
-            "negative_index", "missing_column", "short_row"])
+    ], ids=["no_rows", "nan", "-inf", "above_1", "below_0", "missing_row",
+            "duplicate_row", "negative_index", "missing_column",
+            "short_row"])
     def test_evaluate_rejects_an_unusable_saliency_csv(self, tiny_dataset,
                                                        tmp_path, bad, error):
         # bad is a score for cell (1, 4, 2), or an edit of that cell's row

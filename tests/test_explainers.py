@@ -876,6 +876,45 @@ def test_ig_linear_function_exactness(rng):
     assert raw.sum() == pytest.approx(f(x) - f(np.zeros_like(x)), abs=1e-10)
 
 
+def _explainer_calls(model):
+    """Each public explainer as a call of (x, model)."""
+    return {
+        "learned": lambda x: ex.explain_learned(
+            x, model, ex.ExplainerConfig(iterations=2)),
+        "dynamask": lambda x: ex.explain_dynamask(x, model, iterations=2),
+        "occlusion": lambda x: ex.occlusion(x, model),
+        "augmented_occlusion": lambda x: ex.augmented_occlusion(
+            x, model, np.zeros((2, 8, 2)), draws=2),
+        "integrated_gradients": lambda x: ex.integrated_gradients(
+            x, model, steps=2),
+    }
+
+
+@pytest.mark.parametrize("method", sorted(_explainer_calls(None)))
+def test_explainers_reject_a_non_finite_input(toy_model, rng, method):
+    # a NaN cell made min-max scaling give its sample an all-zero map, and
+    # the mask explainers a non-finite loss inside their row blocks
+    explain = _explainer_calls(toy_model)[method]
+    for bad in (np.nan, np.inf):
+        x = rng.uniform(-1, 1, (3, 8, 2))
+        x[1, 5, 0] = bad
+        with pytest.raises(ValueError, match="sample 1 of x holds a "
+                           "non-finite value"):
+            explain(x)
+    # a batch of no steps fails as the GRU's empty sequence does, not in a
+    # reshape
+    with pytest.raises(ad.ShapeError, match="empty sequence"):
+        explain(np.zeros((3, 0, 2)))
+
+
+def test_augmented_occlusion_rejects_a_non_finite_reference(toy_model, rng):
+    ref = rng.uniform(-1, 1, (20, 8, 2))
+    ref[4, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="the reference holds a non-finite "
+                       "value"):
+        ex.augmented_occlusion(rng.uniform(-1, 1, (3, 8, 2)), toy_model, ref)
+
+
 def test_saliency_csv_roundtrip(tmp_path, rng):
     sal = ex.SaliencyMap(scores=rng.uniform(0, 1, (2, 3, 2)), method="m")
     p = tmp_path / "sal.csv"
@@ -893,9 +932,19 @@ def test_config_rejects_negative_iterations(config):
     config(iterations=0)
     with pytest.raises(ValueError, match="iterations must be >= 0"):
         config(iterations=-1)
-    # a fraction fails here, not in the mask loop
-    with pytest.raises(ValueError, match="iterations must be an integer"):
-        config(iterations=2.5)
+    # a fraction or a bool fails here, not in the mask loop
+    for value in (2.5, True):
+        with pytest.raises(ValueError, match="iterations must be an integer, "
+                           f"got {value!r}"):
+            config(iterations=value)
+
+
+_CHECKED_MODEL = nets.init_classifier(np.random.default_rng(0), 2,
+                                      4).freeze()
+_STEPS = partial(ex.integrated_gradients, np.zeros((1, 8, 2)),
+                 _CHECKED_MODEL)
+_DRAWS = partial(ex.augmented_occlusion, np.zeros((1, 8, 2)),
+                 _CHECKED_MODEL, np.zeros((2, 8, 2)))
 
 
 @pytest.mark.parametrize("config, key, value, message", [
@@ -910,6 +959,18 @@ def test_config_rejects_negative_iterations(config):
      "generator_lr must be finite and > 0, got inf"),
     (ex.ExplainerConfig, "generator_hidden", 0,
      "generator_hidden must be >= 1"),
+    # a count that is a fraction or a bool fails here, not in numpy or in
+    # a row block, and True is not one step
+    (ex.ExplainerConfig, "generator_hidden", 2.5,
+     "generator_hidden must be an integer, got 2.5"),
+    (ex.ExplainerConfig, "generator_hidden", True,
+     "generator_hidden must be an integer, got True"),
+    (_STEPS, "steps", 0, "steps must be >= 1, got 0"),
+    (_STEPS, "steps", 2.5, "steps must be an integer, got 2.5"),
+    (_STEPS, "steps", True, "steps must be an integer, got True"),
+    (_DRAWS, "draws", 0, "draws must be >= 1, got 0"),
+    (_DRAWS, "draws", 2.5, "draws must be an integer, got 2.5"),
+    (_DRAWS, "draws", True, "draws must be an integer, got True"),
     (ex.ExplainerConfig, "generator", "foo", "unknown generator 'foo'"),
     (ex.ExplainerConfig, "lambda1", -1.0,
      "lambda1 must be finite and >= 0, got -1.0"),

@@ -568,6 +568,8 @@ def test_train_config_rejects_a_rate_that_cannot_descend(lr):
     (-3, "epochs must be >= 0, got -3"),
     (2.5, "epochs must be an integer, got 2.5"),
     ("3", "epochs must be an integer, got '3'"),
+    # True is not one epoch
+    (True, "epochs must be an integer, got True"),
 ])
 def test_train_config_rejects_epochs_that_are_not_a_count(epochs, message):
     nets.TrainConfig(epochs=np.int64(3))
