@@ -121,14 +121,15 @@ class SaliencyMap:
 
 
 def _as_batch(x):
-    """x as a (B, T, n) batch; ShapeError for another shape or no steps,
-    ValueError for a non-finite value, naming its sample."""
+    """x as a (B, T, n) batch; ShapeError for another shape or no steps or
+    features, ValueError for a non-finite value, naming its sample."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ad.ShapeError(
             f"expected (T, n) or (B, T, n) input, got {x.shape}")
-    if not x.shape[-2]:
-        raise ad.ShapeError(f"empty sequence: x has no steps, {x.shape}")
+    if 0 in x.shape[-2:]:
+        raise ad.ShapeError(f"empty sequence: x {x.shape} has no steps or "
+                            "no features")
     X = x.reshape((-1,) + x.shape[-2:])
     bad = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))
     if bad.size:

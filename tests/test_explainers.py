@@ -901,10 +901,11 @@ def test_explainers_reject_a_non_finite_input(toy_model, rng, method):
         with pytest.raises(ValueError, match="sample 1 of x holds a "
                            "non-finite value"):
             explain(x)
-    # a batch of no steps fails as the GRU's empty sequence does, not in a
-    # reshape
-    with pytest.raises(ad.ShapeError, match="empty sequence"):
-        explain(np.zeros((3, 0, 2)))
+    # a batch of no steps or no features fails as the GRU's empty sequence
+    # does, not in a reshape
+    for shape in ((3, 0, 2), (3, 8, 0), (0, 2)):
+        with pytest.raises(ad.ShapeError, match="empty sequence"):
+            explain(np.zeros(shape))
 
 
 def test_augmented_occlusion_rejects_a_non_finite_reference(toy_model, rng):
