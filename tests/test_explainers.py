@@ -560,8 +560,7 @@ class TestStepBlocks:
         assert ran == bounds and scores.shape == (T, 3, 1)
 
     @pytest.mark.parametrize("shape", [(4, 3, 4), (5, 2, 4), (5, 3, 5),
-                                       (5, 3, 0),
-                                       (5, 3), (1, 5, 3, 2)])
+                                       (5, 3, 0), (5, 3), (1, 5, 3, 2)])
     def test_values_of_another_shape_fail_before_any_block(self, shape):
         # 2 rows, 5 steps and 3 features take (5, 3, 2 * r) values
         model = nets.init_classifier(np.random.default_rng(0), 3, 5).freeze()
