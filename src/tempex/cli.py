@@ -320,13 +320,6 @@ def cmd_evaluate(args):
 
 
 def cmd_run(args):
-    # one OpenBLAS thread in this process and in every worker it forks, so
-    # the jobs alone decide how many cores the run keeps busy
-    with ex.single_blas_thread():
-        return _run(args)
-
-
-def _run(args):
     file_conf = read_config(args.config) if args.config else {}
     run_conf = file_conf.get("run", {})
     run = _run_inputs(args, run_conf)
@@ -376,8 +369,9 @@ def _echo_config(cfg: xp.ExperimentConfig, path):
 def _environment():
     """The BLAS library and kernel of the run, which decide the last bits
     of its products, so results repeat bitwise only under the same ones.
-    The thread count and the CPU count move no bit: a run and every worker
-    it forks use one BLAS thread (cmd_run), and --jobs moves no byte."""
+    The thread count and the CPU count move no bit: every command, and
+    every worker a run forks, uses one BLAS thread (main), and --jobs moves
+    no byte."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas.get('version', '')}".strip()
@@ -522,7 +516,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args) or 0
+    # one OpenBLAS thread in this process and in every worker it forks:
+    # the last bits of a large product can depend on the thread count, and
+    # a run's jobs alone decide how many cores it keeps busy
+    with ex.single_blas_thread():
+        return args.func(args) or 0
 
 
 if __name__ == "__main__":

@@ -4,10 +4,15 @@ forward or a bidirectional GRU, all build on the same cell.
 
 All forward passes take a batched input [B, T, n], and every row of the
 batch runs through the same 2-d weights. gru_forward is one taped op that
-steps every pass of a GRU, forward and reverse, in one time loop. A
-recorded call keeps its whole-sequence state and leaves its backward only
-the dh recurrence; the weight and input gradients are one product per
-pass over all steps. Inside a reuse_buffers scope (training's epochs, the
+steps every pass of a GRU, forward and reverse, in one time loop. Every
+step, of gru_forward and of the occlusion re-stepper
+(perturbed_step_scores), is _gru_step on (3, ..., B, H) gate blocks
+r | z | c: the gate products are one stacked matmul by W_h's (H, H) gate
+blocks, and each ufunc reads contiguous (B, H) blocks. A recorded call
+keeps its whole-sequence state and leaves its backward only the dh
+recurrence; the weight and input gradients are one product per pass over
+all steps, of the row-major (rows, 3H) gradient of the gate inputs.
+Inside a reuse_buffers scope (training's epochs, the
 mask explainers' and integrated gradients' iterations), a recorded call
 takes views of the buffers an earlier call of as many rows or more gave
 back, so a loop allocates them once.
@@ -83,45 +88,51 @@ def init_gru(rng, input_size, hidden_size, direction=FORWARD):
     return p
 
 
-def _gru_cell(xg, h, Wh, out, ws):
-    """One GRU step of P passes on rows (..., B, P, .): from the input
-    projection xg = x_t @ W_x + b and the previous states h, with the r
-    and z gate columns of xg and W_h (P, H, 3H) negated (_negate_rz), so
-    that the sigmoid needs no negation pass. Writes the new state into
-    out, which may be h.
+def _gate_blocks(dp, H):
+    """W_x, W_h and b of a pass as (3, K, H) gate blocks r | z | c, b as
+    (3, 1, H), with r and z negated: negation is exact, and the sigmoid of
+    _gru_step then needs no negation pass."""
+    blocks = []
+    for t in dp.tensors():
+        a = t.data.reshape(-1, 3, H).swapaxes(0, 1).copy()
+        np.negative(a[:2], out=a[:2])
+        blocks.append(a)
+    return blocks
 
-    ws = (hg, rz, c, r_hc, h_c) take h @ W_h (one stacked matmul over the
-    passes), the gates with the sigmoid applied, c, r * hc (hc = h @ W_hc)
-    and h - c. A recorded call keeps the last four; an unrecorded one
-    passes c as r_hc and out as h_c, so that every result lands in a
-    contiguous per-step buffer.
+
+def _gru_step(x, g, h, out, ws=None):
+    """One GRU step of a stack of states h (..., B, H), on (3, ..., B, H)
+    gate blocks r | z | c: x is the input projection x_t @ W_x + b, which
+    may broadcast to h's rows, and g the products h @ W_h, both with the
+    r and z gates negated (_gate_blocks), so that the sigmoid needs no
+    negation pass. Writes the new state into out, which may be h.
+
+    ws = (rz, c, r_hc, h_c) take the gates r | z with the sigmoid applied,
+    c, r * hc (hc = h @ W_hc) and h - c; a recorded call keeps them. By
+    default they go to g's blocks and out, so nothing is allocated.
     """
-    hg, rz, c, r_hc, h_c = ws
-    H = c.shape[-1]
-    np.matmul(h.swapaxes(-3, -2), Wh, out=hg.swapaxes(-3, -2))
-    # the gate sum goes to rz, not to hg's strided gate columns, because
-    # numpy's exp and reciprocal run about twice as fast on contiguous data
-    np.add(xg[..., :2 * H], hg[..., :2 * H], out=rz)
+    rz, c, r_hc, h_c = ws or (g[:2], g[2], g[2], out)
+    np.add(x[:2], g[:2], out=rz)
     np.exp(rz, out=rz)  # callers ignore overflow around the loop
     rz += 1.0
     np.reciprocal(rz, out=rz)
-    np.multiply(rz[..., :H], hg[..., 2 * H:], out=r_hc)
-    np.add(r_hc, xg[..., 2 * H:], out=c)
+    np.multiply(rz[0], g[2], out=r_hc)
+    np.add(r_hc, x[2], out=c)
     np.tanh(c, out=c)
     np.subtract(h, c, out=h_c)
-    np.multiply(h_c, rz[..., H:], out=out)
+    np.multiply(h_c, rz[1], out=out)
     out += c
 
 
 def _gate_factors(proj, gates, c):
     """The factors of a recorded call's backward that do not depend on
-    the gradient, from the values its steps left: proj (..., 3H) holds
-    [r * hc, h - c, spent], gates (..., 2H) [r, z] and c (..., H) c. With
-    A = (1-z)(1-c^2), writes E = [A hc r(1-r), (h-c) z(1-z), A r] over
-    proj, A over c and 1 - r over r; z stays."""
-    H = c.shape[-1]
-    e_r, e_z, e_c = proj[..., :H], proj[..., H:2 * H], proj[..., 2 * H:]
-    r, z = gates[..., :H], gates[..., H:]
+    the gradient, from the values its steps left, as gate blocks: proj
+    (3, ...) holds [r * hc, h - c, spent], gates (2, ...) [r, z] and c
+    (...) c. With A = (1-z)(1-c^2), writes
+    E = [A hc r(1-r), (h-c) z(1-z), A r] over proj, A over c and 1 - r
+    over r; z stays."""
+    e_r, e_z, e_c = proj
+    r, z = gates
     np.multiply(c, c, out=c)
     np.subtract(1.0, c, out=c)
     np.subtract(1.0, z, out=e_c)
@@ -139,29 +150,33 @@ def gru_forward(x, params: GruParams):
     every pass of params (_passes) as one taped op.
 
     The cell is the usual r/z/c gating, h_t = (1-z)*c + z*h_{t-1} from
-    h = 0. All P passes step in one time loop (_gru_cell): at loop step k
+    h = 0. All P passes step in one time loop (_gru_step): at loop step k
     the forward pass reads position k and a reverse pass position T-1-k.
-    Their weights are stacked per call into (P, ., .) arrays, r and z
-    negated, so each product is one stacked matmul, which runs the gemm
-    or gemv of the 2-d product on every pass. Pass p's states fill
+    Their weights are stacked per call into (3, P, ., H) gate blocks, r
+    and z negated (_gate_blocks), so that one stacked matmul forms all
+    3 * P gate products of a step, each a gemm (gemv for one row) of the
+    B rows, into a contiguous (3, P, B, H) array. Pass p's states fill
     columns p*H .. (p+1)*H of the output.
 
     A recorded call takes its whole-sequence buffers from _take, inside a
-    reuse_buffers scope as views of an earlier call's spares: (T, B, P, .)
-    arrays in step order, so that a step's rows are contiguous and a
-    pass's T*B rows are one strided matrix. They hold the inputs, their
-    projections x_t @ W_x + b (one stacked matmul before the loop, whose
-    (step, pass) slices are the per-step products), the gates r | z, c
-    and the states.
+    reuse_buffers scope as views of an earlier call's spares. Those that
+    the backward multiplies as one matrix a pass are pass-major: the
+    inputs (P, T, B, n), their projections x_t @ W_x + b (P, T, 3, B, H),
+    one stacked matmul before the loop, and the states (P, T, B, H). The
+    gates r | z (T, 2, P, B, H) and c (T, P, B, H), which only ufuncs
+    read, are step-major, so that the step's exp, reciprocal and tanh run
+    on contiguous arrays: on a strided view of one row's two passes
+    numpy's exp took twice as long.
     After the loop, _gate_factors turns them into the factors of the
     backward that do not depend on the gradient, so the backward loop
     runs only the dh recurrence,
     gt = G_k + dh, D_k = E_k * gt, dh = D_k @ W_h^T + gt * z, with gt
-    written over the spent r gates and D_k over E_k. The W_h, W_x, b and
-    input gradients are then one product or sum per pass over all T*B
-    rows. The backward gives the buffers back as spares (_give_back). An
-    unrecorded call runs the same step loop on per-step buffers and keeps
-    nothing but its output.
+    written over the spent r gates. D_k is written over E_k row-major, as
+    (B, 3H), so that its product with W_h^T, and after the loop the W_h,
+    W_x, b and input gradients, are one product or sum per pass over all
+    T*B rows of D. The backward gives the buffers back as spares
+    (_give_back). An unrecorded call runs the same step on per-step
+    buffers and keeps nothing but its output.
     """
     if x.ndim != 3:
         raise ad.ShapeError(f"gru_forward expects (B, T, n), got {x.shape}")
@@ -176,84 +191,86 @@ def gru_forward(x, params: GruParams):
     dps, reverses = zip(*_passes(params))
     P = len(dps)
     weights = [t for dp in dps for t in dp.tensors()]
-    Wx = np.stack([_negate_rz(dp.w_x.data, H) for dp in dps])
-    Wh = np.stack([_negate_rz(dp.w_h.data, H) for dp in dps])
-    bias = np.concatenate([_negate_rz(dp.b.data.reshape(1, 3 * H), H)
-                           for dp in dps])  # (P, 3H)
+    Wx, Wh, bias = (np.stack(a, axis=1) for a in
+                    zip(*(_gate_blocks(dp, H) for dp in dps)))
     record = ad._recording((x, *weights))
     Xt = x.data.swapaxes(0, 1)
     out = np.empty((B, T, P, H))
-    hg = np.empty((B, P, 3 * H))
-    h = np.zeros((B, P, H))
+    hg = np.empty((3, P, B, H))
+    h = np.zeros((P, B, H))
     if record:
-        held, (xs, proj, gates, cs, states) = _take((T, B, P),
+        held, (xs, proj, gates, cs, states) = _take((P, T, B),
                                                     (n, 3 * H, 2 * H, H, H))
+        proj = proj.reshape(P, T, 3, B, H)
+        gates, cs = gates.reshape(T, 2, P, B, H), cs.reshape(T, P, B, H)
         for p, reverse in enumerate(reverses):
-            np.copyto(xs[:, :, p], Xt[::-1] if reverse else Xt)
-        np.matmul(xs.transpose(2, 0, 1, 3), Wx[:, None],
-                  out=proj.transpose(2, 0, 1, 3))
-        proj += bias
+            np.copyto(xs[p], Xt[::-1] if reverse else Xt)
+        np.matmul(xs[:, :, None], Wx.swapaxes(0, 1)[:, None], out=proj)
+        proj += bias.swapaxes(0, 1)[:, None]
+        # step k's projections (3, P, B, H) and states (P, B, H)
+        xks, hks = proj.transpose(1, 2, 0, 3, 4), states.swapaxes(0, 1)
     else:
         # the positions each pass reads at each loop step
         pos = [[T - 1 - k if reverse else k for reverse in reverses]
                for k in range(T)]
         at = np.array(pos)
-        xg, rz, c = (np.empty((B, P, w)) for w in (3 * H, 2 * H, H))
-        ws = (hg, rz, c, c, h)
-    with np.errstate(over="ignore"):  # the gate sigmoids of _gru_cell
+        xg = np.empty((3, P, B, H))
+    with np.errstate(over="ignore"):  # the gate sigmoids of _gru_step
         for k in range(T):
+            np.matmul(h, Wh, out=hg)
             if record:
-                xg, h_new = proj[k], states[k]
-                ws = (hg, gates[k], cs[k], xg[..., :H], xg[..., H:2 * H])
+                xk = xks[k]
+                _gru_step(xk, hg, h, hks[k], (gates[k], cs[k], xk[0], xk[1]))
+                h = hks[k]
             else:
-                np.matmul(Xt[at[k]], Wx, out=xg.swapaxes(0, 1))
+                np.matmul(Xt[at[k]], Wx, out=xg)
                 xg += bias
-                h_new = h
-            _gru_cell(xg, h, Wh, h_new, ws)
-            if not record:
+                _gru_step(xg, hg, h, h)
                 for p, t in enumerate(pos[k]):
-                    out[:, t, p] = h[:, p]
-            h = h_new
+                    out[:, t, p] = h[p]
     if not record:
         return Tensor(out.reshape(B, T, P * H))
     for p, reverse in enumerate(reverses):
-        np.copyto(out[:, :, p], (states[::-1, :, p] if reverse
-                                 else states[:, :, p]).swapaxes(0, 1))
-    _gate_factors(proj, gates, cs)
+        np.copyto(out[:, :, p],
+                  (states[p, ::-1] if reverse else states[p]).swapaxes(0, 1))
+    _gate_factors(xks.swapaxes(0, 1), gates.swapaxes(0, 1), cs)
 
     def backward(g):
         wanted = [t._tracked() for t in (x, *weights)]
         # which of w_x, w_h and b some pass wants
         stacked = [any(wanted[1 + i::3]) for i in range(3)]
         # gt in step order, over the spent 1 - r
-        gt, z = gates[..., :H], gates[..., H:]
-        G = g.reshape(B, T, P, H).swapaxes(0, 1)
+        gt, z = gates.swapaxes(0, 1)
+        G = g.reshape(B, T, P, H).transpose(1, 2, 0, 3)
         for p, reverse in enumerate(reverses):
-            np.copyto(gt[:, :, p], G[::-1, :, p] if reverse else G[:, :, p])
-        E = proj.reshape(T, B, P, 3, H)
+            np.copyto(gt[:, p], G[::-1, p] if reverse else G[:, p])
+        # E_k as (P, B, 3, H), and D row-major, (P, T, B, 3H), over E
+        E = proj.transpose(1, 0, 3, 2, 4)
+        D = proj.reshape(P, T, B, 3 * H)
+        D_k = np.empty((P, B, 3, H))
         WhT = np.stack([dp.w_h.data.T for dp in dps])
-        dh, gz = np.empty((B, P, H)), np.empty((B, P, H))
+        dh, gz = np.empty((P, B, H)), np.empty((P, B, H))
         for k in range(T - 1, -1, -1):
             if k < T - 1:
                 gt[k] += dh
-            E[k] *= gt[k, :, :, None]
+            np.multiply(E[k], gt[k, :, :, None], out=D_k)
+            D[:, k] = D_k.reshape(P, B, 3 * H)
             if k > 0:  # h before the first step is a constant zero
-                np.matmul(proj[k].swapaxes(0, 1), WhT,
-                          out=dh.swapaxes(0, 1))
+                np.matmul(D[:, k], WhT, out=dh)
                 np.multiply(gt[k], z[k], out=gz)
                 dh += gz
 
         def rows(a, lo=0):
             """a's steps from lo as (P, rows, width), one matrix a pass."""
-            return a[lo:].reshape(-1, P, a.shape[-1]).swapaxes(0, 1)
+            return a[:, lo:].reshape(P, -1, a.shape[-1])
 
         gw = [None] * 3  # w_x, w_h, b of every pass, stacked
         if stacked[1]:
             gw[1] = rows(states)[:, :(T - 1) * B].swapaxes(1, 2) \
-                @ rows(proj, 1)
+                @ rows(D, 1)
         # D's c gate, gt A r, becomes d_xg's, gt A
-        np.multiply(gt, cs, out=proj[..., 2 * H:])
-        d_xg = rows(proj)
+        np.multiply(gt, cs, out=D[..., 2 * H:].swapaxes(0, 1))
+        d_xg = rows(D)
         if stacked[0]:
             gw[0] = rows(xs).swapaxes(1, 2) @ d_xg
         if stacked[2]:
@@ -458,70 +475,31 @@ def step_blocks(T):
     return list(zip(edges[:-1], edges[1:]))
 
 
-# gate blocks whose width is a multiple of this get the bits of the same
-# columns of the whole product (see _step_weights)
-_GATE_BLOCK_COLUMNS = 8
-
-
-def _negate_rz(a, H):
-    """a (..., 3H) with its r and z gate columns negated."""
-    out = a.copy()
-    np.negative(out[..., :2 * H], out=out[..., :2 * H])
-    return out
-
-
-def _gates(a, H):
-    """The (..., 3H) gate columns of a as a (3, ..., H) view, gate first."""
-    return np.moveaxis(a.reshape(a.shape[:-1] + (3, H)), -2, 0)
-
-
 def _copies_matmul(a, W, out):
     """a @ W into out, for a (copies, rows, K) stack of copies of a batch
-    and W (K, N), or a (G, K, N) stack of matrices with out (G, copies,
-    rows, N). BLAS gives a row of a matrix product the same bits whatever
-    the row count, so the copies of a batch of 2+ rows go through as one
-    matmul. numpy hands a one-row product to gemv instead, whose bits
-    differ, so each copy of a one-row batch stays its own product."""
-    K, N = W.shape[-2:]
+    and a (G, K, N) stack of matrices W, with out (G, copies, rows, N).
+    BLAS gives a row of a matrix product the same bits whatever the row
+    count, so the copies of a batch of 2+ rows go through as one matmul.
+    numpy hands a one-row product to gemv instead, whose bits differ, so
+    each copy of a one-row batch stays its own product."""
+    G, K, N = W.shape
     if a.shape[1] > 1:
-        a, out = a.reshape(-1, K), out.reshape(out.shape[:-3] + (-1, N))
+        a, out = a.reshape(-1, K), out.reshape(G, -1, N)
     else:
-        W = W.reshape(W.shape[:-2] + (1, K, N))
+        W = W.reshape(G, 1, K, N)
     np.matmul(a, W, out=out)
 
 
-def _step_weights(Wh, H):
-    """W_h of _restep, r and z negated: three contiguous (H, H) gate blocks
-    when H is a multiple of _GATE_BLOCK_COLUMNS, else the (H, 3H) matrix.
-
-    A gate block's product has the bits of the same columns of the whole
-    h @ W_h only where the BLAS sums both alike, which depends on its
-    kernels. scipy-openblas 0.3.31's SkylakeX kernels do when H is a
-    multiple of 8 (measured for H = 8 .. 256 in steps of 8, 1 .. 2048
-    rows, 1 and 2 threads), and not in general: at H = 17 .. 20 every row
-    count differs. Its Haswell, Sandybridge, Nehalem and Prescott kernels
-    keep the rule on one thread at the row counts tried (1 .. 512); on
-    two, all but Sandybridge break it for some row counts. Where it
-    breaks, scores move in their last bits and tests/test_nets.py's
-    gate-block cases at H = 64 and 200 fail. Three products instead of
-    one whole product copied into the blocks ran the occlusion_icu
-    benchmark 1.12x faster."""
-    Wh = _negate_rz(Wh, H)
-    if H % _GATE_BLOCK_COLUMNS:
-        return Wh
-    return np.ascontiguousarray(_gates(Wh, H))
-
-
-def _step_rows(W):
-    """The rows that perturbed_step_scores re-steps at once, for the
-    weights W of _step_weights: _CHUNK_ROWS, or fewer if at least 128 rows
-    keep each h @ W product within _SMALL_PRODUCT. At H = 64 a
-    (192, 64) @ (64, 64) gate product took 177 ns a row, against 268 ns at
-    256 rows, past that bound (scipy-openblas 0.3.31, one thread); below
-    128 rows numpy's per-call cost outweighs the gain. These chunks, with
-    the draw ranges of _step_chunks, ran the occlusion_icu benchmark 1.13x
-    faster than chunks of _CHUNK_ROWS whole copies."""
-    rows = _SMALL_PRODUCT // (W.shape[-2] * W.shape[-1])
+def _step_rows(H):
+    """The rows that perturbed_step_scores re-steps at once, at hidden size
+    H: _CHUNK_ROWS, or fewer if at least 128 rows keep each (H, H) gate
+    product within _SMALL_PRODUCT. At H = 64 a (192, 64) @ (64, 64) gate
+    product took 177 ns a row, against 268 ns at 256 rows, past that
+    bound (scipy-openblas 0.3.31, one thread); below 128 rows numpy's
+    per-call cost outweighs the gain. These chunks, with the draw ranges
+    of _step_chunks, ran the occlusion_icu benchmark 1.13x faster than
+    chunks of _CHUNK_ROWS whole copies."""
+    rows = _SMALL_PRODUCT // (H * H)
     return min(_CHUNK_ROWS, rows) if rows >= 128 else _CHUNK_ROWS
 
 
@@ -540,52 +518,16 @@ def _step_chunks(m, B, r, rows):
     return 1, list(zip(edges[:-1], edges[1:]))
 
 
-def _restep_buffers(lead, H, W):
-    """The workspace of _restep for states of shape lead + (H,) and the
-    weights W of _step_weights: the gate blocks, and the whole product
-    when W is not split."""
-    return (np.empty((3,) + lead + (H,)),
-            np.empty(lead + (3 * H,)) if W.ndim == 2 else None)
-
-
-def _gate_products(h, W, ws):
-    """h @ W_h into the gate blocks ws[0], for the (k, ..., H) stack of k
-    copies h: a product per gate block when W is split, else one whole
-    product into ws[1], copied into the blocks."""
-    g, whole = ws
+def _restep(x, h, W, g, out):
+    """The step of perturbed_step_scores on the (k, ..., H) stack of k
+    copies h: the gate products h @ W_h into g, (3, k, ..., H), through
+    _copies_matmul, then _gru_step with x, which broadcasts to h's rows.
+    W (3, H, H) and x are gate blocks, r and z negated (_gate_blocks).
+    Writes the new state into out, which may be h. Each copy's products
+    have the bits of the copy's own rows through gru_forward's product."""
     k, H = len(h), h.shape[-1]
-    h = h.reshape(k, -1, H)
-    if whole is None:
-        _copies_matmul(h, W, g.reshape(3, k, -1, H))
-    else:
-        _copies_matmul(h, W, whole.reshape(k, -1, 3 * H))
-        np.copyto(g, _gates(whole, H))
-
-
-def _restep(x, h, W, ws, out):
-    """The _gru_cell step of perturbed_step_scores, on gate blocks: writes
-    the new state of h into out, which may be h.
-
-    x is the input projection as (3, ..., H) gate blocks that broadcast to
-    h's rows; x and W (_step_weights) have r and z negated, as in
-    _gru_cell. Negation is exact, so the gate sums are exactly the negated
-    ones of the plain cell and the sigmoid skips its negation pass; ws
-    (_restep_buffers) takes every result, each ufunc runs on contiguous
-    blocks, and nothing is allocated. The step has _gru_cell's bits.
-    """
-    _gate_products(h, W, ws)
-    g = ws[0]
-    rz, c = g[:2], g[2]
-    rz += x[:2]
-    np.exp(rz, out=rz)  # callers ignore overflow around the loop
-    rz += 1.0
-    np.reciprocal(rz, out=rz)
-    np.multiply(g[2], g[0], out=c)
-    c += x[2]
-    np.tanh(c, out=c)
-    np.subtract(h, c, out=out)
-    out *= g[1]
-    out += c
+    _copies_matmul(h.reshape(k, -1, H), W, g.reshape(3, k, -1, H))
+    _gru_step(x, g, h, out)
 
 
 def perturbed_step_scores(x_data, params: ClassifierParams, values,
@@ -608,11 +550,12 @@ def perturbed_step_scores(x_data, params: ClassifierParams, values,
     several whole copies, or one copy's draws in ranges. Their rows are
     ordered draw-major, so that a cached projection broadcasts over whole
     blocks.
-    The states are gru_forward's, the projections one stacked product over
-    the steps, and every re-step is _restep, which has _gru_cell's bits;
-    each copy's logits are one matrix-vector product over the rows of
-    the copy's batch, as in classifier_forward, so every score equals
-    target_score of its copy bit for bit.
+    The states are gru_forward's, the projections are gate products as in
+    gru_forward, and every re-step is _restep, gru_forward's _gru_step on
+    the products of each copy's rows; each copy's logits are one
+    matrix-vector product over the rows of the copy's batch, as in
+    classifier_forward, so every score equals target_score of its copy
+    bit for bit.
 
     The steps of one step_blocks block are scored by block(lo, hi), which
     returns scores[lo:hi] and reads the cache, built before any block
@@ -636,14 +579,11 @@ def perturbed_step_scores(x_data, params: ClassifierParams, values,
     # one-row x_data whose copies have 2+ rows is cached over two rows
     Xc = np.repeat(X, 2, axis=0) if B == 1 < r else X
     states = gru_forward(Tensor(Xc), params.gru).data[:B].swapaxes(0, 1)
-    # W_x, W_h and b with r and z negated (see _restep), and the
-    # projections as (3, T, B, H) gate blocks, contiguous for the re-steps
-    fwd = params.gru.fwd
-    Wx, bias = (_negate_rz(a.data, H) for a in (fwd.w_x, fwd.b))
-    Wh = _step_weights(fwd.w_h.data, H)
-    xg = np.ascontiguousarray(_gates(Xc.swapaxes(0, 1) @ Wx, H)[:, :, :B])
-    xg += _gates(bias, H)[:, None, None]
-    rows = _step_rows(Wh)
+    Wx, Wh, bias = _gate_blocks(params.gru.fwd, H)
+    # the projections as (3, T, B, H) gate blocks, contiguous for the
+    # re-steps
+    xg = np.matmul(Xc.swapaxes(0, 1), Wx[:, None])[:, :, :B] + bias[:, None]
+    rows = _step_rows(H)
     zeros = np.zeros((B, H))
     cells = np.arange(n)
 
@@ -658,36 +598,36 @@ def perturbed_step_scores(x_data, params: ClassifierParams, values,
         if t0 > first:
             cat[..., :t0 - first, :] = \
                 states[first:t0].transpose(1, 0, 2)[:, None]
-        # per chunk size, step t's projections as computed and as gate
-        # blocks; per chunk shape, the re-stepped states (c, draws, B, H)
-        # and their workspace. Every step reuses them
+        # per chunk size, step t's projections; per chunk shape, the
+        # re-stepped states (c, draws, B, H) and their gate products.
+        # Every step reuses them
         projections, steppers = {}, {}
         for t in range(t0, t1):
-            rep = np.repeat(np.repeat(X[None, :, t], r, axis=1), n, axis=0)
-            rep[cells, :, cells] = values[t]
+            # the copies' rows draw-major, (n, r, B, n)
+            rep = np.tile(X[:, t], (n, r, 1, 1))
+            rep[cells, :, :, cells] = values[t].reshape(n, B, r) \
+                .swapaxes(1, 2)
             h0 = states[t - 1] if t > 0 else zeros
             for k0 in range(0, n, copies):
                 chunk = rep[k0:k0 + copies]
                 c = len(chunk)
                 if c not in projections:
-                    projections[c] = (np.empty((c, B * r, 3 * H)),
-                                      np.empty((3, c, r, B, H)))
-                proj, x_t = projections[c]
-                _copies_matmul(chunk, Wx, proj)
-                proj += bias
-                np.copyto(x_t, _gates(proj.reshape(c, B, r, 3 * H),
-                                      H).swapaxes(2, 3))
+                    projections[c] = np.empty((3, c, r, B, H))
+                x_t = projections[c]
+                _copies_matmul(chunk.reshape(c, r * B, n), Wx,
+                               x_t.reshape(3, c, r * B, H))
+                x_t += bias[:, None, None]
                 for d0, d1 in draws:
                     if (c, d1 - d0) not in steppers:
                         steppers[c, d1 - d0] = (
                             np.empty((c, d1 - d0, B, H)),
-                            _restep_buffers((c, d1 - d0, B), H, Wh))
-                    h, ws = steppers[c, d1 - d0]
+                            np.empty((3, c, d1 - d0, B, H)))
+                    h, g = steppers[c, d1 - d0]
                     h[...] = h0
                     for s in range(t, T):
                         x_s = x_t[:, :, d0:d1] if s == t else \
                             xg[:, s, None, None]
-                        _restep(x_s, h, Wh, ws, out=h)
+                        _restep(x_s, h, Wh, g, out=h)
                         if s >= first:
                             cat[:c, :, d0:d1, s - first] = h.swapaxes(1, 2)
                 logits = cat[:c].reshape(c, B * r * (T - first), H) @ w_out
@@ -737,7 +677,10 @@ def train_classifier(dataset, params: ClassifierParams,
     scope; returns (params, history), history[e] being the row-weighted
     mean of epoch e's minibatch losses, each taken before its step.
     Labels are (N, T) for per-timestep readout or (N,) for final-step.
-    Deterministic for a fixed seed. NaN loss aborts."""
+    Deterministic for a fixed seed and BLAS thread count: the caller's
+    count is kept, so that the large weight-gradient products may use more
+    than one thread, and their last bits can depend on it (every tempex
+    command runs on one). NaN loss aborts."""
     config = config or TrainConfig()
     X, y = dataset.X, dataset.y
     N = X.shape[0]

@@ -124,6 +124,30 @@ class TestGenerateTrainExplain:
         out = capsys.readouterr().out
         assert "aup" in out and "aur" in out
 
+    def test_train_writes_the_same_bytes_on_any_thread_count(self,
+                                                              tmp_path):
+        # at this size two OpenBLAS threads gave the weight gradients
+        # other last bits, so a checkpoint written without the pin differed
+        ds = tmp_path / "ds.zip"
+        data.save_dataset(data.generate_hmm(data.HmmConfig(
+            n_series=100, n_steps=30, seed=0)), ds)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        written = []
+        for threads in ("1", "2"):
+            model = tmp_path / f"m{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p))
+            subprocess.run([sys.executable, "-m", "tempex.cli", "train",
+                            "--data", str(ds), "--out", str(model),
+                            "--hidden", "32", "--epochs", "1"],
+                           env=env, capture_output=True, timeout=120,
+                           check=True)
+            written.append(model.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("samples", ["0", "-2"])
     def test_explain_rejects_fewer_than_one_sample(self, tiny_dataset,
                                                    tmp_path, samples):

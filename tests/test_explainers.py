@@ -493,8 +493,8 @@ class TestOcclusionMatchesPerCellLoops:
 
     @pytest.mark.parametrize("hidden", [20, 64])
     def test_gate_block_routes(self, rng, hidden):
-        # the re-steps multiply by W_h whole at H = 20 and in three gate
-        # blocks at the bench's H = 64 (nets._step_weights)
+        # gate blocks at H = 20, not a multiple of 8, and at the bench's
+        # H = 64
         X = rng.uniform(-1, 1, (3, 5, 3))
         ref = rng.uniform(-1, 1, (4, 5, 3))
         self._check(X, self._model(nets.PER_TIMESTEP, hidden=hidden), ref,

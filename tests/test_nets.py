@@ -168,13 +168,15 @@ def test_bidirectional_pass_matches_its_two_directions(rng, B):
 
 @pytest.mark.parametrize("direction", [nets.FORWARD, nets.BIDIRECTIONAL])
 def test_taped_output_matches_untaped(rng, direction):
-    p = nets.init_gru(rng, 3, 4, direction)
-    x = Tensor(rng.normal(0, 1, (5, 7, 3)))
-    untaped = nets.gru_forward(x, p).data
-    with ad.Tape():
-        taped = nets.gru_forward(x, p)
-    assert taped._tape is not None  # the weights are tracked
-    np.testing.assert_array_equal(taped.data, untaped)
+    # H = 32 is the generator's and the HMM classifier's size
+    for H in (4, 32):
+        p = nets.init_gru(rng, 3, H, direction)
+        x = Tensor(rng.normal(0, 1, (5, 7, 3)))
+        untaped = nets.gru_forward(x, p).data
+        with ad.Tape():
+            taped = nets.gru_forward(x, p)
+        assert taped._tape is not None  # the weights are tracked
+        np.testing.assert_array_equal(taped.data, untaped)
 
 
 def test_bidirectional_single_step_uses_same_input(rng):
@@ -716,52 +718,48 @@ class TestCheckpointFormat:
 
 
 
-def _cell(xg, h, Wh):
-    """The new state of nets._gru_cell from the projection xg and W_h, as
-    gru_forward's step loop gives them to it: one pass, r and z negated."""
-    H = h.shape[-1]
-    xg = nets._negate_rz(xg, H)[:, None]
-    out = np.empty_like(h)[:, None]
-    c = np.empty_like(out)
-    nets._gru_cell(xg, h[:, None], nets._negate_rz(Wh, H)[None], out,
-                   (np.empty_like(xg), np.empty(out.shape[:-1] + (2 * H,)),
-                    c, c, out))
-    return out[:, 0]
+def _cell(x, h, W):
+    """The new states of the rows h (rows, H) through gru_forward's step:
+    one product of the rows per gate block of W (3, H, H), then
+    nets._gru_step with the projection x (3, rows, H)."""
+    out = np.empty_like(h)
+    nets._gru_step(x, np.matmul(h, W), h, out)
+    return out
 
 
 class TestRestepMatchesGruCell:
-    """nets._restep, the step of perturbed_step_scores, gives _gru_cell's
-    bits on every copy of a batch: h stacks c copies of r draws of B rows,
-    draw-major, and each copy is checked against _gru_cell over its own
-    rows."""
+    """nets._restep, the step of perturbed_step_scores, gives the bits of
+    gru_forward's step on every copy of a batch: h stacks c copies of r
+    draws of B rows, draw-major, and each copy is checked against the same
+    step over its own rows."""
 
     @staticmethod
     def _case(rng, h, cached=True, bias=0.0):
-        """W_h, the projection as _restep takes it, and the new states."""
+        """W_h's gate blocks, the projection as _restep takes it, and the
+        new states."""
         c, r, B, H = h.shape
-        Wh = rng.uniform(-1, 1, (H, 3 * H)) / np.sqrt(H)
+        W = rng.uniform(-1, 1, (3, H, H)) / np.sqrt(H)
         # a cached projection per batch row, or a fresh one per copy row
-        xg = rng.uniform(-2, 2, (B, 3 * H) if cached else h.shape[:-1]
-                         + (3 * H,)) + bias
-        rows = np.broadcast_to(xg, (c, r, B, 3 * H))
+        x = rng.uniform(-2, 2, (3, B, H) if cached else (3,) + h.shape) \
+            + bias
+        if cached:
+            x = x[:, None, None]
+        rows = np.broadcast_to(x, (3,) + h.shape)
         with np.errstate(over="ignore"):  # as gru_forward's loop does
             want = np.stack([
-                _cell(rows[k].reshape(-1, 3 * H), h[k].reshape(-1, H),
-                      Wh).reshape(r, B, H)
+                _cell(rows[:, k].reshape(3, -1, H), h[k].reshape(-1, H),
+                      W).reshape(r, B, H)
                 for k in range(c)])
-        x = nets._gates(nets._negate_rz(xg, H), H)
-        return Wh, x[:, None, None] if cached else x, want
+        return W, x, want
 
     @staticmethod
-    def _restep(x, h, Wh):
-        H = h.shape[-1]
-        W = nets._step_weights(Wh, H)
+    def _restep(x, h, W):
         out = np.empty_like(h)
-        nets._restep(x, h, W, nets._restep_buffers(h.shape[:-1], H, W), out)
+        nets._restep(x, h, W, np.empty((3,) + h.shape), out)
         return out
 
-    # W_h is split into gate blocks at 64 and 200, and stays whole at 1, 5
-    # and 20; at 20 three products would give other bits (_step_weights)
+    # 5 and 20 are not multiples of 8, where a gate block's product may
+    # differ from the same columns of a whole (H, 3H) product
     @pytest.mark.parametrize("H", [1, 5, 20, 64, 200])
     @pytest.mark.parametrize("B, r", [(4, 1), (4, 3), (1, 3), (1, 1)])
     @pytest.mark.parametrize("cached", [True, False])
@@ -769,45 +767,27 @@ class TestRestepMatchesGruCell:
         # (1, 3): a one-row batch whose copies have three rows, which take
         # gemm; (1, 1): one-row copies, which take gemv one copy at a time
         h = rng.uniform(-1, 1, (3, r, B, H))
-        Wh, x, want = self._case(rng, h, cached)
-        np.testing.assert_array_equal(self._restep(x, h, Wh), want)
-
-    @pytest.mark.parametrize("H", [1, 5, 20, 64, 200])
-    @pytest.mark.parametrize("B, r", [(4, 3), (1, 3), (1, 1)])
-    def test_gate_products_match_whole_product(self, rng, H, B, r):
-        # the products before any nonlinearity, where a last-bit change
-        # of BLAS route always shows: the sums and the sigmoid and tanh
-        # after them absorb most such changes
-        h = rng.uniform(-1, 1, (3, r, B, H))
-        Wh = rng.uniform(-1, 1, (H, 3 * H))
-        W = nets._step_weights(Wh, H)
-        ws = nets._restep_buffers(h.shape[:-1], H, W)
-        nets._gate_products(h, W, ws)
-        want = np.stack([h[k].reshape(-1, H) @ nets._negate_rz(Wh, H)
-                         for k in range(3)])
-        np.testing.assert_array_equal(
-            ws[0], nets._gates(want.reshape(3, r, B, 3 * H), H))
+        W, x, want = self._case(rng, h, cached)
+        np.testing.assert_array_equal(self._restep(x, h, W), want)
 
     @pytest.mark.parametrize("H", [5, 64])
     def test_in_place(self, rng, H):
         # every copy and draw starts from one state per batch row, and
         # perturbed_step_scores steps it in place
         h = np.broadcast_to(rng.uniform(-1, 1, (4, H)), (3, 2, 4, H)).copy()
-        Wh, x, want = self._case(rng, h, cached=False)
-        W = nets._step_weights(Wh, H)
-        nets._restep(x, h, W, nets._restep_buffers(h.shape[:-1], H, W),
-                     out=h)
+        W, x, want = self._case(rng, h, cached=False)
+        nets._restep(x, h, W, np.empty((3,) + h.shape), out=h)
         np.testing.assert_array_equal(h, want)
 
     @pytest.mark.parametrize("H", [5, 64])
     @pytest.mark.parametrize("bias", [-800.0, 800.0])
     def test_saturated_gates_raise_no_warning(self, rng, H, bias):
         h = rng.uniform(-1, 1, (3, 2, 4, H))
-        Wh, x, want = self._case(rng, h, bias=bias)
+        W, x, want = self._case(rng, h, bias=bias)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with np.errstate(over="ignore"):  # as the callers' loops do
-                got = self._restep(x, h, Wh)
+                got = self._restep(x, h, W)
         np.testing.assert_array_equal(got, want)
 
 
