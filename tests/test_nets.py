@@ -758,8 +758,8 @@ class TestRestepMatchesGruCell:
         nets._restep(x, h, W, np.empty((3,) + h.shape), out)
         return out
 
-    # 5 and 20 are not multiples of 8, where a gate block's product may
-    # differ from the same columns of a whole (H, 3H) product
+    # 1, 5 and 20 are not multiples of 8, so BLAS sums their products with
+    # other kernel paths than at 64 and 200
     @pytest.mark.parametrize("H", [1, 5, 20, 64, 200])
     @pytest.mark.parametrize("B, r", [(4, 1), (4, 3), (1, 3), (1, 1)])
     @pytest.mark.parametrize("cached", [True, False])
